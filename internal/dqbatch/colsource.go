@@ -2,69 +2,11 @@ package dqbatch
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 )
-
-// BatchSource is a Source that can also deliver records in columnar form:
-// NextBatch decodes up to max records directly into dst (which the engine
-// Resets beforehand), classifying every cell once instead of building one
-// map per record. Malformed records are reported through bad (with their
-// 1-based input line) and skipped, mirroring the row path's *RecordError
-// handling. NextBatch returns the number of rows decoded; io.EOF (possibly
-// alongside a final partial count) ends the stream, and any other error
-// aborts the batch. The engine prefers this interface whenever both the
-// source and the validator support columnar evaluation.
-type BatchSource interface {
-	Source
-	NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error)
-}
-
-// NextBatch decodes up to max NDJSON records into dst. A line that fails
-// JSON decoding, or carries a non-scalar field value, is reported through
-// bad and contributes no row (partially appended cells are rolled back).
-func (s *NDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	n := 0
-	for n < max && s.sc.Scan() {
-		s.line++
-		raw := s.sc.Bytes()
-		s.offset += int64(len(raw)) + 1
-		if len(trimSpaceBytes(raw)) == 0 {
-			continue
-		}
-		var obj map[string]any
-		if err := json.Unmarshal(raw, &obj); err != nil {
-			bad(s.line, err)
-			continue
-		}
-		ok := true
-		for k, v := range obj {
-			str, err := scalarString(v)
-			if err != nil {
-				bad(s.line, fmt.Errorf("field %q: %w", k, err))
-				dst.AbortRow()
-				ok = false
-				break
-			}
-			dst.SetField(k, str)
-		}
-		if !ok {
-			continue
-		}
-		dst.EndRow()
-		n++
-	}
-	if n > 0 {
-		return n, nil
-	}
-	if err := s.sc.Err(); err != nil {
-		return 0, fmt.Errorf("dqbatch: reading line %d: %w", s.line+1, err)
-	}
-	return 0, io.EOF
-}
 
 // NextBatch decodes up to max CSV data rows into dst. Rows with the wrong
 // field count and unparsable rows are reported through bad and skipped,

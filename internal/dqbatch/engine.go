@@ -23,10 +23,10 @@ type Validating interface {
 }
 
 // BatchValidating is the columnar validation dependency: one call scores a
-// whole ColumnBatch. *dqruntime.Validator implements it. When both the
-// source (BatchSource) and the validator support it, Run takes the
-// vectorized path unless Options.ForceRows says otherwise; the verdicts
-// are identical to the row path either way.
+// whole ColumnBatch. *dqruntime.Validator implements it. When the
+// validator supports it, Run's eval workers score whole chunks at once
+// unless Options.ForceRows says otherwise; the verdicts are identical to
+// the row path either way.
 type BatchValidating interface {
 	ValidateBatch(b *dqruntime.ColumnBatch, rep *dqruntime.BatchReport)
 }
@@ -35,8 +35,9 @@ type BatchValidating interface {
 type Options struct {
 	// Workers is the validation goroutine count; 0 means GOMAXPROCS.
 	Workers int
-	// ChunkSize is how many records travel per work item; chunking
-	// amortizes channel handoff to nothing per record. 0 means 256.
+	// ChunkSize is how many records (input lines, for NDJSON) travel per
+	// work item; chunking amortizes channel handoff to nothing per record.
+	// 0 means 256.
 	ChunkSize int
 	// MaxExemplars caps retained failures per characteristic; 0 means 3,
 	// negative means none.
@@ -46,20 +47,19 @@ type Options struct {
 	// On the vectorized path one amortized sample is taken per chunk
 	// instead (batch duration / rows); negative disables that too.
 	SampleEvery int
-	// ForceRows disables the vectorized path even when the source and
-	// validator both support it — the escape hatch for differential
-	// debugging, and how the parity tests drive both paths.
+	// ForceRows evaluates every decoded chunk row by row (RowView +
+	// ValidateInto) even when the validator can score whole batches — the
+	// escape hatch for differential debugging, and how the parity tests
+	// drive both paths.
 	ForceRows bool
-	// DecodeWorkers caps the decode stage on the pipelined path (SpanSource
-	// inputs, e.g. memory-mapped NDJSON): one scanner cuts raw spans, this
-	// many goroutines decode them into column batches, and the eval workers
-	// score the results — parsing overlaps evaluation. 0 or negative means
-	// half the eval workers, rounded up.
+	// DecodeWorkers sizes the decode pool between the producer and the
+	// eval workers. Span sources (NDJSON) only cut raw spans on the
+	// producer goroutine and this many goroutines decode them, so parsing
+	// overlaps evaluation; other sources decode on the producer and the
+	// pool just passes their chunks on. 1 decodes in input order on one
+	// goroutine — the sequential oracle. 0 or negative means half the eval
+	// workers, rounded up.
 	DecodeWorkers int
-	// ForceSequential disables the pipelined decode stage even when the
-	// source supports spans, keeping the single reader-decodes shape — the
-	// pipelined counterpart of ForceRows, for differential testing.
-	ForceSequential bool
 	// MaxDecodeErrors caps the decode errors retained (with line numbers)
 	// in Result.DecodeErrors; 0 means 10, negative means none. Malformed
 	// counts every skipped record regardless of the cap.
@@ -126,76 +126,119 @@ type Result struct {
 	CrossRecords []dqruntime.CrossFinding `json:"cross_records,omitempty"`
 	// Duration is Seconds as a time.Duration, for callers doing math.
 	Duration time.Duration `json:"-"`
-	// Vectorized reports whether the columnar path ran. Excluded from the
-	// serialized forms so both paths produce identical reports.
+	// Vectorized reports whether the eval workers scored whole batches
+	// (false: row by row). Excluded from the serialized forms so both
+	// paths produce identical reports.
 	Vectorized bool `json:"-"`
-	// Pipelined reports whether the decode stage ran as its own worker pool
-	// (SpanSource input). Excluded from the serialized forms for the same
-	// reason as Vectorized.
-	Pipelined bool `json:"-"`
 }
 
-// chunk is one unit of work on the row path: a recycled block of records.
-// Only the first n entries of recs are valid; base is the 1-based ordinal
-// of the first one. scratch holds the recycled maps offered to the source —
-// a streaming decoder fills and returns them (recs[i] == scratch[i]), an
-// in-memory source returns its own records and the scratch maps idle.
-type chunk struct {
-	base    int64
-	n       int
-	recs    []dqruntime.Record
-	scratch []dqruntime.Record
-}
-
-// colChunk is one unit of work on the vectorized path: a recycled
-// columnar batch of up to ChunkSize rows. On the pipelined path idx is the
-// chunk's span sequence number (the sequencer restores input order from
-// it) and bads buffers the span's malformed-line diagnostics until the
-// sequencer replays them in line order.
+// colChunk is the unit of work every pipeline stage hands on: a recycled
+// column batch plus, for span sources, the raw span it decodes from. idx
+// is the producer's sequence number (the sequencer restores input order
+// from it), base the 1-based ordinal of the first row, and bads buffers
+// the chunk's malformed-line diagnostics until the sequencer replays them
+// in line order. buf is the chunk's own line storage for streaming span
+// sources, so raw bytes in flight are bounded by the free list too.
 type colChunk struct {
-	base  int64
-	n     int
-	batch *dqruntime.ColumnBatch
 	idx   int64
+	base  int64
+	batch dqruntime.ColumnBatch
+	span  Span
+	buf   []byte
 	bads  []lineErr
 }
 
-// lineErr is one malformed line captured during concurrent span decoding,
-// held until the sequencer replays it single-threaded.
+// lineErr is one malformed line captured off the sequencer goroutine, held
+// until the sequencer replays it.
 type lineErr struct {
 	line int64
 	err  error
 }
 
-// chunkPool and colChunkPool recycle chunks (and the record maps / column
-// buffers inside them) across Runs, so repeated batches — benchmark
-// iterations, a server validating dataset after dataset — stop paying the
-// pool-priming allocations every time.
-var (
-	chunkPool    sync.Pool
-	colChunkPool sync.Pool
-)
+func (c *colChunk) bad(line int64, err error) { c.bads = append(c.bads, lineErr{line: line, err: err}) }
 
-func getChunk(chunkSize int) *chunk {
-	c, _ := chunkPool.Get().(*chunk)
-	if c == nil || cap(c.recs) < chunkSize {
-		return &chunk{
-			recs:    make([]dqruntime.Record, chunkSize),
-			scratch: make([]dqruntime.Record, chunkSize),
-		}
-	}
-	c.recs = c.recs[:chunkSize]
-	c.scratch = c.scratch[:chunkSize]
-	return c
+// reset readies a recycled chunk to be filled as the idx-th of a run.
+func (c *colChunk) reset(idx int64) {
+	c.idx = idx
+	c.batch.Reset()
+	c.span = Span{}
+	c.bads = c.bads[:0]
 }
+
+// colChunkPool recycles chunks (and the column buffers and span storage
+// inside them) across Runs, so repeated batches — benchmark iterations, a
+// server validating dataset after dataset — stop paying the pool-priming
+// allocations every time.
+var colChunkPool sync.Pool
 
 func getColChunk() *colChunk {
-	c, _ := colChunkPool.Get().(*colChunk)
-	if c == nil {
-		return &colChunk{batch: &dqruntime.ColumnBatch{}}
+	if c, ok := colChunkPool.Get().(*colChunk); ok {
+		return c
 	}
-	return c
+	return &colChunk{}
 }
+
+// feed is how one source fills chunks: fill runs on the producer
+// goroutine and loads the next chunk in input order, decode runs in the
+// decode pool and finishes it (a no-op unless the source cut a raw span).
+type feed struct {
+	fill   func(c *colChunk) error
+	decode func(c *colChunk)
+}
+
+// feedFor picks src's fill: span sources cut a span into the chunk,
+// batch sources (CSV, ColumnSource) decode straight into its batch, and
+// Next-only sources have their records appended one by one. fill returns
+// io.EOF at end of input; a chunk filled alongside any error is still
+// complete.
+func feedFor(src Source, chunkSize int) feed {
+	switch s := src.(type) {
+	case SpanSource:
+		return feed{
+			fill: func(c *colChunk) (err error) {
+				c.span, err = s.CutSpan(&c.buf, chunkSize)
+				return err
+			},
+			decode: func(c *colChunk) {
+				if len(c.span.Data) > 0 {
+					s.DecodeSpan(c.span, &c.batch, c.bad)
+				}
+			},
+		}
+	case BatchSource:
+		return feed{
+			fill: func(c *colChunk) error {
+				_, err := s.NextBatch(&c.batch, chunkSize, c.bad)
+				return err
+			},
+			decode: func(*colChunk) {},
+		}
+	}
+	rec := make(dqruntime.Record, 8)
+	return feed{
+		fill: func(c *colChunk) error {
+			for c.batch.Rows() < chunkSize {
+				got, err := src.Next(rec)
+				if re, ok := err.(*RecordError); ok {
+					c.bad(re.Line, re.Err)
+					continue
+				}
+				if err != nil {
+					return err
+				}
+				for k, v := range got {
+					c.batch.SetField(k, v)
+				}
+				c.batch.EndRow()
+			}
+			return nil
+		},
+		decode: func(*colChunk) {},
+	}
+}
+
+// defaultChunkSize is Options.ChunkSize's default.
+const defaultChunkSize = 256
 
 // sampleCap bounds each worker's latency reservoir.
 const sampleCap = 4096
@@ -206,40 +249,46 @@ var batchBuckets = []float64{
 	0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120,
 }
 
-// Run streams records from src through a worker pool, validating each
-// with v and merging per-characteristic statistics. When src implements
-// BatchSource and v implements BatchValidating (and ForceRows is off),
-// records travel as columnar batches and each worker scores whole columns
-// at once; otherwise every record is validated through the per-record row
-// path. Both paths produce identical results. Run honors ctx: on
-// cancellation the stream stops, workers drain, and the partial Result
-// comes back with ctx's error. Memory is bounded by the pool geometry
-// (roughly 2×workers chunks of ChunkSize records), never by input size.
+// positiveOr resolves a "0 or negative means def" option.
+func positiveOr(n, def int) int {
+	if n <= 0 {
+		return def
+	}
+	return n
+}
+
+// capOr resolves a "0 means def, negative means none" option.
+func capOr(n, def int) int {
+	if n == 0 {
+		return def
+	}
+	return max(n, 0)
+}
+
+// Run streams records from src through one pipeline, validating each with
+// v and merging per-characteristic statistics. A producer goroutine fills
+// recycled chunks in input order (cutting raw spans for span sources), a
+// decode pool of Options.DecodeWorkers decodes them, a sequencer restores
+// input order — assigning record ordinals and replaying malformed-line
+// diagnostics — and a pool of eval workers scores each chunk, as whole
+// columns when v implements BatchValidating (and ForceRows is off) and row
+// by row otherwise. Reports are byte-identical across sources, decode
+// pool sizes, worker counts and both eval modes. Run honors ctx: on
+// cancellation the producer stops, the chunks already in flight finish,
+// and the partial Result — every record read so far — comes back with
+// ctx's error. Every stage has exited before Run returns, so the caller
+// may release the source (unmap a file) at once. Memory is bounded by the
+// chunk free list, never by input size.
 func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunkSize := opts.ChunkSize
-	if chunkSize <= 0 {
-		chunkSize = 256
-	}
-	maxExemplars := opts.MaxExemplars
-	if maxExemplars == 0 {
-		maxExemplars = 3
-	} else if maxExemplars < 0 {
-		maxExemplars = 0
-	}
+	workers := positiveOr(opts.Workers, runtime.GOMAXPROCS(0))
+	decoders := positiveOr(opts.DecodeWorkers, (workers+1)/2)
+	chunkSize := positiveOr(opts.ChunkSize, defaultChunkSize)
 	stride := opts.SampleEvery
 	if stride == 0 {
 		stride = 64
 	}
-	maxDecode := opts.MaxDecodeErrors
-	if maxDecode == 0 {
-		maxDecode = 10
-	} else if maxDecode < 0 {
-		maxDecode = 0
-	}
+	maxExemplars := capOr(opts.MaxExemplars, 3)
+	maxDecode := capOr(opts.MaxDecodeErrors, 10)
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.Default()
@@ -250,414 +299,156 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 	errC := reg.Counter("dqbatch_records_total", recordsHelp, obs.Labels{"outcome": "error"})
 	batchH := reg.Histogram("dqbatch_batch_seconds", "Wall-clock batch validation duration", batchBuckets, nil)
 
-	bsrc, srcOK := src.(BatchSource)
-	bval, valOK := v.(BatchValidating)
-	vectorized := srcOK && valOK && !opts.ForceRows
+	bval, _ := v.(BatchValidating)
+	if opts.ForceRows {
+		bval = nil
+	}
+	in := feedFor(src, chunkSize)
 
 	_, span := obs.StartSpan(ctx, "dqbatch.run")
 	start := time.Now()
 
-	var malformed int64
-	var decodeErrs []DecodeError
-	var readErr error
-	// onBad runs on exactly one goroutine — the reader, or on the pipelined
-	// path the sequencer (which replays buffered diagnostics in line order);
-	// <-readerDone below is the happens-before edge that publishes its
-	// writes to the epilogue.
-	onBad := func(line int64, err error) {
-		malformed++
-		errC.Inc()
-		if len(decodeErrs) < maxDecode {
-			decodeErrs = append(decodeErrs, DecodeError{Line: line, Error: err.Error()})
-		}
-	}
-
-	shards := make([]*shard, workers)
-	for i := range shards {
-		shards[i] = newShard()
-	}
 	// crossStates[c][w] is check c's private state for worker w; workers
-	// write only their own column, and the reduce below folds each row
-	// single-threaded, so cross-record checks ride the existing
-	// shard-then-merge discipline without new synchronization.
+	// write only their own column, and the reduce folds each row
+	// single-threaded, so cross-record checks ride the shard-then-merge
+	// discipline without new synchronization.
 	crossStates := make([][]dqruntime.CheckState, len(opts.CrossRecord))
 	for i, sc := range opts.CrossRecord {
 		crossStates[i] = sc.NewStates(workers, maxExemplars)
 	}
-	readerDone := make(chan struct{})
-	var wg sync.WaitGroup
 
-	ssrc, spanOK := src.(SpanSource)
-	pipelined := vectorized && spanOK && !opts.ForceSequential
-	decodeWorkers := opts.DecodeWorkers
-	if decodeWorkers <= 0 {
-		decodeWorkers = (workers + 1) / 2
+	// Every chunk in flight came from free, so it bounds memory: one per
+	// goroutine that holds a chunk while working (producer, decoders, eval
+	// workers) plus one in hand-off. free has room for all of them, so
+	// returning a chunk never blocks. Past the producer no stage waits on
+	// anything but its upstream channel, so on cancellation the chunks
+	// already cut drain through decode and eval and the partial Result
+	// covers exactly a prefix of the input.
+	free := make(chan *colChunk, workers+decoders+2)
+	for i := 0; i < cap(free); i++ {
+		free <- getColChunk()
 	}
+	// One slot per consumer goroutine lets each stage run a chunk ahead
+	// of the next without growing memory past the free list.
+	todo := make(chan *colChunk, decoders)
+	decoded := make(chan *colChunk, decoders)
+	work := make(chan *colChunk, workers)
+	// wg joins every stage: its Wait is the happens-before edge that
+	// publishes readErr (the producer's) and malformed/decodeErrs (the
+	// sequencer's) to the epilogue.
+	var wg sync.WaitGroup
+	spawn := func(f func()) {
+		wg.Add(1)
+		go func() { defer wg.Done(); f() }()
+	}
+	var readErr error
+	var malformed int64
+	var decodeErrs []DecodeError
 
-	if vectorized {
-		// The free list is the memory bound: every batch in flight came
-		// from here, so at most cap(free) column batches exist (the
-		// pipelined path holds extras in its decode stage).
-		freeCap := 2*workers + 2
-		if pipelined {
-			freeCap += 2 * decodeWorkers
-		}
-		free := make(chan *colChunk, freeCap)
-		for i := 0; i < cap(free); i++ {
-			free <- getColChunk()
-		}
-		work := make(chan *colChunk, workers)
-		var scanDone chan struct{}
-
-		if pipelined {
-			// Three stages: a scanner cuts raw spans off the source (pure
-			// newline arithmetic), decode workers parse spans into column
-			// batches concurrently, and a sequencer restores span order —
-			// assigning record ordinals and replaying malformed-line
-			// diagnostics exactly as the single-reader path would — before
-			// handing chunks to the eval workers. Reports stay byte-identical
-			// because ordinals, decode-error order and per-worker chunk order
-			// (ascending base) all match the sequential reader.
-			scanDone = make(chan struct{})
-			type spanItem struct {
-				idx int64
-				sp  Span
+	spawn(func() { // producer: the only stage that watches ctx
+		defer close(todo)
+		for idx := int64(0); ctx.Err() == nil; idx++ {
+			// Taking the chunk before cutting its span keeps chunks
+			// entering the pipeline in input order: the chunk the sequencer
+			// waits for is always already past the free list.
+			var c *colChunk
+			select {
+			case c = <-free:
+			case <-ctx.Done():
+				return
 			}
-			spans := make(chan spanItem, decodeWorkers)
-			seqCh := make(chan *colChunk, decodeWorkers+workers)
-
-			go func() { // scanner: owns readErr, published via scanDone
-				defer close(scanDone)
-				defer close(spans)
-				var idx int64
-				for {
-					sp, err := ssrc.NextSpan(chunkSize)
-					if err != nil {
-						if err != io.EOF {
-							readErr = err
-						}
-						return
-					}
-					select {
-					case spans <- spanItem{idx: idx, sp: sp}:
-					case <-ctx.Done():
-						return
-					}
-					idx++
+			c.reset(idx)
+			err := in.fill(c)
+			todo <- c
+			if err != nil {
+				if err != io.EOF {
+					readErr = err
 				}
-			}()
-
-			var decWg sync.WaitGroup
-			for i := 0; i < decodeWorkers; i++ {
-				decWg.Add(1)
-				go func() {
-					defer decWg.Done()
-					for it := range spans {
-						var c *colChunk
-						select {
-						case c = <-free:
-						case <-ctx.Done():
-							return
-						}
-						c.batch.Reset()
-						c.idx = it.idx
-						c.bads = c.bads[:0]
-						c.n = ssrc.DecodeSpan(it.sp, c.batch, func(line int64, err error) {
-							c.bads = append(c.bads, lineErr{line: line, err: err})
-						})
-						select {
-						case seqCh <- c:
-						case <-ctx.Done():
-							return
-						}
-					}
-				}()
+				return
 			}
-			go func() {
-				decWg.Wait()
-				close(seqCh)
-			}()
+		}
+	})
 
-			go func() { // sequencer: owns onBad state, published via readerDone
-				defer close(readerDone)
-				defer close(work)
-				pending := make(map[int64]*colChunk, decodeWorkers+workers)
-				var next, ordinal int64
-				for c := range seqCh {
-					pending[c.idx] = c
-					for {
-						pc, ok := pending[next]
-						if !ok {
-							break
-						}
-						delete(pending, next)
-						next++
-						for _, b := range pc.bads {
-							onBad(b.line, b.err)
-						}
-						pc.bads = pc.bads[:0]
-						if pc.n == 0 {
-							select {
-							case free <- pc:
-							default:
-							}
-							continue
-						}
-						pc.base = ordinal + 1
-						ordinal += int64(pc.n)
-						select {
-						case work <- pc:
-						case <-ctx.Done():
-							return
-						}
-					}
-				}
-			}()
-		} else {
-			go func() {
-				defer close(readerDone)
-				defer close(work)
-				var ordinal int64
-				for {
-					var c *colChunk
-					select {
-					case c = <-free:
-					case <-ctx.Done():
-						return
-					}
-					c.batch.Reset()
-					n, err := bsrc.NextBatch(c.batch, chunkSize, onBad)
-					c.base = ordinal + 1
-					c.n = n
-					ordinal += int64(n)
-					if n > 0 {
-						select {
-						case work <- c:
-						case <-ctx.Done():
-							return
-						}
-					}
-					if err != nil {
-						if err != io.EOF {
-							readErr = err
-						}
-						return
-					}
-				}
-			}()
-		}
+	var decoding sync.WaitGroup
+	decoding.Add(decoders)
+	for i := 0; i < decoders; i++ {
+		spawn(func() {
+			defer decoding.Done()
+			for c := range todo {
+				in.decode(c)
+				decoded <- c
+			}
+		})
+	}
+	spawn(func() { decoding.Wait(); close(decoded) })
 
-		for i := 0; i < workers; i++ {
-			sh := shards[i]
-			wi := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rep := &dqruntime.BatchReport{}
-				for c := range work {
-					if ctx.Err() != nil {
-						return
+	spawn(func() { // sequencer
+		defer close(work)
+		pending := make(map[int64]*colChunk, cap(free))
+		var next, ordinal int64
+		for dc := range decoded {
+			pending[dc.idx] = dc
+			for c := pending[next]; c != nil; c = pending[next] {
+				delete(pending, next)
+				next++
+				for _, b := range c.bads {
+					malformed++
+					errC.Inc()
+					if len(decodeErrs) < maxDecode {
+						decodeErrs = append(decodeErrs, DecodeError{Line: b.line, Error: b.err.Error()})
 					}
-					if stride > 0 {
-						t0 := time.Now()
-						bval.ValidateBatch(c.batch, rep)
-						sh.sample(time.Since(t0).Seconds()/float64(c.n), sampleCap)
-					} else {
-						bval.ValidateBatch(c.batch, rep)
-					}
-					for _, states := range crossStates {
-						states[wi].ObserveBatch(c.base, c.batch)
-					}
-					pass, fail := sh.observeBatch(c.base, rep, maxExemplars)
-					passC.Add(pass)
-					failC.Add(fail)
-					select {
-					case free <- c:
-					default: // reader gone; chunk retires
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		<-readerDone
-		if scanDone != nil {
-			// Pipelined: readErr is the scanner's; wait for its publication
-			// edge too (the sequencer can finish first on cancellation).
-			<-scanDone
-		}
-		drainColChunks(free)
-	} else {
-		free := make(chan *chunk, 2*workers+2)
-		for i := 0; i < cap(free); i++ {
-			free <- getChunk(chunkSize)
-		}
-		work := make(chan *chunk, workers)
-
-		go func() {
-			defer close(readerDone)
-			defer close(work)
-			var ordinal int64
-		read:
-			for {
-				var c *chunk
-				select {
-				case c = <-free:
-				case <-ctx.Done():
-					return
 				}
 				c.base = ordinal + 1
-				c.n = 0
-				for c.n < chunkSize {
-					rec := c.scratch[c.n]
-					if rec == nil {
-						rec = make(dqruntime.Record, 8)
-						c.scratch[c.n] = rec
-					}
-					got, err := src.Next(rec)
-					if err == nil {
-						c.recs[c.n] = got
-						ordinal++
-						c.n++
-						continue
-					}
-					if re, ok := err.(*RecordError); ok {
-						onBad(re.Line, re.Err)
-						continue
-					}
-					if err != io.EOF {
-						readErr = err
-					}
-					if c.n > 0 {
-						select {
-						case work <- c:
-						case <-ctx.Done():
-						}
-					}
-					break read
-				}
-				select {
-				case work <- c:
-				case <-ctx.Done():
-					return
+				ordinal += int64(c.batch.Rows())
+				if c.batch.Rows() == 0 {
+					free <- c
+				} else {
+					work <- c
 				}
 			}
-		}()
-
-		for i := 0; i < workers; i++ {
-			sh := shards[i]
-			wi := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rep := &dqruntime.Report{}
-				var seen int64
-				for c := range work {
-					if ctx.Err() != nil {
-						return
-					}
-					var pass, fail uint64
-					for j := 0; j < c.n; j++ {
-						rec := c.recs[j]
-						if stride > 0 && seen%int64(stride) == 0 {
-							t0 := time.Now()
-							v.ValidateInto(rec, rep)
-							sh.sample(time.Since(t0).Seconds(), sampleCap)
-						} else {
-							v.ValidateInto(rec, rep)
-						}
-						seen++
-						for _, states := range crossStates {
-							states[wi].Observe(c.base+int64(j), rec)
-						}
-						if sh.observe(c.base+int64(j), rep, maxExemplars) {
-							pass++
-						} else {
-							fail++
-						}
-					}
-					passC.Add(pass)
-					failC.Add(fail)
-					select {
-					case free <- c:
-					default: // reader gone; chunk retires
-					}
-				}
-			}()
 		}
-		wg.Wait()
-		// The reader exits on EOF, source error, or ctx cancellation (every
-		// blocking point selects ctx.Done); waiting for it establishes the
-		// happens-before edge for malformed, decodeErrs and readErr.
-		<-readerDone
-		drainChunks(free)
+	})
+
+	shards := make([]*shard, workers)
+	for i := range shards {
+		shards[i] = newShard()
+		ev := &evaluator{v: v, bval: bval, sh: shards[i], stride: stride, maxExemplars: maxExemplars,
+			rec: make(dqruntime.Record, 8)}
+		for _, states := range crossStates {
+			ev.states = append(ev.states, states[i])
+		}
+		spawn(func() { // eval worker
+			for c := range work {
+				pass, fail := ev.score(c)
+				passC.Add(pass)
+				failC.Add(fail)
+				free <- c
+			}
+		})
+	}
+	wg.Wait()
+	for len(free) > 0 {
+		colChunkPool.Put(<-free)
 	}
 
 	dur := time.Since(start)
 	batchH.Observe(dur.Seconds())
-
 	res := &Result{
 		Malformed:    malformed,
 		DecodeErrors: decodeErrs,
 		Workers:      workers,
 		Seconds:      dur.Seconds(),
 		Duration:     dur,
-		Vectorized:   vectorized,
-		Pipelined:    pipelined,
+		Vectorized:   bval != nil,
 	}
-	var samples []float64
-	res.Characteristics, samples = mergeShards(shards, maxExemplars)
-	for _, sh := range shards {
-		res.Records += sh.records
-		res.Passed += sh.passed
-		res.Failed += sh.failed
-	}
-	if res.Seconds > 0 {
-		res.RecordsPerSec = float64(res.Records) / res.Seconds
-	}
-	sort.Float64s(samples)
-	res.LatencyP50 = percentile(samples, 50)
-	res.LatencyP99 = percentile(samples, 99)
-
-	// Reduce the cross-record states in worker-index order. Each state's
-	// Merge is order-independent in effect, so any worker count and any
-	// chunk assignment produce the same findings.
-	for _, states := range crossStates {
-		merged := states[0]
-		for _, o := range states[1:] {
-			merged.Merge(o)
-		}
-		res.CrossRecords = append(res.CrossRecords, merged.Finding())
-	}
-
+	res.reduce(shards, crossStates, maxExemplars)
 	if opts.Quality != nil {
-		ctxLabel := opts.Context
-		if ctxLabel == "" {
-			ctxLabel = "batch"
-		}
-		for _, cs := range res.Characteristics {
-			opts.Quality.Series(obs.Labels{
-				"characteristic": string(cs.Characteristic),
-				"context":        ctxLabel,
-			}).Merge(uint64(cs.Checks), uint64(cs.Checks-cs.Passed),
-				cs.SumScore, cs.MinScore, cs.MaxScore)
-		}
-		// Each cross-record finding is one dataset-level measurement of its
-		// characteristic: one check execution with the finding's score.
-		for _, f := range res.CrossRecords {
-			var failed uint64
-			if !f.Passed {
-				failed = 1
-			}
-			opts.Quality.Series(obs.Labels{
-				"characteristic": string(f.Characteristic),
-				"context":        ctxLabel,
-			}).Merge(1, failed, f.Score, f.Score, f.Score)
-		}
+		res.attribute(opts.Quality, opts.Context)
 	}
 
 	span.SetAttr("records", int(res.Records))
 	span.SetAttr("workers", workers)
-	if vectorized {
+	if bval != nil {
 		span.SetAttr("vectorized", 1)
 	}
 	if res.Failed > 0 {
@@ -671,27 +462,109 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 	return res, readErr
 }
 
-// drainChunks returns every idle chunk to the cross-run pool. Chunks
-// stranded in the work channel after a cancellation simply retire.
-func drainChunks(free chan *chunk) {
-	for {
-		select {
-		case c := <-free:
-			chunkPool.Put(c)
-		default:
-			return
+// evaluator is one eval worker's state: its shard, its column of the
+// cross-record states, and reports and a record map reused across chunks.
+type evaluator struct {
+	v            Validating
+	bval         BatchValidating // nil: row by row
+	sh           *shard
+	states       []dqruntime.CheckState
+	stride       int
+	maxExemplars int
+	brep         dqruntime.BatchReport
+	rep          dqruntime.Report
+	rec          dqruntime.Record
+	seen         int64
+}
+
+// score validates one chunk into the worker's shard and cross-record
+// states and returns its pass and fail counts: whole columns at once, or
+// — the row oracle — one RowView record map at a time.
+func (e *evaluator) score(c *colChunk) (pass, fail uint64) {
+	if e.bval != nil {
+		t0 := time.Now()
+		e.bval.ValidateBatch(&c.batch, &e.brep)
+		if e.stride > 0 {
+			e.sh.sample(time.Since(t0).Seconds()/float64(c.batch.Rows()), sampleCap)
 		}
+		for _, st := range e.states {
+			st.ObserveBatch(c.base, &c.batch)
+		}
+		return e.sh.observeBatch(c.base, &e.brep, e.maxExemplars)
+	}
+	for j := 0; j < c.batch.Rows(); j++ {
+		r, ord := c.batch.RowView(j, e.rec), c.base+int64(j)
+		if e.stride > 0 && e.seen%int64(e.stride) == 0 {
+			t0 := time.Now()
+			e.v.ValidateInto(r, &e.rep)
+			e.sh.sample(time.Since(t0).Seconds(), sampleCap)
+		} else {
+			e.v.ValidateInto(r, &e.rep)
+		}
+		e.seen++
+		for _, st := range e.states {
+			st.Observe(ord, r)
+		}
+		if e.sh.observe(ord, &e.rep, e.maxExemplars) {
+			pass++
+		} else {
+			fail++
+		}
+	}
+	return pass, fail
+}
+
+// reduce folds the per-worker shards and cross-record states into res.
+// The cross-record states merge in worker-index order; each state's Merge
+// is order-independent in effect, so any worker count and any chunk
+// assignment produce the same findings.
+func (res *Result) reduce(shards []*shard, crossStates [][]dqruntime.CheckState, maxExemplars int) {
+	var samples []float64
+	res.Characteristics, samples = mergeShards(shards, maxExemplars)
+	for _, sh := range shards {
+		res.Records += sh.records
+		res.Passed += sh.passed
+		res.Failed += sh.failed
+	}
+	if res.Seconds > 0 {
+		res.RecordsPerSec = float64(res.Records) / res.Seconds
+	}
+	sort.Float64s(samples)
+	res.LatencyP50 = percentile(samples, 50)
+	res.LatencyP99 = percentile(samples, 99)
+	for _, states := range crossStates {
+		merged := states[0]
+		for _, o := range states[1:] {
+			merged.Merge(o)
+		}
+		res.CrossRecords = append(res.CrossRecords, merged.Finding())
 	}
 }
 
-func drainColChunks(free chan *colChunk) {
-	for {
-		select {
-		case c := <-free:
-			colChunkPool.Put(c)
-		default:
-			return
+// attribute folds the merged statistics into the quality series labeled
+// {characteristic, context}; context "" means "batch".
+func (res *Result) attribute(q *obs.SeriesSet, context string) {
+	if context == "" {
+		context = "batch"
+	}
+	for _, cs := range res.Characteristics {
+		q.Series(obs.Labels{
+			"characteristic": string(cs.Characteristic),
+			"context":        context,
+		}).Merge(uint64(cs.Checks), uint64(cs.Checks-cs.Passed),
+			cs.SumScore, cs.MinScore, cs.MaxScore)
+	}
+	// Each cross-record finding is one dataset-level measurement of its
+	// characteristic: one check execution with the finding's score.
+	for _, f := range res.CrossRecords {
+		var failed uint64
+		if !f.Passed {
+			failed = 1
 		}
+		q.Series(obs.Labels{
+			"characteristic": string(f.Characteristic),
+			"context":        context,
+		}).Merge(1, failed, f.Score, f.Score, f.Score)
 	}
 }
 

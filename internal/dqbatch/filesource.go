@@ -3,7 +3,6 @@ package dqbatch
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -14,21 +13,18 @@ import (
 )
 
 // MmapNDJSONSource streams newline-delimited JSON straight out of a
-// read-only byte slice — normally a memory-mapped file. Records are sliced
+// read-only byte slice — normally a memory-mapped file. Spans are sliced
 // out of the mapping with bytes.IndexByte newline scans, so no line buffer
-// is filled and no chunk bytes are copied; only the decoded cell strings
+// is filled and no span bytes are copied; only the decoded cell strings
 // are materialized. It is a drop-in for NDJSONSource: same record
 // semantics, same error texts, same maxLineBytes bound (the golden parity
-// suite pins report-level byte equality between the two). It additionally
-// implements SpanSource, letting the pipelined engine decode disjoint
-// regions of the mapping concurrently.
+// suite pins report-level byte equality between the two).
 type MmapNDJSONSource struct {
 	data []byte
 	pos  int
 	// line is the 1-based number of the most recently consumed line.
 	line int64
-	// names is NextBatch's duplicate-key scratch for the fast decoder.
-	names [][]byte
+	rows spanRows
 }
 
 // NewMmapNDJSONSource wraps an in-memory NDJSON byte slice. The slice is
@@ -40,192 +36,57 @@ func NewMmapNDJSONSource(data []byte) *MmapNDJSONSource {
 
 // ByteOffset returns the bytes consumed through the end of the most
 // recently consumed line — here an exact position in the backing slice.
-// Not safe for concurrent use with Next/NextBatch; a Progress wrapper
-// (CountSource) publishes it across goroutines.
+// Not safe for concurrent use with the reading methods; a Progress
+// wrapper (CountSource) publishes it across goroutines.
 func (s *MmapNDJSONSource) ByteOffset() int64 { return int64(s.pos) }
 
-// scanLine consumes the next line (CR-stripped, like bufio.ScanLines) from
-// the mapping. ok is false at end of input. A line longer than
-// maxLineBytes is a hard error and is not consumed, mirroring
-// bufio.Scanner's ErrTooLong at the same line number.
-func (s *MmapNDJSONSource) scanLine() (raw []byte, ok bool, err error) {
-	if s.pos >= len(s.data) {
-		return nil, false, nil
-	}
-	rest := s.data[s.pos:]
-	end := bytes.IndexByte(rest, '\n')
-	adv := end + 1
-	if end < 0 {
-		end = len(rest)
-		adv = end
-	}
-	if end > maxLineBytes {
-		return nil, false, fmt.Errorf("dqbatch: reading line %d: %w", s.line+1, bufio.ErrTooLong)
-	}
-	raw = rest[:end]
-	if len(raw) > 0 && raw[len(raw)-1] == '\r' {
-		raw = raw[:len(raw)-1]
-	}
-	s.pos += adv
-	s.line++
-	return raw, true, nil
-}
-
-// Next decodes the next non-blank line into rec, exactly as
-// NDJSONSource.Next does (same decode, same *RecordError shape).
-func (s *MmapNDJSONSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
-	for {
-		raw, ok, err := s.scanLine()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, io.EOF
-		}
-		if len(trimSpaceBytes(raw)) == 0 {
-			continue
-		}
-		var obj map[string]any
-		if err := json.Unmarshal(raw, &obj); err != nil {
-			return nil, &RecordError{Line: s.line, Err: err}
-		}
-		clear(rec)
-		for k, v := range obj {
-			str, err := scalarString(v)
-			if err != nil {
-				return nil, &RecordError{Line: s.line, Err: fmt.Errorf("field %q: %w", k, err)}
-			}
-			rec[k] = str
-		}
-		return rec, nil
-	}
-}
-
-// NextBatch decodes up to max records into dst through the fast flat-JSON
-// parser (bailing to the canonical slow path per line when needed). Chunk
-// shapes match the bufio source exactly — max good rows per call — so the
-// two sources produce identical chunk streams.
-func (s *MmapNDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	n := 0
-	for n < max {
-		raw, ok, err := s.scanLine()
-		if err != nil {
-			if n > 0 {
-				// The oversized line was not consumed; surface the error on
-				// the next call, as the scanner-backed source does.
-				return n, nil
-			}
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		if len(trimSpaceBytes(raw)) == 0 {
-			continue
-		}
-		if fastDecodeLine(raw, dst, &s.names) {
-			n++
-			continue
-		}
-		n += slowDecodeLine(raw, s.line, dst, bad)
-	}
-	if n > 0 {
-		return n, nil
-	}
-	return 0, io.EOF
-}
-
-// Span is a run of whole input lines sliced out of a source's backing
-// store, ready for concurrent decoding. Data covers the lines including
-// their newline terminators (the final line of the input may lack one);
-// FirstLine is the 1-based input line number of the first line in Data.
-type Span struct {
-	Data      []byte
-	FirstLine int64
-}
-
-// SpanSource is a BatchSource whose input can be cut into raw spans
-// cheaply and decoded out of order: NextSpan is scanner-side (sequential,
-// called by one goroutine), while DecodeSpan touches no source state and
-// may run on any number of goroutines at once. The pipelined engine uses
-// the pair to overlap decoding with evaluation.
-type SpanSource interface {
-	BatchSource
-	// NextSpan consumes up to maxLines whole lines and returns them as one
-	// span; io.EOF ends the stream and any other error aborts the batch.
-	NextSpan(maxLines int) (Span, error)
-	// DecodeSpan decodes one span into dst, reporting malformed lines
-	// through bad in line order, and returns the rows appended.
-	DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int
-}
-
-// NextSpan cuts up to maxLines lines out of the mapping — pure newline
-// arithmetic, no decoding, so the scanner stage stays far ahead of the
-// decode workers.
-func (s *MmapNDJSONSource) NextSpan(maxLines int) (Span, error) {
-	if s.pos >= len(s.data) {
-		return Span{}, io.EOF
-	}
-	start := s.pos
-	first := s.line + 1
+// CutSpan slices up to maxLines lines out of the mapping — pure newline
+// arithmetic, no decoding and no copy, so buf is unused. A line longer
+// than maxLineBytes is a hard error, mirroring bufio.Scanner's ErrTooLong
+// at the same line number; it is left unconsumed while earlier lines of
+// the span are still returned.
+func (s *MmapNDJSONSource) CutSpan(_ *[]byte, maxLines int) (Span, error) {
+	start, first := s.pos, s.line+1
 	for lines := 0; lines < maxLines && s.pos < len(s.data); lines++ {
-		rest := s.data[s.pos:]
-		end := bytes.IndexByte(rest, '\n')
+		end := bytes.IndexByte(s.data[s.pos:], '\n')
 		adv := end + 1
 		if end < 0 {
-			end = len(rest)
+			end = len(s.data) - s.pos
 			adv = end
 		}
 		if end > maxLineBytes {
 			if s.pos > start {
-				// Emit the lines gathered so far; the next call reports the
-				// oversized line at its true number.
 				break
 			}
-			return Span{}, fmt.Errorf("dqbatch: reading line %d: %w", s.line+1, bufio.ErrTooLong)
+			return Span{}, fmt.Errorf("dqbatch: reading line %d: %w", first, bufio.ErrTooLong)
 		}
 		s.pos += adv
 		s.line++
 	}
+	if s.pos == start {
+		return Span{}, io.EOF
+	}
 	return Span{Data: s.data[start:s.pos], FirstLine: first}, nil
 }
 
-// DecodeSpan decodes one span into dst. Safe for concurrent use across
-// spans: it reads only the span's bytes, never the source's cursor.
+// NextSpan is CutSpan for callers that hold no span storage.
+func (s *MmapNDJSONSource) NextSpan(maxLines int) (Span, error) { return s.CutSpan(nil, maxLines) }
+
+// DecodeSpan decodes one span through the shared NDJSON decoder. Safe for
+// concurrent use across spans: it reads only the span's bytes, never the
+// source's cursor.
 func (s *MmapNDJSONSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
 	return decodeNDJSONSpan(sp, dst, bad)
 }
 
-// decodeNDJSONSpan decodes every line of sp into dst — fast path first,
-// canonical slow path on bail — reporting malformed lines through bad in
-// line order. Oversized lines cannot appear here: NextSpan never puts one
-// in a span.
-func decodeNDJSONSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
-	data := sp.Data
-	line := sp.FirstLine - 1
-	n := 0
-	var names [][]byte
-	for len(data) > 0 {
-		var raw []byte
-		if j := bytes.IndexByte(data, '\n'); j >= 0 {
-			raw, data = data[:j], data[j+1:]
-		} else {
-			raw, data = data, nil
-		}
-		line++
-		if len(raw) > 0 && raw[len(raw)-1] == '\r' {
-			raw = raw[:len(raw)-1]
-		}
-		if len(trimSpaceBytes(raw)) == 0 {
-			continue
-		}
-		if fastDecodeLine(raw, dst, &names) {
-			n++
-			continue
-		}
-		n += slowDecodeLine(raw, line, dst, bad)
-	}
-	return n
+// Next decodes the next non-blank line into rec.
+func (s *MmapNDJSONSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
+	return s.rows.next(s, rec)
+}
+
+// NextBatch decodes the next span of up to max lines into dst.
+func (s *MmapNDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
+	return s.rows.nextBatch(s, dst, max, bad)
 }
 
 // OpenFileSource opens path and returns the fastest Source this platform
@@ -234,8 +95,8 @@ func decodeNDJSONSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, 
 // the zero-copy MmapNDJSONSource, CSV a csv.Reader over the mapping
 // (quoted newlines rule out raw line splitting, but the read side still
 // skips the file-read copies). Pipes, devices, empty files and platforms
-// without mmap fall back to the portable bufio sources — behaviour, not
-// just output, is identical either way. format is "csv" or "ndjson"; ""
+// without mmap fall back to the portable bufio sources, which feed the
+// same pipeline and decoder — only the copy into span buffers differs. format is "csv" or "ndjson"; ""
 // selects CSV for a .csv extension and NDJSON otherwise, matching the CLI.
 func OpenFileSource(path, format string) (Source, func() error, error) {
 	f, err := os.Open(path)

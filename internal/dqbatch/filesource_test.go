@@ -7,6 +7,7 @@
 package dqbatch
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 	"github.com/modeldriven/dqwebre/internal/obs"
@@ -115,37 +117,107 @@ func UniquenessCheckForTest() dqruntime.StatefulCheck {
 	return dqruntime.UniquenessCheck{Fields: []string{"a", "b"}}
 }
 
-// TestPipelinedSequentialParity pins the pipelined decode stage against
-// the single-reader columnar path on the same mmap source: span cutting,
-// concurrent decoding and the sequencer's ordinal/diagnostic replay must
-// not change a byte of the report.
+// TestPipelinedSequentialParity pins the decode pool against its
+// sequential oracle on the same mmap source: a pool of three decoding
+// spans concurrently, with the sequencer's ordinal/diagnostic replay, must
+// not change a byte of the report a single in-order decoder produces.
 func TestPipelinedSequentialParity(t *testing.T) {
 	doc := trickyNDJSON()
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			v := parityValidator(t)
 			opts := Options{Workers: workers, ChunkSize: 64, Registry: obs.NewRegistry()}
-			opts.ForceSequential = true
+			opts.DecodeWorkers = 1
 			seq, err := Run(context.Background(), v, NewMmapNDJSONSource([]byte(doc)), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seq.Pipelined {
-				t.Fatal("ForceSequential ran the pipelined path")
-			}
-			opts.ForceSequential = false
 			opts.DecodeWorkers = 3
 			pipe, err := Run(context.Background(), v, NewMmapNDJSONSource([]byte(doc)), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pipe.Pipelined {
-				t.Fatal("pipelined path did not engage for a SpanSource")
-			}
 			normalize(seq)
 			normalize(pipe)
 			assertIdenticalReports(t, seq, pipe)
 		})
+	}
+}
+
+// TestStreamSpanEdgeParity pins the streaming span producer against the
+// mmap cutter on the same bytes, at 1 and 8 workers, with NDJSONSource
+// fed through readers that return one byte, or half the bytes asked for,
+// per Read. The documents outgrow the scanner's initial 64 KiB buffer and
+// carry CRLF and blank lines and a final line without a newline. A line
+// of exactly maxLineBytes decodes; one byte more is a hard error at that
+// line, as is a failing reader, and both keep the report of the prefix
+// before the error. The megabyte lines go through HalfReader only:
+// bufio.Scanner re-searches its whole buffer after every Read, which is
+// quadratic at one byte per Read.
+func TestStreamSpanEdgeParity(t *testing.T) {
+	head := trickyNDJSON() + "\n\n" + `{"a": "crlf", "b": "y"}` + "\r\n"
+	tail := `{"a": "last", "b": "no newline"}`
+	lineOf := func(n int) string { return `{"a": "` + strings.Repeat("x", n-9) + `"}` }
+	errLine := fmt.Sprintf("line %d:", strings.Count(head, "\n")+1)
+	boom := errors.New("boom")
+	wraps := map[string]func(io.Reader) io.Reader{
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+	}
+	cases := []struct {
+		name, doc string
+		readers   []string
+		// ref is the document the mmap reference run reads (doc when
+		// empty); fail is the error both sources must stop with.
+		ref  string
+		fail error
+	}{
+		{name: "shapes", doc: head + tail, readers: []string{"one-byte", "half"}},
+		{name: "max-line", doc: head + lineOf(maxLineBytes) + "\n" + tail, readers: []string{"half"}},
+		{name: "too-long", doc: head + lineOf(maxLineBytes+1) + "\n" + tail, readers: []string{"half"},
+			ref: head, fail: bufio.ErrTooLong},
+		{name: "read-error", doc: head, readers: []string{"one-byte", "half"}, fail: boom},
+	}
+	v := parityValidator(t)
+	run := func(src Source, workers int) (*Result, error) {
+		res, err := Run(context.Background(), v, src, Options{Workers: workers, ChunkSize: 64,
+			Registry: obs.NewRegistry(), CrossRecord: []dqruntime.StatefulCheck{UniquenessCheckForTest()}})
+		normalize(res)
+		return res, err
+	}
+	for _, tc := range cases {
+		for _, rd := range tc.readers {
+			for _, workers := range []int{1, 8} {
+				t.Run(fmt.Sprintf("%s/%s/workers%d", tc.name, rd, workers), func(t *testing.T) {
+					ref := tc.ref
+					if ref == "" {
+						ref = tc.doc
+					}
+					want, err := run(NewMmapNDJSONSource([]byte(ref)), workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := wraps[rd](strings.NewReader(tc.doc))
+					if tc.fail == boom {
+						r = io.MultiReader(r, iotest.ErrReader(boom))
+					}
+					got, err := run(NewNDJSONSource(r), workers)
+					if tc.fail == nil && err != nil {
+						t.Fatal(err)
+					}
+					if tc.fail != nil && (!errors.Is(err, tc.fail) || !strings.Contains(err.Error(), errLine)) {
+						t.Fatalf("err = %v, want %v at %s", err, tc.fail, errLine)
+					}
+					if tc.fail == bufio.ErrTooLong {
+						// The mmap cutter stops at the same line, same text.
+						if _, mmErr := run(NewMmapNDJSONSource([]byte(tc.doc)), workers); mmErr == nil || mmErr.Error() != err.Error() {
+							t.Fatalf("mmap error %v, stream error %v", mmErr, err)
+						}
+					}
+					assertIdenticalReports(t, want, got)
+				})
+			}
+		}
 	}
 }
 
@@ -324,7 +396,7 @@ func TestFileSourcePipeFallsBack(t *testing.T) {
 }
 
 // TestCountSourcePreservesSpans pins that the progress wrapper keeps a
-// SpanSource's pipelined eligibility and still counts decoded records.
+// SpanSource's span path and still counts decoded records.
 func TestCountSourcePreservesSpans(t *testing.T) {
 	doc := `{"a": "1"}` + "\n" + `{"a": "2"}` + "\n"
 	var p Progress
@@ -333,7 +405,7 @@ func TestCountSourcePreservesSpans(t *testing.T) {
 	if !ok {
 		t.Fatalf("CountSource dropped SpanSource: %T", src)
 	}
-	sp, err := ssrc.NextSpan(16)
+	sp, err := ssrc.CutSpan(nil, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

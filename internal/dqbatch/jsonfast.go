@@ -1,6 +1,7 @@
 package dqbatch
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -9,15 +10,50 @@ import (
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 )
 
-// Fast NDJSON decoding: the mmap ingest path parses the common record
-// shape — a flat JSON object of unescaped strings, numbers and booleans —
-// straight out of the mapped bytes, skipping encoding/json's reflection
-// and intermediate map[string]any entirely. Anything unusual (escape
-// sequences, invalid UTF-8, null or nested values, duplicate keys, any
-// syntax the scanner is not certain about) bails out to the exact
-// json.Unmarshal + scalarString path the row decoder uses, so the
-// accept/reject decision and every error text stay byte-identical to the
-// bufio sources. The golden parity suite pins that equivalence.
+// NDJSON decoding: every NDJSON read path — streamed or memory-mapped,
+// engine or BuildKeySet, Next or NextBatch — decodes through
+// decodeNDJSONSpan. Its fast path parses the common record shape — a flat
+// JSON object of unescaped strings, numbers and booleans — straight out of
+// the span bytes, skipping encoding/json's reflection and intermediate
+// map[string]any entirely. Anything unusual (escape sequences, invalid
+// UTF-8, null or nested values, duplicate keys, any syntax the scanner is
+// not certain about) bails out to slowDecodeLine, the json.Unmarshal +
+// scalarString oracle, so the accept/reject decision and every error text
+// are encoding/json's. TestFastDecodeMatchesSlow and FuzzFlatJSON pin
+// that equivalence line by line.
+
+// decodeNDJSONSpan decodes every line of sp into dst — fast path first,
+// slow path on bail — reporting malformed lines through bad in line order,
+// and returns the rows appended. Blank lines are skipped and a trailing CR
+// is stripped, as bufio.ScanLines does. Oversized lines cannot appear
+// here: the span cutters never put one in a span.
+func decodeNDJSONSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
+	data := sp.Data
+	line := sp.FirstLine - 1
+	n := 0
+	var names [][]byte
+	for len(data) > 0 {
+		var raw []byte
+		if j := bytes.IndexByte(data, '\n'); j >= 0 {
+			raw, data = data[:j], data[j+1:]
+		} else {
+			raw, data = data, nil
+		}
+		line++
+		if len(raw) > 0 && raw[len(raw)-1] == '\r' {
+			raw = raw[:len(raw)-1]
+		}
+		if len(trimSpaceBytes(raw)) == 0 {
+			continue
+		}
+		if fastDecodeLine(raw, dst, &names) {
+			n++
+			continue
+		}
+		n += slowDecodeLine(raw, line, dst, bad)
+	}
+	return n
+}
 
 // fastDecodeLine decodes one line into dst as the current row. It returns
 // false — after rolling back any partially appended cells — when the line
@@ -239,9 +275,9 @@ func renderNumber(tok []byte) (string, bool) {
 }
 
 // slowDecodeLine is the canonical per-line decode the fast path defers to:
-// the same json.Unmarshal + scalarString sequence as NDJSONSource.Next,
-// appending the row to dst on success and reporting the decode error
-// through bad otherwise. Returns 1 when a row was appended.
+// json.Unmarshal + scalarString, appending the row to dst on success and
+// reporting the decode error through bad otherwise. Returns 1 when a row
+// was appended.
 func slowDecodeLine(raw []byte, line int64, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
 	var obj map[string]any
 	if err := json.Unmarshal(raw, &obj); err != nil {

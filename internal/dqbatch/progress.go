@@ -15,17 +15,17 @@ type Offsetter interface {
 
 // Progress publishes a running batch's input-side position for concurrent
 // readers: the records delivered to the engine and, when the source is an
-// Offsetter, the byte offset those records end at. The engine's reader
-// goroutine writes through a CountSource wrapper; any goroutine (a job
-// server's status endpoint, a checkpoint ticker) may read at any time.
+// Offsetter, the byte offset those records end at. The engine's producer
+// and decode goroutines write through a CountSource wrapper; any goroutine
+// (a job server's status endpoint, a checkpoint ticker) may read at any
+// time.
 type Progress struct {
 	records atomic.Int64
 	bytes   atomic.Int64
 }
 
 // Records returns how many records the source has delivered so far
-// (decoded records on the row path, decoded rows on the columnar path;
-// malformed skipped records are not counted).
+// (malformed skipped records are not counted).
 func (p *Progress) Records() int64 { return p.records.Load() }
 
 // Bytes returns the input byte offset the delivered records end at; 0
@@ -34,8 +34,8 @@ func (p *Progress) Bytes() int64 { return p.bytes.Load() }
 
 // CountSource wraps src so every delivered record (and the source's byte
 // offset, when available) is published through p. The wrapper preserves
-// the source's columnar capability: wrapping a BatchSource yields a
-// BatchSource, so the engine's vectorized path stays eligible.
+// the source's capabilities: wrapping a SpanSource yields a SpanSource and
+// a BatchSource a BatchSource, so the engine fills chunks the same way.
 func CountSource(src Source, p *Progress) Source {
 	cs := &countingSource{src: src, p: p}
 	if off, ok := src.(Offsetter); ok {
@@ -88,18 +88,18 @@ func (c *countingBatchSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad
 	return n, err
 }
 
-// countingSpanSource keeps a SpanSource's pipelined eligibility: the byte
-// offset is published from the scanner side (NextSpan advances the cursor,
-// so progress runs slightly ahead of decoded records), while record counts
-// are added from the concurrent decode stage — Progress's counters are
+// countingSpanSource keeps a SpanSource's span path: the byte offset is
+// published from the producer side (CutSpan advances the cursor, so
+// progress runs slightly ahead of decoded records), while record counts
+// are added from the concurrent decode pool — Progress's counters are
 // atomic, so any goroutine may write.
 type countingSpanSource struct {
 	countingBatchSource
 	ssrc SpanSource
 }
 
-func (c *countingSpanSource) NextSpan(maxLines int) (Span, error) {
-	sp, err := c.ssrc.NextSpan(maxLines)
+func (c *countingSpanSource) CutSpan(buf *[]byte, maxLines int) (Span, error) {
+	sp, err := c.ssrc.CutSpan(buf, maxLines)
 	if c.off != nil {
 		c.p.bytes.Store(c.off.ByteOffset())
 	}

@@ -50,18 +50,6 @@ func TestNDJSONByteOffsetAdvancesPastMalformedLines(t *testing.T) {
 	}
 }
 
-func TestNDJSONSourceAtContinuesNumbering(t *testing.T) {
-	src := NewNDJSONSourceAt(strings.NewReader("bad\n"), 41, 1000)
-	if _, err := src.Next(dqruntime.Record{}); err == nil {
-		t.Fatal("malformed line decoded")
-	} else if !strings.Contains(err.Error(), "record 42") {
-		t.Fatalf("err = %v, want line 42", err)
-	}
-	if got, want := src.ByteOffset(), int64(1004); got != want {
-		t.Fatalf("offset = %d, want %d", got, want)
-	}
-}
-
 func TestCSVByteOffsetIsExact(t *testing.T) {
 	input := "a,b\n1,2\n3,4\n"
 	src := NewCSVSource(strings.NewReader(input))

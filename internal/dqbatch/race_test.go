@@ -1,7 +1,8 @@
 // Race and lifecycle tests for the batch engine: the sharded aggregators
 // must hold up under many workers (run these with -race, as
-// scripts/check.sh does), and cancellation mid-stream must tear the whole
-// pool down without leaking goroutines.
+// scripts/check.sh does), the decode pool must never wedge, and
+// cancellation mid-stream must tear every stage down — decoders included —
+// before Run returns, without leaking goroutines.
 package dqbatch_test
 
 import (
@@ -143,5 +144,102 @@ func TestRunSourceErrorAbortsWithPartial(t *testing.T) {
 	}
 	if res.Records != 20 {
 		t.Fatalf("partial records = %d, want 20", res.Records)
+	}
+}
+
+// TestRunDecodePoolNoDeadlock drives the decode pool at its tightest: one
+// eval worker, three decoders and one-line chunks. The producer takes a
+// free chunk before cutting its span, so the chunk the sequencer waits for
+// is always already in the pipeline and never stuck behind decoders of
+// later spans that hold every free chunk. A watchdog turns a hang into a
+// failure with the goroutine dump.
+func TestRunDecodePoolNoDeadlock(t *testing.T) {
+	doc := []byte(strings.Repeat(`{"a":"x","b":"y","n":1}`+"\n", 400))
+	v := buildValidator(t)
+	for i := 0; i < 20; i++ {
+		done := make(chan error, 1)
+		go func() {
+			res, err := Run(context.Background(), v, NewMmapNDJSONSource(doc), Options{
+				Workers: 1, DecodeWorkers: 3, ChunkSize: 1, Registry: obs.NewRegistry(),
+			})
+			if err == nil && res.Records != 400 {
+				err = fmt.Errorf("records = %d, want 400", res.Records)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run %d: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("run %d hung\n%s", i, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// slowSpanSource cuts an endless stream of one-record spans; decoding the
+// sixth sleeps, long enough that a Run returning without joining its
+// decode pool leaves that decode running (the use-after-munmap shape: the
+// caller unmaps the file as soon as Run returns).
+type slowSpanSource struct {
+	line     int64
+	inflight atomic.Int32
+	sleeping chan struct{}
+}
+
+func (s *slowSpanSource) Next(dqruntime.Record) (dqruntime.Record, error) { return nil, io.EOF }
+
+func (s *slowSpanSource) NextBatch(*dqruntime.ColumnBatch, int, func(int64, error)) (int, error) {
+	return 0, io.EOF
+}
+
+func (s *slowSpanSource) CutSpan(*[]byte, int) (Span, error) {
+	s.line++
+	return Span{Data: []byte("{}\n"), FirstLine: s.line}, nil
+}
+
+// NextSpan is CutSpan for callers that hold no span storage.
+func (s *slowSpanSource) NextSpan(n int) (Span, error) { return s.CutSpan(nil, n) }
+
+func (s *slowSpanSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, _ func(int64, error)) int {
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	if sp.FirstLine == 6 {
+		close(s.sleeping)
+		time.Sleep(300 * time.Millisecond)
+	}
+	dst.EndRow()
+	return 1
+}
+
+// slowBatchValidator scores batches slowly, so the eval side backs up and
+// the stages ahead of it are mid-flight when the batch is cancelled.
+type slowBatchValidator struct{ *dqruntime.Validator }
+
+func (v slowBatchValidator) ValidateBatch(b *dqruntime.ColumnBatch, rep *dqruntime.BatchReport) {
+	time.Sleep(20 * time.Millisecond)
+	v.Validator.ValidateBatch(b, rep)
+}
+
+// TestRunJoinsDecodePoolOnCancel cancels while a decode is still running
+// and requires Run to have waited for it: no decode may be in flight once
+// Run returns.
+func TestRunJoinsDecodePoolOnCancel(t *testing.T) {
+	src := &slowSpanSource{sleeping: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-src.sleeping
+		cancel()
+	}()
+	_, err := Run(ctx, slowBatchValidator{buildValidator(t)}, src, Options{
+		Workers: 1, DecodeWorkers: 2, ChunkSize: 1, Registry: obs.NewRegistry(),
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := src.inflight.Load(); n != 0 {
+		t.Fatalf("Run returned with %d decodes still running", n)
 	}
 }

@@ -10,7 +10,6 @@ package dqbatch
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -26,6 +25,45 @@ import (
 // record the engine counts and skips; any other error aborts the batch.
 type Source interface {
 	Next(rec dqruntime.Record) (dqruntime.Record, error)
+}
+
+// BatchSource is a Source that can also deliver records in columnar form:
+// NextBatch decodes up to max records directly into dst (which the engine
+// Resets beforehand), classifying every cell once instead of building one
+// map per record. Malformed records are reported through bad (with their
+// 1-based input line) and skipped, mirroring the row path's *RecordError
+// handling. NextBatch returns the number of rows decoded; io.EOF (possibly
+// alongside a final partial count) ends the stream, and any other error
+// aborts the batch.
+type BatchSource interface {
+	Source
+	NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error)
+}
+
+// Span is a run of whole input lines ready for decoding. Data covers the
+// lines including their newline terminators (the final line of the input
+// may lack one); FirstLine is the 1-based input line number of the first
+// line in Data.
+type Span struct {
+	Data      []byte
+	FirstLine int64
+}
+
+// SpanSource is a BatchSource whose input is cut into raw spans cheaply
+// and decoded out of order. The engine calls CutSpan on its single
+// producer goroutine and DecodeSpan from its decode pool, so DecodeSpan
+// must touch no source state.
+type SpanSource interface {
+	BatchSource
+	// CutSpan consumes up to maxLines whole lines as one span; io.EOF ends
+	// the stream and any other error aborts the batch. A source that reads
+	// a stream copies the lines into *buf (reusing its capacity), so the
+	// caller owns the span's bytes; a source over a read-only mapping
+	// returns a slice of it and leaves buf alone.
+	CutSpan(buf *[]byte, maxLines int) (Span, error)
+	// DecodeSpan decodes one span into dst, reporting malformed lines
+	// through bad in line order, and returns the rows appended.
+	DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int
 }
 
 // RecordError is a recoverable per-record input problem (a malformed
@@ -46,73 +84,121 @@ func (e *RecordError) Error() string { return fmt.Sprintf("record %d: %v", e.Lin
 // Unwrap exposes the cause.
 func (e *RecordError) Unwrap() error { return e.Err }
 
-// maxLineBytes bounds one NDJSON line; lines beyond it are a hard error
-// (bounded memory is part of the contract).
+// maxLineBytes bounds one NDJSON line, terminator excluded; lines beyond
+// it are a hard error (bounded memory is part of the contract).
 const maxLineBytes = 1 << 20
 
 // NDJSONSource streams newline-delimited JSON objects. Values may be
 // strings, numbers, booleans or null; scalars are rendered to the string
 // form a web form would deliver (null and nested values are rejected —
-// records are flat field→string maps by construction). Memory use is one
-// line plus the scanner buffer, regardless of input size.
+// records are flat field→string maps by construction). A bufio.Scanner
+// cuts the lines, and each span is copied into caller-owned storage, so
+// memory use is the scanner buffer plus the spans in flight, regardless
+// of input size.
 type NDJSONSource struct {
 	sc   *bufio.Scanner
 	line int64
 	// offset counts input bytes consumed through the end of the last
 	// scanned line, assuming LF terminators (see ByteOffset).
 	offset int64
+	rows   spanRows
 }
 
 // NewNDJSONSource wraps a reader of NDJSON records.
 func NewNDJSONSource(r io.Reader) *NDJSONSource {
-	return NewNDJSONSourceAt(r, 0, 0)
-}
-
-// NewNDJSONSourceAt wraps a reader positioned mid-file: the first line read
-// is numbered startLine+1 and ByteOffset starts at startOffset, so decode
-// errors and checkpoints from a tail read carry true whole-file positions.
-// The caller seeks r; the source only continues the numbering.
-func NewNDJSONSourceAt(r io.Reader, startLine, startOffset int64) *NDJSONSource {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
-	return &NDJSONSource{sc: sc, line: startLine, offset: startOffset}
+	// One extra byte holds the terminator of a maxLineBytes-long line.
+	sc.Buffer(make([]byte, 64*1024), maxLineBytes+1)
+	return &NDJSONSource{sc: sc}
 }
 
 // ByteOffset returns the input bytes consumed through the end of the most
 // recently scanned line. Offsets assume LF line terminators (the scanner
 // strips CR, so CRLF input under-counts one byte per line); they exist for
 // progress checkpoints, where a record-aligned resume point matters more
-// than terminator-exact arithmetic. Not safe for concurrent use with Next;
-// a Progress wrapper (CountSource) publishes it across goroutines.
+// than terminator-exact arithmetic. Not safe for concurrent use with the
+// reading methods; a Progress wrapper (CountSource) publishes it across
+// goroutines.
 func (s *NDJSONSource) ByteOffset() int64 { return s.offset }
+
+// CutSpan copies up to maxLines scanned lines, each LF-terminated, into
+// *buf. A scanner error (an oversized line, a failed read) surfaces once
+// the lines before it have been returned, naming the line it hit; the
+// scanner is not asked again after an error, as it would hand out its
+// buffered remainder as a line.
+func (s *NDJSONSource) CutSpan(buf *[]byte, maxLines int) (Span, error) {
+	first := s.line + 1
+	b := (*buf)[:0]
+	for s.line+1-first < int64(maxLines) && s.sc.Err() == nil && s.sc.Scan() {
+		raw := s.sc.Bytes()
+		s.line++
+		s.offset += int64(len(raw)) + 1
+		b = append(append(b, raw...), '\n')
+	}
+	*buf = b
+	if s.line >= first {
+		return Span{Data: b, FirstLine: first}, nil
+	}
+	if err := s.sc.Err(); err != nil {
+		return Span{}, fmt.Errorf("dqbatch: reading line %d: %w", first, err)
+	}
+	return Span{}, io.EOF
+}
+
+// DecodeSpan decodes one span through the shared NDJSON decoder.
+func (s *NDJSONSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
+	return decodeNDJSONSpan(sp, dst, bad)
+}
 
 // Next decodes the next non-blank line into rec.
 func (s *NDJSONSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
-	for s.sc.Scan() {
-		s.line++
-		raw := s.sc.Bytes()
-		s.offset += int64(len(raw)) + 1
-		if len(trimSpaceBytes(raw)) == 0 {
-			continue
+	return s.rows.next(s, rec)
+}
+
+// NextBatch decodes the next span of up to max lines into dst.
+func (s *NDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
+	return s.rows.nextBatch(s, dst, max, bad)
+}
+
+// spanRows serves a span source's Next and NextBatch through its own
+// CutSpan and DecodeSpan, so every read path shares one cutter and one
+// decoder.
+type spanRows struct {
+	buf   []byte
+	batch dqruntime.ColumnBatch
+}
+
+// next decodes the next non-blank line into rec; a malformed line comes
+// back as a *RecordError.
+func (r *spanRows) next(s SpanSource, rec dqruntime.Record) (dqruntime.Record, error) {
+	for {
+		sp, err := s.CutSpan(&r.buf, 1)
+		if err != nil {
+			return nil, err
 		}
-		var obj map[string]any
-		if err := json.Unmarshal(raw, &obj); err != nil {
-			return nil, &RecordError{Line: s.line, Err: err}
+		r.batch.Reset()
+		var bad error
+		if s.DecodeSpan(sp, &r.batch, func(line int64, err error) { bad = &RecordError{Line: line, Err: err} }) > 0 {
+			return r.batch.RowView(0, rec), nil
 		}
-		clear(rec)
-		for k, v := range obj {
-			str, err := scalarString(v)
-			if err != nil {
-				return nil, &RecordError{Line: s.line, Err: fmt.Errorf("field %q: %w", k, err)}
-			}
-			rec[k] = str
+		if bad != nil {
+			return nil, bad
 		}
-		return rec, nil
 	}
-	if err := s.sc.Err(); err != nil {
-		return nil, fmt.Errorf("dqbatch: reading line %d: %w", s.line+1, err)
+}
+
+// nextBatch decodes spans of up to max lines into dst until one yields a
+// row, so (0, nil) never comes back.
+func (r *spanRows) nextBatch(s SpanSource, dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
+	for {
+		sp, err := s.CutSpan(&r.buf, max)
+		if err != nil {
+			return 0, err
+		}
+		if n := s.DecodeSpan(sp, dst, bad); n > 0 {
+			return n, nil
+		}
 	}
-	return nil, io.EOF
 }
 
 // scalarString renders one JSON value as the string a form field would

@@ -92,7 +92,6 @@ func normalize(r *Result) {
 	r.LatencyP99 = 0
 	r.Duration = 0
 	r.Vectorized = false
-	r.Pipelined = false
 }
 
 // runParity runs both paths over the same input and returns the

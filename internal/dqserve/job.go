@@ -505,7 +505,6 @@ func (s *Server) runJob(j *Job) {
 	}
 	res, runErr := dqbatch.Run(ctx, enf.Validator(), src, dqbatch.Options{
 		Workers:         j.Opts.Workers,
-		ChunkSize:       s.cfg.BatchChunkSize,
 		MaxExemplars:    j.Opts.Exemplars,
 		ForceRows:       j.Opts.Rows,
 		MaxDecodeErrors: j.Opts.DecodeErrors,

@@ -8,8 +8,8 @@
 #     pair BenchmarkBatchUniquenessKeys{Baseline,Hashed})
 #     → BENCH_batch.json: records/sec, allocs, stride-sampled p50/p99
 #     latency, plus the vectorized-vs-row, parallel-vs-sequential,
-#     uniqueness-vs-parallel, mmap-vs-bufio and key-allocs-reduction
-#     ratios.
+#     uniqueness-vs-parallel, mmap-vs-bufio, bufio-vs-mmap decode allocs
+#     and key-allocs-reduction ratios.
 # Each run is also archived under artifacts/bench/<timestamp>_{batch,ocl,obs}.json
 # so scripts/bench_compare.sh can flag throughput regressions against the
 # previous entry.
@@ -84,6 +84,7 @@ END {
 	printf "  \"file_mmap_records_per_sec\": %.0f,\n", fm
 	printf "  \"mmap_vs_bufio\": %.2f,\n", (db > 0) ? dm / db : 0
 	printf "  \"file_mmap_vs_bufio\": %.2f,\n", (fb > 0) ? fm / fb : 0
+	printf "  \"decode_bufio_vs_mmap_allocs\": %.2f,\n", (allocs["BenchmarkDecodeMmap"] > 0) ? allocs["BenchmarkDecodeBufio"] / allocs["BenchmarkDecodeMmap"] : 0
 	printf "  \"uniqueness_key_allocs_reduction\": %.1f\n", (ah > 0) ? ab / ah : 0
 	print "}"
 }' "$raw" > "$out"
