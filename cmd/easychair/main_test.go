@@ -6,6 +6,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -97,6 +98,13 @@ func TestServerShedsUnderOverloadAndRecovers(t *testing.T) {
 	})
 	defer cancel()
 
+	// The counters live in the process-wide registry, so earlier runs
+	// (-count > 1) and tests have already moved them: assert increases.
+	const shedSeries = `http_requests_shed_total{reason="overload"}`
+	const slow503Series = `http_requests_total{method="GET",route="/slow",status="503"}`
+	_, before := getBody(t, base+"/metrics")
+	shed0, slow0 := metricValue(t, before, shedSeries), metricValue(t, before, slow503Series)
+
 	var wg sync.WaitGroup
 	results := make(chan int, 12)
 	for i := 0; i < 12; i++ {
@@ -135,11 +143,11 @@ func TestServerShedsUnderOverloadAndRecovers(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("/metrics at saturation: %d", status)
 	}
-	if !strings.Contains(metrics, `http_requests_shed_total{reason="overload"} 10`) {
-		t.Errorf("/metrics missing shed counter:\n%s", grepLines(metrics, "shed"))
+	if got := metricValue(t, metrics, shedSeries) - shed0; got != 10 {
+		t.Errorf("shed counter rose by %v, want 10:\n%s", got, grepLines(metrics, "shed"))
 	}
-	if !strings.Contains(metrics, `http_requests_total{method="GET",route="/slow",status="503"} 10`) {
-		t.Errorf("/metrics missing 503s in request counter:\n%s", grepLines(metrics, "http_requests_total"))
+	if got := metricValue(t, metrics, slow503Series) - slow0; got != 10 {
+		t.Errorf("503s in request counter rose by %v, want 10:\n%s", got, grepLines(metrics, "http_requests_total"))
 	}
 
 	// Recovery: release the slow handlers, then the server serves again.
@@ -152,6 +160,11 @@ func TestServerShedsUnderOverloadAndRecovers(t *testing.T) {
 		t.Fatalf("server did not recover: %d %q", s, body)
 	}
 
+	// The burst can leave a connection the client dialed but never used
+	// in its idle pool. The server sees it as StateNew, and Shutdown counts
+	// such a connection as idle only once it is over 5 s old — as long as
+	// the whole drain deadline. Close it so the drain measures the server.
+	http.DefaultClient.CloseIdleConnections()
 	cancel()
 	if err := <-errc; err != nil {
 		t.Fatalf("run returned %v", err)
@@ -294,6 +307,22 @@ func TestDrainDeadlineForcesExit(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("run hung past the drain deadline")
 	}
+}
+
+// metricValue returns the value /metrics reports for one series (name
+// and labels as exposed), or 0 when the series is absent.
+func metricValue(t *testing.T, metrics, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(metrics, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	return 0
 }
 
 // grepLines filters text to lines containing sub, for focused failures.

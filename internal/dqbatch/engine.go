@@ -57,8 +57,10 @@ type Options struct {
 	// producer goroutine and this many goroutines decode them, so parsing
 	// overlaps evaluation; other sources decode on the producer and the
 	// pool just passes their chunks on. 1 decodes in input order on one
-	// goroutine — the sequential oracle. 0 or negative means half the eval
-	// workers, rounded up.
+	// goroutine — the sequential oracle. 0 or negative means GOMAXPROCS:
+	// decoding a record costs tens of times what evaluating it does, so
+	// the decode pool is what keeps every core busy, and a decoder left
+	// idle costs only one more chunk on the free list.
 	DecodeWorkers int
 	// MaxDecodeErrors caps the decode errors retained (with line numbers)
 	// in Result.DecodeErrors; 0 means 10, negative means none. Malformed
@@ -281,7 +283,7 @@ func capOr(n, def int) int {
 // chunk free list, never by input size.
 func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, error) {
 	workers := positiveOr(opts.Workers, runtime.GOMAXPROCS(0))
-	decoders := positiveOr(opts.DecodeWorkers, (workers+1)/2)
+	decoders := positiveOr(opts.DecodeWorkers, runtime.GOMAXPROCS(0))
 	chunkSize := positiveOr(opts.ChunkSize, defaultChunkSize)
 	stride := opts.SampleEvery
 	if stride == 0 {

@@ -54,29 +54,109 @@ type Column struct {
 	ocl []any
 }
 
-// numericish marks bytes that can appear in some string strconv.ParseInt
-// (base 10) or ParseFloat accepts: digits, sign, point, underscore, hex
-// and exponent markers, and the letters of inf/infinity/nan. A byte
-// outside the set proves both parses fail, so classification skips them —
-// and their *NumError allocations — for free-text values.
-var numericish [256]bool
-
-func init() {
-	for _, c := range []byte("0123456789+-._xXpPiIoOnNtTyYabcdefABCDEF") {
-		numericish[c] = true
+// classifyNumber decides whether a trimmed, non-blank cell is an integer,
+// a float or plain text, with exactly the outcome of trying
+// strconv.ParseInt(s, 10, 64) and then strconv.ParseFloat(s, 64) — but
+// from the cell's shape, so text never pays for a failed parse's
+// *NumError allocations:
+//
+//   - [+-]?[0-9]{1,18} is CellInt, parsed inline (it cannot overflow);
+//   - a decimal float literal goes to ParseFloat, which can then fail
+//     only on range ("1e400" stays CellString);
+//   - without '_', a 0x/0X prefix after the sign, or an inf, infinity or
+//     nan body (in any case), neither parser accepts s: CellString;
+//   - anything else (hex floats, underscores, 19+ digits) gets the trial
+//     parse.
+//
+// FuzzClassifyCell holds it to the trial parse for any string.
+func classifyNumber(s string) (CellKind, int64, float64) {
+	body := s
+	if len(body) > 0 && (body[0] == '+' || body[0] == '-') {
+		body = body[1:]
 	}
+	switch digits := leadingDigits(body); {
+	case digits == len(body) && digits <= 18:
+		if digits == 0 { // "", "+" or "-"
+			return CellString, 0, 0
+		}
+		var n int64
+		for i := 0; i < len(body); i++ {
+			n = n*10 + int64(body[i]-'0')
+		}
+		if s[0] == '-' {
+			n = -n
+		}
+		return CellInt, n, 0
+	case digits == len(body):
+		// 19 digits or more may overflow int64: trial parse.
+	case isDecimalFloat(body, digits):
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return CellFloat, 0, f
+		}
+		return CellString, 0, 0
+	case strings.IndexByte(body, '_') < 0 &&
+		!(len(body) > 1 && body[0] == '0' && (body[1] == 'x' || body[1] == 'X')) &&
+		!specialFloat(body):
+		return CellString, 0, 0
+	}
+	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return CellInt, n, 0
+	}
+	if f, err := strconv.ParseFloat(s, 64); err == nil {
+		return CellFloat, 0, f
+	}
+	return CellString, 0, 0
 }
 
-func plausiblyNumeric(s string) bool {
-	if len(s) == 0 {
+// specialFloat reports whether body spells inf, infinity or nan in any
+// case.
+func specialFloat(body string) bool {
+	switch len(body) {
+	case 3:
+		return strings.EqualFold(body, "inf") || strings.EqualFold(body, "nan")
+	case 8:
+		return strings.EqualFold(body, "infinity")
+	}
+	return false
+}
+
+// leadingDigits returns the length of s's leading run of ASCII digits.
+func leadingDigits(s string) int {
+	i := 0
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// isDecimalFloat reports whether body (s after its sign, whose first
+// intDigits bytes are digits) is a decimal float literal with a point or
+// an exponent: digits, an optional point and more digits — at least one
+// digit in all — then optionally e or E, an optional sign and one or
+// more digits.
+func isDecimalFloat(body string, intDigits int) bool {
+	i := intDigits
+	mantissa := intDigits
+	if i < len(body) && body[i] == '.' {
+		frac := leadingDigits(body[i+1:])
+		i += 1 + frac
+		mantissa += frac
+	}
+	if mantissa == 0 {
 		return false
 	}
-	for i := 0; i < len(s); i++ {
-		if !numericish[s[i]] {
+	if i < len(body) && (body[i] == 'e' || body[i] == 'E') {
+		i++
+		if i < len(body) && (body[i] == '+' || body[i] == '-') {
+			i++
+		}
+		exp := leadingDigits(body[i:])
+		if exp == 0 {
 			return false
 		}
+		i += exp
 	}
-	return true
+	return i == len(body)
 }
 
 // appendCell classifies and appends one present cell.
@@ -95,12 +175,8 @@ func (c *Column) appendCell(raw string) {
 		kind, bv = CellBool, true
 	case trimmed == "false":
 		kind, bv = CellBool, false
-	case plausiblyNumeric(trimmed):
-		if n, err := strconv.ParseInt(trimmed, 10, 64); err == nil {
-			kind, iv = CellInt, n
-		} else if f, err := strconv.ParseFloat(trimmed, 64); err == nil {
-			kind, fv = CellFloat, f
-		}
+	default:
+		kind, iv, fv = classifyNumber(trimmed)
 	}
 	c.Kinds = append(c.Kinds, kind)
 	c.Ints = append(c.Ints, iv)
@@ -193,6 +269,9 @@ type ColumnBatch struct {
 	byName map[string]int
 	rows   int
 	nulls  []any
+	// view marks a batch filled by SliceInto: its column headers and
+	// nulls alias another batch's storage.
+	view bool
 }
 
 // Rows returns the number of complete rows in the batch.
@@ -211,8 +290,17 @@ func (b *ColumnBatch) Col(name string) *Column {
 	return nil
 }
 
-// Reset empties the batch for reuse, keeping column storage capacity.
+// Reset empties the batch for reuse. Column storage keeps its capacity,
+// so refilling a batch with chunks of the same shape allocates nothing.
+// A view (a batch filled by SliceInto) owns no cell storage: its Reset
+// zeroes the aliased column headers and drops the aliased nulls, so no
+// later fill can append into the batch it was sliced from.
 func (b *ColumnBatch) Reset() {
+	if b.view {
+		clear(b.cols[:cap(b.cols)])
+		b.nulls = nil
+		b.view = false
+	}
 	b.cols = b.cols[:0]
 	b.rows = 0
 	b.nulls = b.nulls[:0]
@@ -227,7 +315,11 @@ func (b *ColumnBatch) col(name string) *Column {
 	if b.byName == nil {
 		b.byName = make(map[string]int, 8)
 	}
-	b.cols = append(b.cols, Column{})
+	if len(b.cols) < cap(b.cols) {
+		b.cols = b.cols[:len(b.cols)+1] // a recycled slot: reuse its storage
+	} else {
+		b.cols = append(b.cols, Column{})
+	}
 	c := &b.cols[len(b.cols)-1]
 	c.reset(name)
 	c.padTo(b.rows)
@@ -304,11 +396,13 @@ func (b *ColumnBatch) RowView(i int, scratch Record) Record {
 }
 
 // SliceInto fills dst with a zero-copy view of rows [lo, hi) of b: every
-// column header in dst aliases b's cell storage. dst's own storage is not
-// used; a later Reset reclaims it. Memoized OCL values slice along when
-// already built, so pre-columnarized sources box once for the whole
-// dataset.
+// column header in dst aliases b's cell storage, and dst's own cell
+// storage is dropped. dst is marked a view, so its next Reset zeroes the
+// aliased headers instead of recycling them; b must not change while the
+// view is read. Memoized OCL values slice along when already built, so
+// pre-columnarized sources box once for the whole dataset.
 func (b *ColumnBatch) SliceInto(dst *ColumnBatch, lo, hi int) {
+	dst.view = true
 	dst.rows = hi - lo
 	dst.cols = dst.cols[:0]
 	dst.nulls = nil

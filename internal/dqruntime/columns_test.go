@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -259,6 +260,113 @@ func TestColumnBatchAbortRow(t *testing.T) {
 			if k != CellMissing {
 				t.Fatalf("b[%d] kind = %d, want missing", i, k)
 			}
+		}
+	}
+}
+
+// TestColumnBatchResetReusesStorage pins Reset's promise: refilling a
+// batch with a chunk of the same shape reuses every column's storage.
+func TestColumnBatchResetReusesStorage(t *testing.T) {
+	b := &ColumnBatch{}
+	fill := func() {
+		for i := 0; i < 256; i++ {
+			b.SetField("a", "x")
+			b.SetField("n", "7")
+			if i%2 == 0 {
+				b.SetField("opt", " ")
+			}
+			b.EndRow()
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(20, func() { b.Reset(); fill() }); allocs != 0 {
+		t.Fatalf("Reset + refill of 256 rows allocated %.0f times, want 0", allocs)
+	}
+	if b.Rows() != 256 || b.Col("n").Ints[255] != 7 || b.Col("opt").Kinds[1] != CellMissing {
+		t.Fatal("refilled batch does not hold the refilled cells")
+	}
+}
+
+// TestSliceIntoViewResetKeepsSource pins the view rule: once a view is
+// Reset, filling it must neither write into the batch it was sliced from
+// nor share that batch's storage.
+func TestSliceIntoViewResetKeepsSource(t *testing.T) {
+	recs := parityRecords(40)
+	src := &ColumnBatch{}
+	src.Columnarize(recs)
+	src.NullValues()
+	want := &ColumnBatch{}
+	want.Columnarize(recs)
+
+	view := &ColumnBatch{}
+	src.SliceInto(view, 0, 10)
+	view.Reset()
+	for _, f := range parityFields {
+		view.SetField(f, "overwritten")
+	}
+	view.EndRow()
+	nulls := view.NullValues()
+
+	// A fill appends to every cell slice in step, so Raw, Trim and Kinds
+	// show any write (Floats would not: NaN cells defeat DeepEqual).
+	for _, c := range want.Columns() {
+		got := src.Col(c.Name)
+		if !reflect.DeepEqual(got.Raw, c.Raw) || !reflect.DeepEqual(got.Trim, c.Trim) ||
+			!reflect.DeepEqual(got.Kinds, c.Kinds) {
+			t.Fatalf("source column %q changed after filling a reset view", c.Name)
+		}
+	}
+	srcNulls := src.NullValues()
+	if len(srcNulls) != 40 || len(nulls) != 1 || &nulls[0] == &srcNulls[0] {
+		t.Fatal("a reset view still shares the source's null column")
+	}
+}
+
+// trialClassify is the classification oracle: strconv's own verdict,
+// integer first.
+func trialClassify(s string) (CellKind, int64, float64) {
+	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return CellInt, n, 0
+	}
+	if f, err := strconv.ParseFloat(s, 64); err == nil {
+		return CellFloat, 0, f
+	}
+	return CellString, 0, 0
+}
+
+// FuzzClassifyCell holds classifyNumber to the trial-parse oracle: same
+// kind, same integer, same float bits, for any string.
+func FuzzClassifyCell(f *testing.F) {
+	for _, s := range []string{
+		"Ada", "Tony", "id-123", "2025-05-30", "-0", "+Inf", "0x1p-2", "1_000",
+		".5", "5.", "1e", "1e400", "nan", "-infinity", "+nan", "0x", "-", "",
+		"1234567890123456789", "12345678901234567890",
+		"9223372036854775807", "-9223372036854775808", "9223372036854775808",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		kind, n, x := classifyNumber(s)
+		wantKind, wantN, wantX := trialClassify(s)
+		if kind != wantKind || n != wantN || math.Float64bits(x) != math.Float64bits(wantX) {
+			t.Fatalf("classifyNumber(%q) = (%d, %d, %v), trial parse gives (%d, %d, %v)",
+				s, kind, n, x, wantKind, wantN, wantX)
+		}
+	})
+}
+
+// TestClassifyTextAllocatesNothing pins that text cells — names, id-like
+// keys, dates — never pay for a failed strconv parse.
+func TestClassifyTextAllocatesNothing(t *testing.T) {
+	var c Column
+	for _, s := range []string{"Ada", "Tony", "id-123", "2025-05-30"} {
+		c.reset("f")
+		c.appendCell(s)
+		if c.Kinds[0] != CellString {
+			t.Fatalf("%q classified as %d, want CellString", s, c.Kinds[0])
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.reset("f"); c.appendCell(s) }); allocs != 0 {
+			t.Fatalf("classifying %q allocated %.0f times, want 0", s, allocs)
 		}
 	}
 }

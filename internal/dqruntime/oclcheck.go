@@ -2,7 +2,6 @@ package dqruntime
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -154,8 +153,7 @@ func (c *OCLCheck) ApplyBatch(b *ColumnBatch, out *ColumnResult) {
 
 // recordOCLValue lifts a raw form value into the OCL domain: blank → null,
 // integers and reals → numbers, true/false → Boolean, anything else → the
-// trimmed string. The byte-set precheck skips the strconv round-trip (and
-// its error allocations) for values that cannot possibly be numeric.
+// trimmed string — the same classification as Column.appendCell.
 func recordOCLValue(raw string) any {
 	s := strings.TrimSpace(raw)
 	switch {
@@ -166,13 +164,11 @@ func recordOCLValue(raw string) any {
 	case s == "false":
 		return false
 	}
-	if plausiblyNumeric(s) {
-		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return n
-		}
-		if f, err := strconv.ParseFloat(s, 64); err == nil {
-			return f
-		}
+	switch kind, n, f := classifyNumber(s); kind {
+	case CellInt:
+		return n
+	case CellFloat:
+		return f
 	}
 	return s
 }
