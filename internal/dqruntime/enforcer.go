@@ -332,8 +332,8 @@ func (e *Enforcer) CheckInput(r Record) *Report {
 // context carries an active span a child span "enforcer.check_input"
 // records check count and failures, and when the enforcer is Instrumented
 // every check result increments its pass/fail counter — the operational
-// view the DQ measurement substrate (internal/metrics) complements with
-// score time series.
+// view that an attached CheckObserver complements with windowed score
+// series.
 func (e *Enforcer) CheckInputContext(ctx context.Context, r Record) *Report {
 	return e.CheckInputLabeled(ctx, r, "")
 }

@@ -77,9 +77,6 @@ func (*OCLCheck) Name() string { return "check_ocl" }
 // Characteristic returns the characteristic the check was built for.
 func (c *OCLCheck) Characteristic() iso25012.Characteristic { return c.characteristic }
 
-// Expression returns the compiled OCL source.
-func (c *OCLCheck) Expression() string { return c.prog.Source() }
-
 // Fields returns the record fields the expression reads, sorted.
 func (c *OCLCheck) Fields() []string { return append([]string(nil), c.fields...) }
 

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/modeldriven/dqwebre/internal/codegen"
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
@@ -31,18 +30,18 @@ type App struct {
 	// Router serves the application; mount it on any http.Server.
 	Router *webapp.Router
 
-	store     *webapp.Store
-	enforcer  *dqruntime.Enforcer
+	store    *webapp.Store
+	enforcer *dqruntime.Enforcer
+	// collector owns the windowed DQ score series (one series per
+	// characteristic × submitter role), fed by check-level attribution,
+	// served as dq_score/dq_check_failures on /metrics and as JSON with
+	// trends on /debug/quality, and judged by the thresholds behind
+	// /dq/metrics and /dq/violations.
 	collector *metrics.Collector
 	// reg and tracer are the app's operational observability: reg backs
 	// /metrics (Prometheus text format), tracer backs /debug/spans.
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	// quality is the windowed DQ score series (one series per
-	// characteristic × submitter role), fed by check-level attribution and
-	// served as dq_score/dq_check_failures on /metrics and as JSON with
-	// trends on /debug/quality.
-	quality *obs.SeriesSet
 	// reviewForm is the HTML form generated from the model at startup.
 	reviewForm string
 }
@@ -80,8 +79,9 @@ func NewApp() (*App, error) {
 	if err := collector.RegisterCharacteristics(chs...); err != nil {
 		return nil, fmt.Errorf("easychair: registering measures: %w", err)
 	}
-	// Monitoring policy: mean per-characteristic scores must stay above 0.8
-	// across submitted reviews (accepted or rejected).
+	// Monitoring policy: each characteristic's mean check score over the
+	// last hour, across submitter roles and accepted or rejected reviews,
+	// must stay at or above 0.8.
 	for _, ch := range chs {
 		if err := collector.AddThreshold(metrics.Threshold{
 			Measure: metrics.MeasureNameFor(ch), MinMean: 0.8,
@@ -98,11 +98,10 @@ func NewApp() (*App, error) {
 	// plus an app-owned tracer whose ring buffer backs /debug/spans.
 	reg := obs.Default()
 	enforcer.Instrument(reg)
-	// Windowed quality telemetry: one-minute windows, an hour of history.
 	// The enforcer attributes every check execution (outcome, score,
-	// latency, submitter role) into the set via the stock observer.
-	quality := obs.NewSeriesSet(time.Minute, 60)
-	enforcer.AttachObserver(dqruntime.NewSeriesObserver(quality, reg))
+	// latency, submitter role) into the collector's series via the stock
+	// observer: the one place a review's DQ results are recorded.
+	enforcer.AttachObserver(dqruntime.NewSeriesObserver(collector.Scores(), reg))
 	app := &App{
 		Router:     webapp.NewRouter(),
 		store:      webapp.NewStore(),
@@ -110,7 +109,6 @@ func NewApp() (*App, error) {
 		collector:  collector,
 		reg:        reg,
 		tracer:     obs.NewTracer(256),
-		quality:    quality,
 		reviewForm: form,
 	}
 	// Metrics outermost so its bookkeeping observes the 500 that Recover
@@ -120,19 +118,8 @@ func NewApp() (*App, error) {
 	return app, nil
 }
 
-// Collector exposes the DQ measurement collector (for tests and
-// diagnostics).
-func (a *App) Collector() *metrics.Collector { return a.collector }
-
 // Registry exposes the operational metric registry backing /metrics.
 func (a *App) Registry() *obs.Registry { return a.reg }
-
-// Tracer exposes the request tracer backing /debug/spans.
-func (a *App) Tracer() *obs.Tracer { return a.tracer }
-
-// Quality exposes the windowed DQ score series backing /debug/quality
-// (for tests and diagnostics).
-func (a *App) Quality() *obs.SeriesSet { return a.quality }
 
 // Enforcer exposes the DQ enforcer (for tests and diagnostics).
 func (a *App) Enforcer() *dqruntime.Enforcer { return a.enforcer }
@@ -160,13 +147,6 @@ func (a *App) routes() {
 	r.GET("/healthz", a.handleHealthz)
 	r.GET("/debug/spans", a.handleSpans)
 	r.GET("/debug/quality", a.handleQuality)
-}
-
-// observe records a validation report's scores into the measurement
-// collector; measurement failures must not break the request path, so they
-// are deliberately dropped (the collector only rejects non-finite values).
-func (a *App) observe(rep *dqruntime.Report, entity string) {
-	_ = a.collector.RecordReport(rep, entity)
 }
 
 // ValidRoles are the identities the case study recognises at login.
@@ -309,7 +289,6 @@ func (a *App) handleAddReview(c *webapp.Context) {
 		record[f] = c.FormValue(f)
 	}
 	report := a.enforcer.CheckInputLabeled(c.R.Context(), record, roleLabel(c))
-	a.observe(report, "papers/"+c.Param("id"))
 	if !report.Passed() {
 		var b strings.Builder
 		b.WriteString("review rejected by DQ checks:\n")
@@ -391,7 +370,6 @@ func (a *App) handleEditReview(c *webapp.Context) {
 		record[f] = v
 	}
 	report := a.enforcer.CheckInputLabeled(c.R.Context(), record, roleLabel(c))
-	a.observe(report, "reviews/"+c.Param("id"))
 	if !report.Passed() {
 		var b strings.Builder
 		b.WriteString("edit rejected by DQ checks:\n")
@@ -464,8 +442,8 @@ func (a *App) handleAssess(c *webapp.Context) {
 	c.Text(http.StatusOK, "%s", b.String())
 }
 
-// handleMetrics serves the measurement snapshot: per-characteristic score
-// aggregates across all observed submissions.
+// handleMetrics serves the measurement snapshot: per-measure mean check
+// scores over the last hour, across submitter roles.
 func (a *App) handleMetrics(c *webapp.Context) {
 	var b strings.Builder
 	for _, line := range a.collector.Snapshot() {
@@ -475,10 +453,10 @@ func (a *App) handleMetrics(c *webapp.Context) {
 	c.Text(http.StatusOK, "%s", b.String())
 }
 
-// handleViolations reports measures whose mean has fallen below the
-// monitoring thresholds.
+// handleViolations reports measures whose mean check score over the last
+// hour has fallen below the monitoring thresholds.
 func (a *App) handleViolations(c *webapp.Context) {
-	vs := a.collector.Violations(time.Time{})
+	vs := a.collector.Violations()
 	if len(vs) == 0 {
 		c.Text(http.StatusOK, "all DQ thresholds satisfied\n")
 		return
@@ -494,11 +472,11 @@ func (a *App) handleViolations(c *webapp.Context) {
 // Prometheus text exposition format: request latency histograms and
 // status-aware counters from the webapp middleware, the enforcer's
 // per-characteristic DQ check counters, library counters
-// (validate/transform/xmi), and — exported at scrape time — the aggregates
-// of the DQ measurement collector.
+// (validate/transform/xmi), and — exported at scrape time — the windowed
+// dq_score families and dq_threshold_violations.
 func (a *App) handlePrometheus(c *webapp.Context) {
 	a.collector.Export(a.reg)
-	a.quality.Export(a.reg,
+	a.collector.Scores().Export(a.reg,
 		"dq_score", "Windowed mean DQ check score, by characteristic, context and window",
 		"dq_check_failures", "Windowed DQ check failure count, by characteristic, context and window")
 	c.W.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -512,7 +490,7 @@ func (a *App) handlePrometheus(c *webapp.Context) {
 // to "is Completeness for reviewers degrading?", consumed by
 // `dqwebre watch`.
 func (a *App) handleQuality(c *webapp.Context) {
-	data, err := json.MarshalIndent(a.quality.Report("dq_score", 0), "", "  ")
+	data, err := json.MarshalIndent(a.collector.Scores().Report("dq_score", 0), "", "  ")
 	if err != nil {
 		c.Text(http.StatusInternalServerError, "quality report: %v\n", err)
 		return
@@ -533,8 +511,9 @@ func roleLabel(c *webapp.Context) string {
 }
 
 // handleHealthz is a liveness/readiness probe: the pipeline assembled at
-// startup (enforcer, collector, store) is the only state that can be
-// unhealthy, so reaching this handler with all of it in place is "ok".
+// startup (enforcer, collector and its score series, store) is the only
+// state that can be unhealthy, so reaching this handler with all of it in
+// place is "ok".
 func (a *App) handleHealthz(c *webapp.Context) {
 	c.W.Header().Set("Content-Type", "application/json; charset=utf-8")
 	c.W.WriteHeader(http.StatusOK)

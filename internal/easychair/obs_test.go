@@ -38,7 +38,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 		"# TYPE dq_checks_total counter",
 		`dq_checks_total{characteristic="Completeness",check="check_completeness",result="pass"}`,
 		`dq_checks_total{characteristic="Completeness",check="check_completeness",result="fail"}`,
-		"# TYPE dq_measure_mean gauge",
+		"# TYPE dq_threshold_violations gauge",
 		`characteristic="Precision"`,
 	} {
 		if !strings.Contains(body, want) {

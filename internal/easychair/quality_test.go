@@ -110,3 +110,44 @@ func TestMetricsExposeQualitySeries(t *testing.T) {
 		t.Error(`/metrics should render empty previous windows as NaN`)
 	}
 }
+
+// TestDQMetricsAgreeWithScoreSeries: /dq/metrics, the thresholds and the
+// dq_score family read one store, so they report the same number — the
+// mean check score — and a characteristic nobody measured shows no mean.
+func TestDQMetricsAgreeWithScoreSeries(t *testing.T) {
+	_, srv := startApp(t)
+	submitReviews(t, srv.URL)
+	c := newClient(t, srv.URL)
+
+	_, prom := c.get("/metrics")
+	// Four Precision checks, one failed: 3/4.
+	if !strings.Contains(prom, "\n"+`dq_score{characteristic="Precision",context="pc",window="current"} 0.75`+"\n") {
+		t.Errorf("/metrics lacks the Precision window mean 0.75")
+	}
+	if !strings.Contains(prom, "\ndq_threshold_violations 1\n") {
+		t.Errorf("/metrics lacks dq_threshold_violations 1")
+	}
+	if strings.Contains(prom, "dq_measure_") {
+		t.Errorf("/metrics still exports a dq_measure_ family")
+	}
+
+	_, body := c.get("/dq/metrics")
+	lines := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		lines[strings.Fields(line)[0]] = line
+		if strings.Contains(line, " n=0 mean=") {
+			t.Errorf("unmeasured characteristic shows a mean: %q", line)
+		}
+	}
+	if !strings.Contains(lines["dq/Precision"], "mean=0.750") {
+		t.Errorf("dq/Precision line = %q, want mean=0.750 (the dq_score number)", lines["dq/Precision"])
+	}
+	if !strings.HasSuffix(lines["dq/Traceability"], " n=0") {
+		t.Errorf("dq/Traceability line = %q, want n=0 and no mean", lines["dq/Traceability"])
+	}
+
+	_, body = c.get("/dq/violations")
+	if !strings.Contains(body, `measure "dq/Precision": mean 0.750 below threshold 0.800`) {
+		t.Errorf("/dq/violations = %q, want dq/Precision below threshold at 0.750", body)
+	}
+}

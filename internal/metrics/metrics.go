@@ -1,18 +1,15 @@
-// Package metrics implements a data quality measurement and monitoring
-// substrate in the spirit of the measurement information model of ISO/IEC
-// 15939 that the paper's research line builds on (Caballero et al. 2007)
-// and of the assessment-and-monitoring frameworks it cites (Batini et al.
-// 2007): measures bound to ISO/IEC 25012 characteristics, time series of
-// measurements per entity, windowed aggregation, and threshold-based
-// monitoring. The EasyChair application feeds it from every validation
-// report, so the DQ level of the data flowing through the system is
+// Package metrics is the monitoring layer of the ISO/IEC 15939
+// measurement information model that the paper's research line builds on
+// (Caballero et al. 2007; Batini et al. 2007): a catalog of measures bound
+// to ISO/IEC 25012 characteristics, and minimum-mean thresholds judged on
+// the windowed DQ score series (obs.SeriesSet) the runtime validator
+// feeds, so the DQ level of the data flowing through the system is
 // observable over time — the "continuous process of living" the paper
 // contrasts with one-shot data cleansing.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -67,33 +64,11 @@ type Measure struct {
 	Doc string
 }
 
-// Measurement is one recorded value of a measure for one entity.
-type Measurement struct {
-	// Measure is the measure's name.
-	Measure string
-	// Entity identifies the measured thing, e.g. "review/42" or "reviews".
-	Entity string
-	// Value is the measured value.
-	Value float64
-	// At is the measurement timestamp.
-	At time.Time
-}
-
-// Summary aggregates a set of measurements.
-type Summary struct {
-	// Count is the number of measurements aggregated.
-	Count int
-	// Mean, Min and Max summarize the values; zero when Count is 0.
-	Mean, Min, Max float64
-	// P50 is the median value.
-	P50 float64
-}
-
 // Threshold declares the minimum acceptable aggregate level of a measure.
 type Threshold struct {
 	// Measure is the constrained measure's name.
 	Measure string
-	// MinMean is the minimum acceptable mean over the evaluation window.
+	// MinMean is the lowest acceptable mean check score (see Violations).
 	MinMean float64
 }
 
@@ -101,8 +76,8 @@ type Threshold struct {
 type Violation struct {
 	// Threshold violated.
 	Threshold Threshold
-	// Observed is the aggregate that failed.
-	Observed Summary
+	// Observed folds the characteristic's last hour across contexts.
+	Observed obs.Window
 }
 
 // String renders the violation for reports.
@@ -111,51 +86,29 @@ func (v Violation) String() string {
 		v.Threshold.Measure, v.Observed.Mean, v.Threshold.MinMean, v.Observed.Count)
 }
 
-type seriesKey struct{ measure, entity string }
-
-// Collector registers measures and stores their measurement series. It is
-// safe for concurrent use.
+// Collector is the measure catalog and threshold monitor over one DQ score
+// series set (one series per characteristic × context); every measure
+// reads its characteristic's series. It is safe for concurrent use.
 type Collector struct {
+	observer *dqruntime.SeriesObserver
+
 	mu         sync.RWMutex
 	measures   map[string]Measure
-	series     map[seriesKey][]Measurement
 	thresholds []Threshold
-	clock      func() time.Time
-	// maxPerSeries bounds memory: older measurements are dropped FIFO.
-	maxPerSeries int
 }
 
-// NewCollector creates an empty collector keeping at most 4096 measurements
-// per (measure, entity) series.
+// NewCollector creates an empty collector over a new score series set of
+// one-minute windows, an hour retained.
 func NewCollector() *Collector {
 	return &Collector{
-		measures:     make(map[string]Measure),
-		series:       make(map[seriesKey][]Measurement),
-		clock:        time.Now,
-		maxPerSeries: 4096,
+		observer: dqruntime.NewSeriesObserver(obs.NewSeriesSet(time.Minute, 60), nil),
+		measures: make(map[string]Measure),
 	}
 }
 
-// SetClock injects a deterministic clock for tests; nil restores time.Now.
-func (c *Collector) SetClock(clock func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if clock == nil {
-		clock = time.Now
-	}
-	c.clock = clock
-}
-
-// SetSeriesLimit bounds each series' length; n < 1 is rejected.
-func (c *Collector) SetSeriesLimit(n int) error {
-	if n < 1 {
-		return fmt.Errorf("metrics: series limit must be positive, got %d", n)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxPerSeries = n
-	return nil
-}
+// Scores returns the series set the collector judges, for an enforcer's
+// dqruntime.SeriesObserver, /debug/quality and the dq_score export.
+func (c *Collector) Scores() *obs.SeriesSet { return c.observer.Scores() }
 
 // Register declares a measure. Re-registering the same name with different
 // content is an error.
@@ -190,81 +143,33 @@ func (c *Collector) Measures() []Measure {
 	return out
 }
 
-// Record stores one measurement; the measure must be registered.
-func (c *Collector) Record(measure, entity string, value float64) error {
-	if math.IsNaN(value) || math.IsInf(value, 0) {
-		return fmt.Errorf("metrics: non-finite value for %q", measure)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.measures[measure]; !ok {
-		return fmt.Errorf("metrics: unregistered measure %q", measure)
-	}
-	k := seriesKey{measure, entity}
-	s := append(c.series[k], Measurement{
-		Measure: measure, Entity: entity, Value: value, At: c.clock(),
-	})
-	if len(s) > c.maxPerSeries {
-		s = s[len(s)-c.maxPerSeries:]
-	}
-	c.series[k] = s
-	return nil
-}
-
-// Latest returns the most recent measurement of a series.
-func (c *Collector) Latest(measure, entity string) (Measurement, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	s := c.series[seriesKey{measure, entity}]
-	if len(s) == 0 {
-		return Measurement{}, false
-	}
-	return s[len(s)-1], true
-}
-
-// Series returns a copy of one series, oldest first.
-func (c *Collector) Series(measure, entity string) []Measurement {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]Measurement(nil), c.series[seriesKey{measure, entity}]...)
-}
-
-// Aggregate summarizes every measurement of one measure (across entities)
-// newer than since. A zero since aggregates everything.
-func (c *Collector) Aggregate(measure string, since time.Time) Summary {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var values []float64
-	for k, s := range c.series {
-		if k.measure != measure {
-			continue
-		}
-		for _, m := range s {
-			if since.IsZero() || !m.At.Before(since) {
-				values = append(values, m.Value)
+// fold sums each characteristic's windows of the last hour across
+// contexts; characteristics with no observations in it are absent.
+func (c *Collector) fold() map[iso25012.Characteristic]obs.Window {
+	out := map[iso25012.Characteristic]obs.Window{}
+	for _, s := range c.Scores().Report("", 0).Series {
+		ch := iso25012.Characteristic(s.Labels["characteristic"])
+		agg := out[ch]
+		for _, w := range s.Windows {
+			if w.Count == 0 {
+				continue
 			}
+			if agg.Count == 0 || w.Min < agg.Min {
+				agg.Min = w.Min
+			}
+			if agg.Count == 0 || w.Max > agg.Max {
+				agg.Max = w.Max
+			}
+			agg.Count += w.Count
+			agg.Failures += w.Failures
+			agg.Sum += w.Sum
+		}
+		if agg.Count > 0 {
+			agg.Mean = agg.Sum / float64(agg.Count)
+			out[ch] = agg
 		}
 	}
-	return summarize(values)
-}
-
-func summarize(values []float64) Summary {
-	if len(values) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	return Summary{
-		Count: len(sorted),
-		Mean:  sum / float64(len(sorted)),
-		Min:   sorted[0],
-		Max:   sorted[len(sorted)-1],
-		P50:   sorted[len(sorted)/2],
-	}
+	return out
 }
 
 // AddThreshold installs a minimum-mean threshold for a measure.
@@ -278,24 +183,24 @@ func (c *Collector) AddThreshold(t Threshold) error {
 	return nil
 }
 
-// Violations evaluates every threshold against the aggregate since the
-// given time; measures with no data do not violate (nothing to judge).
-func (c *Collector) Violations(since time.Time) []Violation {
+// Violations judges each threshold on the mean check score of its
+// measure's characteristic over the last hour, across contexts. A measure
+// with no observations in that hour does not violate.
+func (c *Collector) Violations() []Violation {
+	folded := c.fold()
 	c.mu.RLock()
-	thresholds := append([]Threshold(nil), c.thresholds...)
-	c.mu.RUnlock()
+	defer c.mu.RUnlock()
 	var out []Violation
-	for _, t := range thresholds {
-		s := c.Aggregate(t.Measure, since)
-		if s.Count > 0 && s.Mean < t.MinMean {
-			out = append(out, Violation{Threshold: t, Observed: s})
+	for _, t := range c.thresholds {
+		if w, ok := folded[c.measures[t.Measure].Characteristic]; ok && w.Mean < t.MinMean {
+			out = append(out, Violation{Threshold: t, Observed: w})
 		}
 	}
 	return out
 }
 
-// MeasureNameFor names the standard per-characteristic score measure used
-// by RecordReport.
+// MeasureNameFor names the standard per-characteristic score measure that
+// RegisterCharacteristics registers.
 func MeasureNameFor(ch iso25012.Characteristic) string {
 	return "dq/" + string(ch)
 }
@@ -309,7 +214,7 @@ func (c *Collector) RegisterCharacteristics(chs ...iso25012.Characteristic) erro
 			Characteristic: ch,
 			Scale:          Ratio,
 			Unit:           "fraction",
-			Doc:            "per-record " + string(ch) + " score from the runtime validator",
+			Doc:            "mean " + string(ch) + " check score from the runtime validator",
 		})
 		if err != nil {
 			return err
@@ -318,57 +223,45 @@ func (c *Collector) RegisterCharacteristics(chs ...iso25012.Characteristic) erro
 	return nil
 }
 
-// RecordReport records every per-characteristic score of a validation
-// report against the given entity. Unregistered characteristics are
-// registered on first use.
-func (c *Collector) RecordReport(rep *dqruntime.Report, entity string) error {
-	for ch, score := range rep.Scores() {
-		if err := c.RegisterCharacteristics(ch); err != nil {
+// RecordReport folds a report validated without an attached observer into
+// the score series through a dqruntime.SeriesObserver: one observation per
+// check result, labeled {characteristic, context}. Unregistered
+// characteristics are registered on first use.
+func (c *Collector) RecordReport(rep *dqruntime.Report, context string) error {
+	for _, res := range rep.Results {
+		if err := c.RegisterCharacteristics(res.Characteristic); err != nil {
 			return err
 		}
-		if err := c.Record(MeasureNameFor(ch), entity, score); err != nil {
-			return err
-		}
+		c.observer.ObserveCheck(dqruntime.CheckObservation{
+			Check: res.Check, Characteristic: res.Characteristic, Context: context,
+			Score: res.Score, Passed: res.Passed,
+		})
 	}
 	return nil
 }
 
-// Export publishes every measure's overall aggregate into an operational
-// metric registry as gauges (dq_measure_mean, dq_measure_min,
-// dq_measure_max, dq_measure_observations), labeled by measure and
-// ISO/IEC 25012 characteristic. It is a call-time snapshot: servers invoke
-// it right before rendering /metrics, so the Prometheus view of data
-// quality tracks this collector without the collector depending on scrape
-// cadence.
+// Export sets dq_threshold_violations in reg to the number of Violations.
+// Servers call it right before rendering /metrics, so the gauge is never
+// older than the scrape.
 func (c *Collector) Export(reg *obs.Registry) {
-	for _, m := range c.Measures() {
-		s := c.Aggregate(m.Name, time.Time{})
-		labels := obs.Labels{
-			"measure":        m.Name,
-			"characteristic": string(m.Characteristic),
-		}
-		reg.Gauge("dq_measure_mean",
-			"mean of all recorded values of a DQ measure", labels).Set(s.Mean)
-		reg.Gauge("dq_measure_min",
-			"minimum recorded value of a DQ measure", labels).Set(s.Min)
-		reg.Gauge("dq_measure_max",
-			"maximum recorded value of a DQ measure", labels).Set(s.Max)
-		reg.Gauge("dq_measure_observations",
-			"number of recorded values of a DQ measure", labels).Set(float64(s.Count))
-	}
 	reg.Gauge("dq_threshold_violations",
-		"DQ measures currently below their monitoring threshold", nil).
-		Set(float64(len(c.Violations(time.Time{}))))
+		"DQ measures whose mean check score over the last hour, across contexts, is below their monitoring threshold", nil).
+		Set(float64(len(c.Violations())))
 }
 
-// Snapshot renders a sorted, human-readable view of all measures' overall
-// aggregates, for diagnostics endpoints.
+// Snapshot renders a sorted, human-readable view of every measure's
+// aggregate over the last hour, for diagnostics endpoints. A measure with
+// no observations in that hour shows n=0 and no mean.
 func (c *Collector) Snapshot() []string {
+	folded := c.fold()
 	var out []string
 	for _, m := range c.Measures() {
-		s := c.Aggregate(m.Name, time.Time{})
-		out = append(out, fmt.Sprintf("%-28s [%s/%s] n=%d mean=%.3f min=%.3f max=%.3f",
-			m.Name, m.Characteristic, m.Scale, s.Count, s.Mean, s.Min, s.Max))
+		w := folded[m.Characteristic]
+		line := fmt.Sprintf("%-28s [%s/%s] n=%d", m.Name, m.Characteristic, m.Scale, w.Count)
+		if w.Count > 0 {
+			line += fmt.Sprintf(" mean=%.3f min=%.3f max=%.3f", w.Mean, w.Min, w.Max)
+		}
+		out = append(out, line)
 	}
 	return out
 }

@@ -1,25 +1,33 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 	"github.com/modeldriven/dqwebre/internal/iso25012"
+	"github.com/modeldriven/dqwebre/internal/obs"
 )
 
-func tick(start time.Time) func() time.Time {
-	var mu sync.Mutex
-	t := start
-	return func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		t = t.Add(time.Second)
-		return t
-	}
+// fakeClock is a deterministic, mutable clock for the score series.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
 }
 
 func completenessMeasure() Measure {
@@ -58,105 +66,13 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-func TestRecordAndSeries(t *testing.T) {
-	c := NewCollector()
-	c.SetClock(tick(time.Date(2026, 7, 5, 0, 0, 0, 0, time.UTC)))
-	if err := c.Register(completenessMeasure()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Record("dq/Completeness", "reviews", 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Record("dq/Completeness", "reviews", 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Record("unregistered", "reviews", 1.0); err == nil {
-		t.Fatal("unregistered measure accepted")
-	}
-	if err := c.Record("dq/Completeness", "reviews", mathNaN()); err == nil {
-		t.Fatal("NaN accepted")
-	}
-
-	s := c.Series("dq/Completeness", "reviews")
-	if len(s) != 2 || s[0].Value != 0.5 || s[1].Value != 1.0 {
-		t.Fatalf("series = %v", s)
-	}
-	if !s[1].At.After(s[0].At) {
-		t.Fatal("timestamps not monotonic")
-	}
-	latest, ok := c.Latest("dq/Completeness", "reviews")
-	if !ok || latest.Value != 1.0 {
-		t.Fatalf("latest = %v", latest)
-	}
-	if _, ok := c.Latest("dq/Completeness", "ghost"); ok {
-		t.Fatal("phantom series")
-	}
-}
-
-func mathNaN() float64 {
-	var zero float64
-	return zero / zero
-}
-
-func TestSeriesLimit(t *testing.T) {
-	c := NewCollector()
-	if err := c.SetSeriesLimit(0); err == nil {
-		t.Fatal("zero limit accepted")
-	}
-	if err := c.SetSeriesLimit(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Register(completenessMeasure()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := c.Record("dq/Completeness", "e", float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := c.Series("dq/Completeness", "e")
-	if len(s) != 3 || s[0].Value != 7 || s[2].Value != 9 {
-		t.Fatalf("series after limit = %v", s)
-	}
-}
-
-func TestAggregateAndWindow(t *testing.T) {
-	c := NewCollector()
-	start := time.Date(2026, 7, 5, 0, 0, 0, 0, time.UTC)
-	c.SetClock(tick(start))
-	if err := c.Register(completenessMeasure()); err != nil {
-		t.Fatal(err)
-	}
-	// Across two entities.
-	for i, v := range []float64{0.2, 0.4, 0.6, 0.8} {
-		entity := "a"
-		if i%2 == 1 {
-			entity = "b"
-		}
-		if err := c.Record("dq/Completeness", entity, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	all := c.Aggregate("dq/Completeness", time.Time{})
-	if all.Count != 4 || all.Min != 0.2 || all.Max != 0.8 {
-		t.Fatalf("aggregate = %+v", all)
-	}
-	if all.Mean < 0.49 || all.Mean > 0.51 {
-		t.Fatalf("mean = %v", all.Mean)
-	}
-	// Window: only the last two measurements (t=start+3s, +4s).
-	recent := c.Aggregate("dq/Completeness", start.Add(3*time.Second))
-	if recent.Count != 2 || recent.Min != 0.6 {
-		t.Fatalf("windowed = %+v", recent)
-	}
-	// Empty aggregate.
-	if got := c.Aggregate("dq/Completeness", start.Add(time.Hour)); got.Count != 0 {
-		t.Fatalf("future window = %+v", got)
-	}
-}
-
+// TestThresholdsAndViolations: a threshold judges the mean check score of
+// its characteristic over the windows of the last hour, across contexts; a
+// window ages out of that judgement by the clock alone.
 func TestThresholdsAndViolations(t *testing.T) {
+	clk := &fakeClock{t: time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)}
 	c := NewCollector()
+	c.Scores().SetClock(clk.Now)
 	if err := c.Register(completenessMeasure()); err != nil {
 		t.Fatal(err)
 	}
@@ -167,56 +83,94 @@ func TestThresholdsAndViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No data: no violation.
-	if vs := c.Violations(time.Time{}); len(vs) != 0 {
+	if vs := c.Violations(); len(vs) != 0 {
 		t.Fatalf("violations with no data = %v", vs)
 	}
-	if err := c.Record("dq/Completeness", "e", 0.5); err != nil {
-		t.Fatal(err)
+	series := func(context string) *obs.Series {
+		return c.Scores().Series(obs.Labels{"characteristic": "Completeness", "context": context})
 	}
-	vs := c.Violations(time.Time{})
-	if len(vs) != 1 {
-		t.Fatalf("violations = %v", vs)
+
+	// One low-scoring window violates.
+	series("reviewer").ObserveOutcome(0.3, true)
+	vs := c.Violations()
+	if len(vs) != 1 || vs[0].Observed.Count != 1 || vs[0].Observed.Mean != 0.3 {
+		t.Fatalf("violations = %v, want one with n=1 mean 0.3", vs)
 	}
 	if !strings.Contains(vs[0].String(), "below threshold") {
 		t.Fatalf("violation string = %q", vs[0])
 	}
-	if err := c.Record("dq/Completeness", "e", 1.0); err != nil {
-		t.Fatal(err)
+
+	// Later good windows, in another context, dilute it: (0.3+1+1)/3.
+	for i := 0; i < 2; i++ {
+		clk.Advance(time.Minute)
+		series("chair").Observe(1)
 	}
-	c.Record("dq/Completeness", "e", 1.0)
-	c.Record("dq/Completeness", "e", 1.0)
-	c.Record("dq/Completeness", "e", 1.0)
-	if vs := c.Violations(time.Time{}); len(vs) != 0 {
-		t.Fatalf("violations after recovery = %v", vs)
+	vs = c.Violations()
+	if len(vs) != 1 || vs[0].Observed.Count != 3 || math.Abs(vs[0].Observed.Mean-2.3/3) > 1e-9 {
+		t.Fatalf("violations = %v, want one with n=3 mean %.3f", vs, 2.3/3)
+	}
+	if vs[0].Observed.Min != 0.3 || vs[0].Observed.Max != 1 || vs[0].Observed.Failures != 1 {
+		t.Fatalf("observed = %+v, want min 0.3, max 1, 1 failure", vs[0].Observed)
+	}
+
+	// 59 minutes on, the low window still counts.
+	clk.Advance(57 * time.Minute)
+	if vs := c.Violations(); len(vs) != 1 {
+		t.Fatalf("violations 59m after the low window = %v, want it still judged", vs)
+	}
+	// Past 60 minutes it has aged out: no write needed for the clear.
+	clk.Advance(90 * time.Second)
+	if vs := c.Violations(); len(vs) != 0 {
+		t.Fatalf("violations after the low window aged out = %v", vs)
+	}
+	if snap := c.Snapshot(); len(snap) != 1 || !strings.Contains(snap[0], "n=2 mean=1.000 min=1.000 max=1.000") {
+		t.Fatalf("snapshot = %q, want the two good checks", snap)
+	}
+
+	// Once every window has aged out there is nothing to judge.
+	clk.Advance(2 * time.Hour)
+	if vs := c.Violations(); len(vs) != 0 {
+		t.Fatalf("violations with only stale data = %v", vs)
+	}
+	if snap := c.Snapshot(); len(snap) != 1 || !strings.HasSuffix(snap[0], " n=0") {
+		t.Fatalf("snapshot = %q, want n=0 and no mean", snap)
 	}
 }
 
+// TestRecordReportIntegration: RecordReport folds a report in check by
+// check, the way SeriesObserver records it, and registers the
+// characteristics it meets.
 func TestRecordReportIntegration(t *testing.T) {
 	c := NewCollector()
 	v := dqruntime.NewValidator("r",
 		dqruntime.CompletenessCheck{Required: []string{"a", "b"}},
 		dqruntime.PrecisionCheck{Field: "n", Lower: 0, Upper: 5},
+		dqruntime.PrecisionCheck{Field: "m", Lower: 0, Upper: 5},
 	)
-	rep := v.Validate(dqruntime.Record{"a": "1", "n": "3"})
-	if err := c.RecordReport(rep, "rec/1"); err != nil {
+	rep := v.Validate(dqruntime.Record{"a": "1", "n": "3", "m": "9"})
+	if err := c.RecordReport(rep, "pc"); err != nil {
 		t.Fatal(err)
 	}
-	comp, ok := c.Latest(MeasureNameFor(iso25012.Completeness), "rec/1")
-	if !ok || comp.Value != 0.5 {
-		t.Fatalf("completeness = %v", comp)
+	if got := c.Measures(); len(got) != 2 || got[0].Name != "dq/Completeness" || got[1].Name != "dq/Precision" {
+		t.Fatalf("measures = %v", got)
 	}
-	prec, ok := c.Latest(MeasureNameFor(iso25012.Precision), "rec/1")
-	if !ok || prec.Value != 1 {
-		t.Fatalf("precision = %v", prec)
+	window := func(ch iso25012.Characteristic) obs.Window {
+		t.Helper()
+		w, ok := c.Scores().Series(obs.Labels{"characteristic": string(ch), "context": "pc"}).Current()
+		if !ok {
+			t.Fatalf("no %s series in context pc", ch)
+		}
+		return w
+	}
+	if w := window(iso25012.Precision); w.Count != 2 || w.Failures != 1 || w.Mean != 0.5 {
+		t.Errorf("precision window = %+v, want count 2, 1 failure, mean 0.5", w)
+	}
+	if w := window(iso25012.Completeness); w.Count != 1 || w.Failures != 1 || w.Mean != 0.5 {
+		t.Errorf("completeness window = %+v, want count 1, 1 failure, mean 0.5", w)
 	}
 	snap := c.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	for _, line := range snap {
-		if !strings.Contains(line, "n=1") {
-			t.Errorf("snapshot line %q lacks count", line)
-		}
+	if len(snap) != 2 || !strings.Contains(snap[0], "n=1 mean=0.500") || !strings.Contains(snap[1], "n=2 mean=0.500") {
+		t.Fatalf("snapshot = %q", snap)
 	}
 }
 
@@ -228,10 +182,23 @@ func TestScaleString(t *testing.T) {
 	}
 }
 
+// TestConcurrentRecording folds reports while thresholds and snapshots
+// read the same series; run under -race this verifies the locking story.
 func TestConcurrentRecording(t *testing.T) {
 	c := NewCollector()
 	if err := c.RegisterCharacteristics(iso25012.Completeness, iso25012.Precision); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.AddThreshold(Threshold{Measure: MeasureNameFor(iso25012.Precision), MinMean: 0.8}); err != nil {
+		t.Fatal(err)
+	}
+	v := dqruntime.NewValidator("r",
+		dqruntime.CompletenessCheck{Required: []string{"a"}},
+		dqruntime.PrecisionCheck{Field: "n", Lower: 0, Upper: 5},
+	)
+	reports := []*dqruntime.Report{
+		v.Validate(dqruntime.Record{"a": "1", "n": "3"}),
+		v.Validate(dqruntime.Record{"n": "9"}),
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -239,35 +206,18 @@ func TestConcurrentRecording(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				_ = c.Record(MeasureNameFor(iso25012.Completeness), "e", float64(j)/50)
-				c.Aggregate(MeasureNameFor(iso25012.Completeness), time.Time{})
+				if err := c.RecordReport(reports[j%2], []string{"pc", "chair"}[n%2]); err != nil {
+					t.Error(err)
+					return
+				}
+				c.Violations()
+				c.Snapshot()
 			}
 		}(i)
 	}
 	wg.Wait()
-	if got := c.Aggregate(MeasureNameFor(iso25012.Completeness), time.Time{}); got.Count != 800 {
-		t.Fatalf("count = %d, want 800", got.Count)
-	}
-}
-
-// TestQuickSummaryInvariants: for random value sets, Min <= P50 <= Max and
-// Min <= Mean <= Max.
-func TestQuickSummaryInvariants(t *testing.T) {
-	f := func(raw []uint16) bool {
-		values := make([]float64, len(raw))
-		for i, r := range raw {
-			values[i] = float64(r) / 65535
-		}
-		s := summarize(values)
-		if s.Count != len(values) {
-			return false
-		}
-		if s.Count == 0 {
-			return s.Mean == 0 && s.Min == 0 && s.Max == 0
-		}
-		return s.Min <= s.P50 && s.P50 <= s.Max && s.Min <= s.Mean && s.Mean <= s.Max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	vs := c.Violations()
+	if len(vs) != 1 || vs[0].Observed.Count != 800 || vs[0].Observed.Failures != 400 {
+		t.Fatalf("violations = %+v, want precision with 800 checks, 400 failures", vs)
 	}
 }

@@ -1,14 +1,13 @@
 package obs
 
 import (
-	"io"
 	"log/slog"
 	"sync"
 )
 
 // logState holds the process-wide structured-logging handler. Components
-// derive their loggers from it via Logger, so one SetLogHandler (or
-// SetLogOutput) call retargets every component at once.
+// derive their loggers from it via Logger, so one SetLogHandler call
+// retargets every component at once.
 var logState = struct {
 	mu      sync.RWMutex
 	handler slog.Handler
@@ -20,12 +19,6 @@ func SetLogHandler(h slog.Handler) {
 	logState.mu.Lock()
 	logState.handler = h
 	logState.mu.Unlock()
-}
-
-// SetLogOutput is a convenience: a text handler writing to w at the given
-// level.
-func SetLogOutput(w io.Writer, level slog.Level) {
-	SetLogHandler(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
 }
 
 // Logger returns a structured logger tagged with the given component name.

@@ -179,17 +179,21 @@ func (s *Series) window(b *bucket) Window {
 	return w
 }
 
-// Snapshot returns the retained windows oldest first, including windows
-// the series advanced through without observations (count 0). It is safe
-// under concurrent writers: the returned slice is a copy.
+// Snapshot returns the retained windows that lie within the ring's span
+// of now (the last len(ring) intervals, the current one included), oldest
+// first, including windows the series advanced through without
+// observations (count 0). Windows older than that span are left out even
+// before a write advances the ring past them. It is safe under concurrent
+// writers: the returned slice is a copy.
 func (s *Series) Snapshot() []Window {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.ring)
+	stale := s.clock().UnixNano()/int64(s.interval) - int64(n)
 	out := make([]Window, 0, n)
 	for i := 0; i < n; i++ {
 		b := &s.ring[(s.head+1+i)%n]
-		if b.idx < 0 {
+		if b.idx < 0 || b.idx <= stale {
 			continue
 		}
 		out = append(out, s.window(b))
@@ -402,9 +406,9 @@ func (ss *SeriesSet) Report(name string, alpha float64) SeriesReport {
 //	<name>_trend{<labels>,stat="delta"|"ewma"}    — trend numbers (NaN
 //	                                                when underived)
 //
-// Call it at scrape time, like metrics.Collector.Export: gauges are
-// plain last-write-wins cells, so exporting just before rendering keeps
-// them honest about windows that have since emptied.
+// Call it at scrape time: gauges are plain last-write-wins cells, so
+// exporting just before rendering keeps them honest about windows that
+// have since emptied or aged out.
 func (ss *SeriesSet) Export(reg *Registry, name, help, failName, failHelp string) {
 	for _, e := range ss.entries() {
 		cur, okCur := e.s.Current()

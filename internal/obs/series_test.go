@@ -97,8 +97,10 @@ func TestSeriesRingEvictionAndBigJump(t *testing.T) {
 	s.SetClock(clk.Now)
 
 	for i := 0; i < 5; i++ {
+		if i > 0 {
+			clk.Advance(time.Minute)
+		}
 		s.Observe(float64(i))
-		clk.Advance(time.Minute)
 	}
 	// 5 windows observed, capacity 3: the ring keeps the newest 3.
 	snap := s.Snapshot()
@@ -120,6 +122,36 @@ func TestSeriesRingEvictionAndBigJump(t *testing.T) {
 	snap = s.Snapshot()
 	if len(snap) != 1 || snap[0].Sum != 7 {
 		t.Fatalf("after big jump: snapshot = %+v, want single window sum 7", snap)
+	}
+}
+
+// TestSeriesStaleWindowsAgeOut: windows older than the ring's span of now
+// drop out of every read — Snapshot, EWMA, Report and Export — even when no
+// write has advanced the ring past them.
+func TestSeriesStaleWindowsAgeOut(t *testing.T) {
+	clk := newFakeClock()
+	ss := NewSeriesSet(time.Minute, 60)
+	ss.SetClock(clk.Now)
+	labels := Labels{"characteristic": "Completeness", "context": "reviewer"}
+	s := ss.Series(labels)
+	s.Observe(0.1)
+	clk.Advance(3 * time.Hour)
+
+	if snap := s.Snapshot(); len(snap) != 0 {
+		t.Errorf("snapshot = %+v, want no windows 3h after the only observation", snap)
+	}
+	if ewma, ok := s.EWMA(0); ok {
+		t.Errorf("EWMA = %g, want not ok", ewma)
+	}
+	rep := ss.Report("dq_score", 0)
+	if len(rep.Series) != 1 || len(rep.Series[0].Windows) != 0 || rep.Series[0].EWMA != nil {
+		t.Errorf("report = %+v, want one series without windows or ewma", rep)
+	}
+	reg := NewRegistry()
+	ss.Export(reg, "dq_score", "score", "dq_check_failures", "failures")
+	if text := reg.PrometheusText(); !strings.Contains(text,
+		`dq_score_trend{characteristic="Completeness",context="reviewer",stat="ewma"} NaN`) {
+		t.Errorf("stale ewma not NaN:\n%s", text)
 	}
 }
 

@@ -1,10 +1,12 @@
 #!/bin/sh
 # Telemetry smoke test: boot the easychair server, drive one full review
 # flow through the HTTP surface, then assert the quality telemetry is live —
-# the dq_score windowed family on /metrics and per-characteristic trends on
-# /debug/quality. CI runs this after the unit suites; it is the end-to-end
-# proof that check-level attribution survives the whole wiring (enforcer →
-# observer → series → exposition), not just the package tests.
+# the dq_score windowed family on /metrics, per-characteristic trends on
+# /debug/quality, and the thresholds behind /dq/metrics and /dq/violations
+# reading the same number as dq_score. CI runs this after the unit suites;
+# it is the end-to-end proof that check-level attribution survives the
+# whole wiring (enforcer → observer → series → exposition), not just the
+# package tests.
 # Usage: scripts/telemetry_smoke.sh [port]
 set -eu
 
@@ -75,6 +77,20 @@ assert_contains "$workdir/metrics.txt" '^dq_score{characteristic="Precision",con
 assert_contains "$workdir/metrics.txt" '^dq_check_failures{characteristic="Precision",context="pc",window="current"} 1' "precision failure attributed"
 assert_contains "$workdir/metrics.txt" '^dq_score_trend{characteristic="Precision",context="pc",stat="ewma"}' "trend exported"
 assert_contains "$workdir/metrics.txt" '^dq_check_seconds_count{check="check_precision"} 4' "check latency histogram"
+# Four Precision checks, one failed: every DQ view reads the mean 0.75.
+assert_contains "$workdir/metrics.txt" '^dq_score{characteristic="Precision",context="pc",window="current"} 0.75$' "precision window mean"
+assert_contains "$workdir/metrics.txt" '^dq_threshold_violations 1$' "threshold violation exported"
+if grep -q '^dq_measure_' "$workdir/metrics.txt"; then
+	echo "FAIL: a dq_measure_ family is still exported" >&2
+	fail=1
+else
+	echo "ok: no dq_measure_ family"
+fi
+
+curl -fsS "$base/dq/metrics" >"$workdir/dqmetrics.txt"
+assert_contains "$workdir/dqmetrics.txt" '^dq/Precision .* mean=0\.750 ' "dq/metrics precision mean matches dq_score"
+curl -fsS "$base/dq/violations" >"$workdir/violations.txt"
+assert_contains "$workdir/violations.txt" '"dq/Precision".*below threshold' "precision below threshold"
 
 curl -fsS "$base/debug/quality" >"$workdir/quality.json"
 assert_contains "$workdir/quality.json" '"name": "dq_score"' "quality report named"
