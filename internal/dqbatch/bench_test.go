@@ -1,8 +1,9 @@
-// Benchmarks for the batch engine: a single-threaded ValidateInto loop as
-// the honest baseline, then the worker pool at 2/4/8 workers over the
-// same dataset. Each reports records/sec plus stride-sampled per-record
-// latency percentiles; scripts/bench.sh parses them into BENCH_batch.json
-// so the throughput trajectory has data points.
+// Benchmarks for the batch engine: a single-threaded ValidateInto loop
+// over pre-decoded maps as the evaluation baseline, then the full pipeline
+// at 1/2/4/8 workers over the same dataset as in-memory NDJSON. Each
+// reports records/sec plus stride-sampled per-record latency percentiles;
+// scripts/bench.sh parses them into BENCH_batch.json so the throughput
+// trajectory has data points.
 package dqbatch
 
 import (
@@ -199,6 +200,7 @@ func BenchmarkBatchVectorized8(b *testing.B) {
 	b.ReportMetric(last.LatencyP99*1e9, "p99_ns")
 }
 
+func BenchmarkBatchParallel1(b *testing.B) { benchParallel(b, 1) }
 func BenchmarkBatchParallel2(b *testing.B) { benchParallel(b, 2) }
 func BenchmarkBatchParallel4(b *testing.B) { benchParallel(b, 4) }
 func BenchmarkBatchParallel8(b *testing.B) { benchParallel(b, 8) }
@@ -210,21 +212,29 @@ func BenchmarkBatchParallel8(b *testing.B) { benchParallel(b, 8) }
 // characteristic per run, not per record, so the overhead should be noise.
 func BenchmarkBatchAttributed8(b *testing.B) {
 	quality := obs.NewSeriesSet(time.Minute, 60)
-	benchParallelOpts(b, Options{Workers: 8, Quality: quality, Context: "bench"})
+	last := benchRun(b, benchNDJSONDoc(benchDataset()),
+		Options{Workers: 8, DecodeWorkers: 8, Quality: quality, Context: "bench"})
+	reportLatency(b, last)
 }
 
+// benchParallel runs the pipeline with workers eval workers and as many
+// decoders, so BenchmarkBatchParallel1 is the one-goroutine-per-stage
+// oracle the others scale from.
 func benchParallel(b *testing.B, workers int) {
-	benchParallelOpts(b, Options{Workers: workers})
+	last := benchRun(b, benchNDJSONDoc(benchDataset()), Options{Workers: workers, DecodeWorkers: workers})
+	reportLatency(b, last)
 }
 
-func benchParallelOpts(b *testing.B, opts Options) {
+// benchRun runs the full engine over an in-memory NDJSON document through
+// MmapNDJSONSource, the source `dqwebre batch -in file` reads with, checks
+// every result and returns the last.
+func benchRun(b *testing.B, doc []byte, opts Options) *Result {
 	v := benchValidator(b)
-	recs := benchDataset()
 	opts.Registry = obs.NewRegistry()
 	var last *Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), v, NewSliceSource(recs), opts)
+		res, err := Run(context.Background(), v, NewMmapNDJSONSource(doc), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,6 +245,11 @@ func benchParallelOpts(b *testing.B, opts Options) {
 	}
 	b.StopTimer()
 	reportThroughput(b, int64(b.N)*benchRecords)
+	return last
+}
+
+// reportLatency attaches the last run's sampled latency percentiles.
+func reportLatency(b *testing.B, last *Result) {
 	b.ReportMetric(last.LatencyP50*1e9, "p50_ns")
 	b.ReportMetric(last.LatencyP99*1e9, "p99_ns")
 }
@@ -251,31 +266,20 @@ func benchUniquenessDataset() []dqruntime.Record {
 	return recs
 }
 
-// benchUniqueness runs the full engine with a uniqueness cross-record
-// check riding along; maxExact -1 keeps the exact sets, a small positive
-// cap forces the Bloom mode from the first chunks.
+// benchUniqueness runs BenchmarkBatchParallelN's pipeline with a
+// uniqueness cross-record check riding along; maxExact -1 keeps the exact
+// sets, a small positive cap forces the Bloom mode from the first chunks.
 func benchUniqueness(b *testing.B, workers, maxExact int) {
-	v := benchValidator(b)
-	recs := benchUniquenessDataset()
-	opts := Options{
-		Workers:  workers,
-		Registry: obs.NewRegistry(),
+	last := benchRun(b, benchNDJSONDoc(benchUniquenessDataset(), "id"), Options{
+		Workers:       workers,
+		DecodeWorkers: workers,
 		CrossRecord: []dqruntime.StatefulCheck{
 			dqruntime.UniquenessCheck{Fields: []string{"id"}, MaxExact: maxExact, BloomBits: 1 << 20},
 		},
+	})
+	if len(last.CrossRecords) != 1 || last.CrossRecords[0].Violations == 0 {
+		b.Fatalf("cross findings = %+v", last.CrossRecords)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), v, NewSliceSource(recs), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.CrossRecords) != 1 || res.CrossRecords[0].Violations == 0 {
-			b.Fatalf("cross findings = %+v", res.CrossRecords)
-		}
-	}
-	b.StopTimer()
-	reportThroughput(b, int64(b.N)*benchRecords)
 }
 
 func BenchmarkBatchUniqueness1(b *testing.B)      { benchUniqueness(b, 1, -1) }

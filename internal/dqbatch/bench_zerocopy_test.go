@@ -20,23 +20,26 @@ import (
 	"github.com/modeldriven/dqwebre/internal/obs"
 )
 
-// benchNDJSONDoc serializes the benchmark dataset as NDJSON with a fixed
-// field order, so both sources parse identical bytes.
-func benchNDJSONDoc() []byte {
-	recs := benchDataset()
+// benchNDJSONDoc serializes records as NDJSON with the case-study fields
+// in a fixed order, then the named extra fields, so every source parses
+// identical bytes.
+func benchNDJSONDoc(recs []dqruntime.Record, extra ...string) []byte {
+	fields := append([]string{"first_name", "last_name", "email_address", "overall_evaluation", "reviewer_confidence"}, extra...)
 	var b bytes.Buffer
 	for _, r := range recs {
-		fmt.Fprintf(&b,
-			`{"first_name":%q,"last_name":%q,"email_address":%q,"overall_evaluation":%q,"reviewer_confidence":%q}`+"\n",
-			r["first_name"], r["last_name"], r["email_address"],
-			r["overall_evaluation"], r["reviewer_confidence"])
+		sep := '{'
+		for _, f := range fields {
+			fmt.Fprintf(&b, "%c%q:%q", sep, f, r[f])
+			sep = ','
+		}
+		b.WriteString("}\n")
 	}
 	return b.Bytes()
 }
 
 // benchDecode drains NextBatch over the benchmark document — decoding
 // only, no validation — so the mmap/bufio pair isolates the ingest cost.
-func benchDecode(b *testing.B, mk func() BatchSource) {
+func benchDecode(b *testing.B, mk func() Source) {
 	var batch dqruntime.ColumnBatch
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -66,16 +69,16 @@ func benchDecode(b *testing.B, mk func() BatchSource) {
 
 // BenchmarkDecodeBufio is the scanner + encoding/json decode baseline.
 func BenchmarkDecodeBufio(b *testing.B) {
-	doc := string(benchNDJSONDoc())
-	benchDecode(b, func() BatchSource { return NewNDJSONSource(strings.NewReader(doc)) })
+	doc := string(benchNDJSONDoc(benchDataset()))
+	benchDecode(b, func() Source { return NewNDJSONSource(strings.NewReader(doc)) })
 }
 
 // BenchmarkDecodeMmap slices records out of an in-memory mapping through
 // the fast flat-JSON parser — compare with BenchmarkDecodeBufio for the
 // zero-copy ingest speedup.
 func BenchmarkDecodeMmap(b *testing.B) {
-	doc := benchNDJSONDoc()
-	benchDecode(b, func() BatchSource { return NewMmapNDJSONSource(doc) })
+	doc := benchNDJSONDoc(benchDataset())
+	benchDecode(b, func() Source { return NewMmapNDJSONSource(doc) })
 }
 
 // benchFile runs the full engine over a real on-disk file through the
@@ -83,7 +86,7 @@ func BenchmarkDecodeMmap(b *testing.B) {
 func benchFile(b *testing.B, open func(path string) (Source, func() error, error)) {
 	v := benchValidator(b)
 	path := filepath.Join(b.TempDir(), "bench.ndjson")
-	if err := os.WriteFile(path, benchNDJSONDoc(), 0o644); err != nil {
+	if err := os.WriteFile(path, benchNDJSONDoc(benchDataset()), 0o644); err != nil {
 		b.Fatal(err)
 	}
 	opts := Options{Workers: 2, Registry: obs.NewRegistry()}

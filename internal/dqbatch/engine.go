@@ -188,14 +188,12 @@ type feed struct {
 	decode func(c *colChunk)
 }
 
-// feedFor picks src's fill: span sources cut a span into the chunk,
-// batch sources (CSV, ColumnSource) decode straight into its batch, and
-// Next-only sources have their records appended one by one. fill returns
-// io.EOF at end of input; a chunk filled alongside any error is still
-// complete.
+// feedFor picks src's fill: span sources cut a span into the chunk, and
+// the decode pool decodes it; other sources (CSV, ColumnSource) decode
+// straight into the chunk's batch on the producer. fill returns io.EOF at
+// end of input; a chunk filled alongside any error is still complete.
 func feedFor(src Source, chunkSize int) feed {
-	switch s := src.(type) {
-	case SpanSource:
+	if s, ok := src.(SpanSource); ok {
 		return feed{
 			fill: func(c *colChunk) (err error) {
 				c.span, err = s.CutSpan(&c.buf, chunkSize)
@@ -207,33 +205,11 @@ func feedFor(src Source, chunkSize int) feed {
 				}
 			},
 		}
-	case BatchSource:
-		return feed{
-			fill: func(c *colChunk) error {
-				_, err := s.NextBatch(&c.batch, chunkSize, c.bad)
-				return err
-			},
-			decode: func(*colChunk) {},
-		}
 	}
-	rec := make(dqruntime.Record, 8)
 	return feed{
 		fill: func(c *colChunk) error {
-			for c.batch.Rows() < chunkSize {
-				got, err := src.Next(rec)
-				if re, ok := err.(*RecordError); ok {
-					c.bad(re.Line, re.Err)
-					continue
-				}
-				if err != nil {
-					return err
-				}
-				for k, v := range got {
-					c.batch.SetField(k, v)
-				}
-				c.batch.EndRow()
-			}
-			return nil
+			_, err := src.NextBatch(&c.batch, chunkSize, c.bad)
+			return err
 		},
 		decode: func(*colChunk) {},
 	}

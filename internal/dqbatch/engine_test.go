@@ -48,7 +48,7 @@ func badRecord() dqruntime.Record {
 	return r
 }
 
-func TestRunOverSliceSource(t *testing.T) {
+func TestRunOverColumnSource(t *testing.T) {
 	v := buildValidator(t)
 	var recs []dqruntime.Record
 	for i := 0; i < 1000; i++ {
@@ -59,7 +59,7 @@ func TestRunOverSliceSource(t *testing.T) {
 		}
 	}
 	reg := obs.NewRegistry()
-	res, err := Run(context.Background(), v, NewSliceSource(recs), Options{
+	res, err := Run(context.Background(), v, NewColumnSource(recs), Options{
 		Workers: 4, ChunkSize: 32, MaxExemplars: 2, Registry: reg,
 	})
 	if err != nil {
@@ -151,11 +151,12 @@ func TestRunNDJSONScalarRendering(t *testing.T) {
 	// Numbers and booleans arrive as the string a form would deliver.
 	src := NewNDJSONSource(strings.NewReader(
 		`{"score":-2,"ratio":1.5,"flag":true,"name":"x"}` + "\n"))
-	rec := dqruntime.Record{"stale": "gone"}
-	rec, err := src.Next(rec)
-	if err != nil {
-		t.Fatal(err)
+	var batch dqruntime.ColumnBatch
+	n, err := src.NextBatch(&batch, 16, func(line int64, err error) { t.Fatalf("line %d: %v", line, err) })
+	if n != 1 || err != nil {
+		t.Fatalf("NextBatch = %d, %v; want 1 row", n, err)
 	}
+	rec := batch.RowView(0, dqruntime.Record{"stale": "gone"})
 	want := dqruntime.Record{"score": "-2", "ratio": "1.5", "flag": "true", "name": "x"}
 	if len(rec) != len(want) {
 		t.Fatalf("rec = %v (stale keys must be cleared)", rec)
@@ -201,7 +202,7 @@ func TestRunEmptyInput(t *testing.T) {
 func TestResultWriteTextAndJSONShape(t *testing.T) {
 	v := buildValidator(t)
 	res, err := Run(context.Background(), v,
-		NewSliceSource([]dqruntime.Record{goodRecord(), badRecord()}),
+		NewColumnSource([]dqruntime.Record{goodRecord(), badRecord()}),
 		Options{Workers: 1, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,6 @@ type MmapNDJSONSource struct {
 	pos  int
 	// line is the 1-based number of the most recently consumed line.
 	line int64
-	rows spanRows
 }
 
 // NewMmapNDJSONSource wraps an in-memory NDJSON byte slice. The slice is
@@ -79,14 +78,9 @@ func (s *MmapNDJSONSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad f
 	return decodeNDJSONSpan(sp, dst, bad)
 }
 
-// Next decodes the next non-blank line into rec.
-func (s *MmapNDJSONSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
-	return s.rows.next(s, rec)
-}
-
 // NextBatch decodes the next span of up to max lines into dst.
 func (s *MmapNDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	return s.rows.nextBatch(s, dst, max, bad)
+	return nextSpanBatch(s, nil, dst, max, bad)
 }
 
 // OpenFileSource opens path and returns the fastest Source this platform
@@ -96,8 +90,9 @@ func (s *MmapNDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad fu
 // (quoted newlines rule out raw line splitting, but the read side still
 // skips the file-read copies). Pipes, devices, empty files and platforms
 // without mmap fall back to the portable bufio sources, which feed the
-// same pipeline and decoder — only the copy into span buffers differs. format is "csv" or "ndjson"; ""
-// selects CSV for a .csv extension and NDJSON otherwise, matching the CLI.
+// same pipeline and decoder — only the copy into span buffers differs.
+// format is "csv" or "ndjson"; "" selects CSV for a .csv extension and
+// NDJSON otherwise, matching the CLI.
 func OpenFileSource(path, format string) (Source, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {

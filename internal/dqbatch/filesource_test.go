@@ -221,79 +221,108 @@ func TestStreamSpanEdgeParity(t *testing.T) {
 	}
 }
 
-// TestMmapSourceRowPath drains both sources through Next and compares
-// record-for-record, error-for-error.
+// FuzzSpanReport holds the two NDJSON ingest paths to one report on any
+// bytes: the streamed source decoding in input order (DecodeWorkers 1, the
+// sequential oracle) and the mapped source decoding in a pool of three
+// must render byte-identical JSON and text reports and stop with the same
+// error text, at any chunk size from 1 to 64 and any eval worker count
+// from 1 to 8. parityValidator scores only 0, ½ and 1, whose sums are
+// exact in any order, so the worker count cannot change a mean.
+func FuzzSpanReport(f *testing.F) {
+	for i, line := range trickyLines() {
+		f.Add(line, uint8(i), uint8(i/3))
+	}
+	for i, doc := range []string{
+		"",
+		"\n\r\n\r\r\n",
+		`{"a": "x", "b": "y"}` + "\n" + `{"a": "x", "b": "y"}` + "\r\n\n{bad\n" + `{"a": "z"}`,
+		`{"a": "1", "n": 2, "opt": 1}` + "\r\n" + `{"a": null}` + "\n" + `{"a": "1", "b": "1"}` + "\r",
+		`{"email": "u@example.org", "ts": "2026-01-01T00:00:00Z", "a": "q", "b": "r"}`,
+	} {
+		f.Add([]byte(doc), uint8(i*13), uint8(i))
+	}
+	v := parityValidator(f)
+	f.Fuzz(func(t *testing.T, doc []byte, chunk, workers uint8) {
+		opts := Options{Workers: 1 + int(workers%8), ChunkSize: 1 + int(chunk%64),
+			CrossRecord: []dqruntime.StatefulCheck{UniquenessCheckForTest()}}
+		run := func(src Source, decoders int) (*Result, string) {
+			opts.DecodeWorkers = decoders
+			opts.Registry = obs.NewRegistry()
+			res, err := Run(context.Background(), v, src, opts)
+			normalize(res)
+			if err != nil {
+				return res, err.Error()
+			}
+			return res, ""
+		}
+		want, wantErr := run(NewNDJSONSource(strings.NewReader(string(doc))), 1)
+		got, gotErr := run(NewMmapNDJSONSource(doc), 3)
+		if wantErr != gotErr {
+			t.Fatalf("terminal errors diverged: stream %q, mmap %q", wantErr, gotErr)
+		}
+		assertIdenticalReports(t, want, got)
+	})
+}
+
+// TestMmapSourceRowPath drains both sources one line at a time through
+// NextBatch and compares record for record, diagnostic for diagnostic and
+// byte offset for byte offset — CRLF lines included, since both offsets
+// are exact.
 func TestMmapSourceRowPath(t *testing.T) {
 	doc := trickyNDJSON()
 	bufio := NewNDJSONSource(strings.NewReader(doc))
 	mm := NewMmapNDJSONSource([]byte(doc))
-	recA := make(dqruntime.Record, 8)
-	recB := make(dqruntime.Record, 8)
+	type read struct {
+		rec  dqruntime.Record
+		bads []string
+		err  error
+	}
+	next := func(src Source) (r read) {
+		var batch dqruntime.ColumnBatch
+		n, err := src.NextBatch(&batch, 1, func(line int64, err error) {
+			r.bads = append(r.bads, fmt.Sprintf("line %d: %v", line, err))
+		})
+		if n > 0 {
+			r.rec = batch.RowView(0, dqruntime.Record{})
+		}
+		r.err = err
+		return r
+	}
 	for i := 0; ; i++ {
-		a, errA := bufio.Next(recA)
-		b, errB := mm.Next(recB)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("record %d: errors diverged: bufio %v, mmap %v", i, errA, errB)
-		}
-		if errA != nil {
-			var reA, reB *RecordError
-			if errors.As(errA, &reA) != errors.As(errB, &reB) {
-				t.Fatalf("record %d: error kinds diverged: %v vs %v", i, errA, errB)
-			}
-			if reA != nil {
-				if reA.Line != reB.Line || reA.Error() != reB.Error() {
-					t.Fatalf("record %d: record errors diverged: %v vs %v", i, reA, reB)
-				}
-				continue
-			}
-			if errA == io.EOF && errB == io.EOF {
-				break
-			}
-			t.Fatalf("record %d: terminal errors: %v vs %v", i, errA, errB)
-		}
+		a, b := next(bufio), next(mm)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("record %d diverged:\nbufio: %v\nmmap:  %v", i, a, b)
+			t.Fatalf("record %d diverged:\nbufio: %+v\nmmap:  %+v", i, a, b)
 		}
 		if bufio.ByteOffset() != mm.ByteOffset() {
-			// Offsets agree on LF input; the fixture's CRLF lines are the
-			// documented divergence (the scanner strips CR before counting),
-			// so only require the mmap offset — an exact position — to be at
-			// least the scanner's estimate.
-			if mm.ByteOffset() < bufio.ByteOffset() {
-				t.Fatalf("record %d: mmap offset %d behind scanner estimate %d",
-					i, mm.ByteOffset(), bufio.ByteOffset())
-			}
+			t.Fatalf("record %d: offsets diverged: bufio %d, mmap %d", i, bufio.ByteOffset(), mm.ByteOffset())
+		}
+		if a.err == io.EOF {
+			return
+		}
+		if a.err != nil {
+			t.Fatalf("record %d: %v", i, a.err)
 		}
 	}
 }
 
 // TestMmapTooLongLine pins the bounded-memory contract on the zero-copy
 // path: a line over maxLineBytes is a hard error naming the right line,
-// on Next, NextBatch and NextSpan alike.
+// on NextBatch and NextSpan alike.
 func TestMmapTooLongLine(t *testing.T) {
 	doc := "{\"a\": \"ok\"}\n{\"a\": \"" + strings.Repeat("x", maxLineBytes) + "\"}\n"
 	src := NewMmapNDJSONSource([]byte(doc))
-	rec := make(dqruntime.Record, 2)
-	if _, err := src.Next(rec); err != nil {
-		t.Fatalf("first line: %v", err)
-	}
-	_, err := src.Next(rec)
-	if err == nil || !strings.Contains(err.Error(), "token too long") {
-		t.Fatalf("oversized line error = %v, want token too long", err)
-	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("oversized line error names wrong line: %v", err)
-	}
-
-	src = NewMmapNDJSONSource([]byte(doc))
 	var batch dqruntime.ColumnBatch
 	n, err := src.NextBatch(&batch, 16, func(int64, error) {})
 	if n != 1 || err != nil {
 		t.Fatalf("NextBatch before oversized line: n=%d err=%v", n, err)
 	}
 	batch.Reset()
-	if _, err = src.NextBatch(&batch, 16, func(int64, error) {}); err == nil {
-		t.Fatal("NextBatch swallowed the oversized line")
+	_, err = src.NextBatch(&batch, 16, func(int64, error) {})
+	if err == nil || !strings.Contains(err.Error(), "token too long") {
+		t.Fatalf("oversized line error = %v, want token too long", err)
+	}
+	if !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("oversized line error names wrong line: %v", err)
 	}
 
 	src = NewMmapNDJSONSource([]byte(doc))
@@ -304,6 +333,15 @@ func TestMmapTooLongLine(t *testing.T) {
 	if _, err = src.NextSpan(16); err == nil {
 		t.Fatal("NextSpan swallowed the oversized line")
 	}
+}
+
+// firstRecord reads src's first record through NextBatch.
+func firstRecord(src Source) (dqruntime.Record, error) {
+	var batch dqruntime.ColumnBatch
+	if _, err := src.NextBatch(&batch, 1, func(int64, error) {}); err != nil {
+		return nil, err
+	}
+	return batch.RowView(0, dqruntime.Record{}), nil
 }
 
 func TestOpenFileSourceRouting(t *testing.T) {
@@ -325,9 +363,9 @@ func TestOpenFileSourceRouting(t *testing.T) {
 	} else if _, ok := src.(*NDJSONSource); !ok {
 		t.Fatalf("no-mmap platform routed to %T, want *NDJSONSource", src)
 	}
-	rec, err := src.Next(make(dqruntime.Record, 2))
+	rec, err := firstRecord(src)
 	if err != nil || rec["a"] != "1" {
-		t.Fatalf("mmap-backed Next: %v, %v", rec, err)
+		t.Fatalf("mmap-backed NextBatch: %v, %v", rec, err)
 	}
 
 	// Extension picks CSV; the mapped bytes feed the CSV decoder.
@@ -343,9 +381,9 @@ func TestOpenFileSourceRouting(t *testing.T) {
 	if _, ok := csvSrc.(*CSVSource); !ok {
 		t.Fatalf("CSV file routed to %T, want *CSVSource", csvSrc)
 	}
-	rec, err = csvSrc.Next(make(dqruntime.Record, 2))
+	rec, err = firstRecord(csvSrc)
 	if err != nil || rec["a"] != "1" || rec["b"] != "2" {
-		t.Fatalf("CSV Next: %v, %v", rec, err)
+		t.Fatalf("CSV NextBatch: %v, %v", rec, err)
 	}
 
 	// Zero-length input cannot be mapped and must fall back.
@@ -361,8 +399,8 @@ func TestOpenFileSourceRouting(t *testing.T) {
 	if _, ok := emptySrc.(*NDJSONSource); !ok {
 		t.Fatalf("empty file routed to %T, want *NDJSONSource fallback", emptySrc)
 	}
-	if _, err := emptySrc.Next(make(dqruntime.Record, 1)); err != io.EOF {
-		t.Fatalf("empty file Next = %v, want io.EOF", err)
+	if _, err := firstRecord(emptySrc); err != io.EOF {
+		t.Fatalf("empty file NextBatch = %v, want io.EOF", err)
 	}
 
 	if _, _, err := OpenFileSource(filepath.Join(dir, "missing.ndjson"), ""); err == nil {
@@ -389,9 +427,9 @@ func TestFileSourcePipeFallsBack(t *testing.T) {
 	if _, ok := src.(*NDJSONSource); !ok {
 		t.Fatalf("pipe routed to %T, want *NDJSONSource fallback", src)
 	}
-	rec, err := src.Next(make(dqruntime.Record, 1))
+	rec, err := firstRecord(src)
 	if err != nil || rec["a"] != "piped" {
-		t.Fatalf("pipe Next: %v, %v", rec, err)
+		t.Fatalf("pipe NextBatch: %v, %v", rec, err)
 	}
 }
 

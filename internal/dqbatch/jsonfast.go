@@ -11,8 +11,7 @@ import (
 )
 
 // NDJSON decoding: every NDJSON read path — streamed or memory-mapped,
-// engine or BuildKeySet, Next or NextBatch — decodes through
-// decodeNDJSONSpan. Its fast path parses the common record shape — a flat
+// engine, NextBatch or BuildKeySet — decodes through decodeNDJSONSpan. Its fast path parses the common record shape — a flat
 // JSON object of unescaped strings, numbers and booleans — straight out of
 // the span bytes, skipping encoding/json's reflection and intermediate
 // map[string]any entirely. Anything unusual (escape sequences, invalid

@@ -7,8 +7,9 @@ import (
 )
 
 // Offsetter is a source that knows its record-aligned input byte offset.
-// NDJSONSource and CSVSource implement it; the offset advances only on
-// whole consumed records, which makes it a valid checkpoint position.
+// NDJSONSource, MmapNDJSONSource and CSVSource implement it, with exact
+// offsets; the offset advances only on whole consumed records, which
+// makes it a valid checkpoint position.
 type Offsetter interface {
 	ByteOffset() int64
 }
@@ -33,22 +34,14 @@ func (p *Progress) Records() int64 { return p.records.Load() }
 func (p *Progress) Bytes() int64 { return p.bytes.Load() }
 
 // CountSource wraps src so every delivered record (and the source's byte
-// offset, when available) is published through p. The wrapper preserves
-// the source's capabilities: wrapping a SpanSource yields a SpanSource and
-// a BatchSource a BatchSource, so the engine fills chunks the same way.
+// offset, when available) is published through p. Wrapping a SpanSource
+// yields a SpanSource, so the engine still cuts spans on its producer and
+// decodes them in its pool.
 func CountSource(src Source, p *Progress) Source {
 	cs := &countingSource{src: src, p: p}
-	if off, ok := src.(Offsetter); ok {
-		cs.off = off
-	}
+	cs.off, _ = src.(Offsetter)
 	if ssrc, ok := src.(SpanSource); ok {
-		return &countingSpanSource{
-			countingBatchSource: countingBatchSource{countingSource: cs, bsrc: ssrc},
-			ssrc:                ssrc,
-		}
-	}
-	if bsrc, ok := src.(BatchSource); ok {
-		return &countingBatchSource{countingSource: cs, bsrc: bsrc}
+		return &countingSpanSource{countingSource: cs, ssrc: ssrc}
 	}
 	return cs
 }
@@ -59,29 +52,13 @@ type countingSource struct {
 	p   *Progress
 }
 
-func (c *countingSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
-	got, err := c.src.Next(rec)
-	if err == nil {
-		c.p.records.Add(1)
-	}
-	// Publish the offset even on malformed records: the source consumed
-	// them, so the checkpoint may move past them.
-	if c.off != nil {
-		c.p.bytes.Store(c.off.ByteOffset())
-	}
-	return got, err
-}
-
-type countingBatchSource struct {
-	*countingSource
-	bsrc BatchSource
-}
-
-func (c *countingBatchSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	n, err := c.bsrc.NextBatch(dst, max, bad)
+func (c *countingSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
+	n, err := c.src.NextBatch(dst, max, bad)
 	if n > 0 {
 		c.p.records.Add(int64(n))
 	}
+	// Publish the offset even past malformed records: the source consumed
+	// them, so the checkpoint may move past them.
 	if c.off != nil {
 		c.p.bytes.Store(c.off.ByteOffset())
 	}
@@ -94,7 +71,7 @@ func (c *countingBatchSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad
 // are added from the concurrent decode pool — Progress's counters are
 // atomic, so any goroutine may write.
 type countingSpanSource struct {
-	countingBatchSource
+	*countingSource
 	ssrc SpanSource
 }
 

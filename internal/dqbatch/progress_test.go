@@ -19,30 +19,44 @@ func TestNDJSONByteOffsetTracksConsumedLines(t *testing.T) {
 	if got := src.ByteOffset(); got != 0 {
 		t.Fatalf("initial offset = %d, want 0", got)
 	}
-	rec := dqruntime.Record{}
-	if _, err := src.Next(rec); err != nil {
+	var batch dqruntime.ColumnBatch
+	if _, err := src.NextBatch(&batch, 1, failOnBad(t)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := src.ByteOffset(), int64(10); got != want {
 		t.Fatalf("offset after first record = %d, want %d", got, want)
 	}
-	if _, err := src.Next(rec); err != nil {
+	if _, err := src.NextBatch(&batch, 1, failOnBad(t)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := src.ByteOffset(), int64(len(input)); got != want {
 		t.Fatalf("offset after second record = %d, want %d", got, want)
 	}
-	if _, err := src.Next(rec); err != io.EOF {
+	if _, err := src.NextBatch(&batch, 1, failOnBad(t)); err != io.EOF {
 		t.Fatalf("err = %v, want EOF", err)
 	}
+}
+
+// failOnBad is a NextBatch bad callback for inputs with no malformed
+// records.
+func failOnBad(t *testing.T) func(int64, error) {
+	return func(line int64, err error) { t.Fatalf("line %d malformed: %v", line, err) }
 }
 
 func TestNDJSONByteOffsetAdvancesPastMalformedLines(t *testing.T) {
 	input := "not json\n" + `{"a":"1"}` + "\n"
 	src := NewNDJSONSource(strings.NewReader(input))
-	rec := dqruntime.Record{}
-	if _, err := src.Next(rec); err == nil {
-		t.Fatal("malformed line decoded")
+	// NextBatch would skip on to the next good line, so cut the malformed
+	// line alone.
+	var buf []byte
+	sp, err := src.CutSpan(&buf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad error
+	var batch dqruntime.ColumnBatch
+	if n := src.DecodeSpan(sp, &batch, func(_ int64, err error) { bad = err }); n != 0 || bad == nil {
+		t.Fatalf("malformed line decoded: n=%d err=%v", n, bad)
 	}
 	// The malformed line was consumed; a checkpoint may move past it.
 	if got, want := src.ByteOffset(), int64(9); got != want {
@@ -53,14 +67,14 @@ func TestNDJSONByteOffsetAdvancesPastMalformedLines(t *testing.T) {
 func TestCSVByteOffsetIsExact(t *testing.T) {
 	input := "a,b\n1,2\n3,4\n"
 	src := NewCSVSource(strings.NewReader(input))
-	rec := dqruntime.Record{}
-	if _, err := src.Next(rec); err != nil {
+	var batch dqruntime.ColumnBatch
+	if _, err := src.NextBatch(&batch, 1, failOnBad(t)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := src.ByteOffset(), int64(8); got != want {
 		t.Fatalf("offset after first data row = %d, want %d", got, want)
 	}
-	if _, err := src.Next(rec); err != nil {
+	if _, err := src.NextBatch(&batch, 1, failOnBad(t)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := src.ByteOffset(), int64(len(input)); got != want {
@@ -71,7 +85,7 @@ func TestCSVByteOffsetIsExact(t *testing.T) {
 // TestCountSourcePublishesProgress drives a real batch through a counted
 // NDJSON source and checks the progress's final position matches the
 // input, on both the row and the vectorized path (CountSource must
-// preserve the BatchSource capability).
+// preserve the SpanSource capability).
 func TestCountSourcePublishesProgress(t *testing.T) {
 	v := buildValidator(t)
 	var b strings.Builder
@@ -83,8 +97,8 @@ func TestCountSourcePublishesProgress(t *testing.T) {
 	for _, rows := range []bool{true, false} {
 		var p Progress
 		src := CountSource(NewNDJSONSource(strings.NewReader(input)), &p)
-		if _, isBatch := src.(BatchSource); !isBatch {
-			t.Fatal("CountSource dropped the BatchSource capability")
+		if _, isSpan := src.(SpanSource); !isSpan {
+			t.Fatal("CountSource dropped the SpanSource capability")
 		}
 		res, err := Run(context.Background(), v, src, Options{
 			Workers: 4, ChunkSize: 64, ForceRows: rows, Registry: obs.NewRegistry(),
@@ -107,7 +121,7 @@ func TestCountSourcePublishesProgress(t *testing.T) {
 func TestRenderReportMatchesLegacyRendering(t *testing.T) {
 	v := buildValidator(t)
 	res, err := Run(context.Background(), v,
-		NewSliceSource([]dqruntime.Record{goodRecord(), badRecord()}),
+		NewColumnSource([]dqruntime.Record{goodRecord(), badRecord()}),
 		Options{Workers: 1, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)

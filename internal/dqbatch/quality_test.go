@@ -26,8 +26,8 @@ func TestRunAttributesQualitySeries(t *testing.T) {
 		}
 	}
 	quality := obs.NewSeriesSet(time.Minute, 4)
-	res, err := Run(context.Background(), v, NewSliceSource(recs), Options{
-		Workers: 4, ChunkSize: 16, Quality: quality, Context: "nightly",
+	res, err := Run(context.Background(), v, NewColumnSource(recs), Options{
+		Workers: 4, ChunkSize: 16, Quality: quality, Context: "nightly", Registry: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +75,8 @@ func TestRunAttributesQualitySeries(t *testing.T) {
 	}
 
 	// A second run in the same window accumulates rather than replaces.
-	if _, err := Run(context.Background(), v, NewSliceSource(recs[:100]), Options{
-		Workers: 2, Quality: quality, Context: "nightly",
+	if _, err := Run(context.Background(), v, NewColumnSource(recs[:100]), Options{
+		Workers: 2, Quality: quality, Context: "nightly", Registry: obs.NewRegistry(),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestRunAttributesQualitySeries(t *testing.T) {
 func TestRunQualityContextDefaults(t *testing.T) {
 	v := buildValidator(t)
 	quality := obs.NewSeriesSet(time.Minute, 4)
-	if _, err := Run(context.Background(), v, NewSliceSource([]dqruntime.Record{goodRecord()}), Options{
-		Quality: quality,
+	if _, err := Run(context.Background(), v, NewColumnSource([]dqruntime.Record{goodRecord()}), Options{
+		Quality: quality, Registry: obs.NewRegistry(),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRunQualityContextDefaults(t *testing.T) {
 func TestRunWithoutQualityUnchanged(t *testing.T) {
 	v := buildValidator(t)
 	recs := []dqruntime.Record{goodRecord(), badRecord()}
-	res, err := Run(context.Background(), v, NewSliceSource(recs), Options{})
+	res, err := Run(context.Background(), v, NewColumnSource(recs), Options{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,18 +29,20 @@ type generatorSource struct {
 	limit   int64 // <= 0 means unbounded
 }
 
-func (g *generatorSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
-	n := g.emitted.Add(1)
-	if g.limit > 0 && n > g.limit {
-		return nil, io.EOF
+func (g *generatorSource) NextBatch(dst *dqruntime.ColumnBatch, max int, _ func(int64, error)) (int, error) {
+	for i := 0; i < max; i++ {
+		n := g.emitted.Add(1)
+		if g.limit > 0 && n > g.limit {
+			return i, io.EOF
+		}
+		dst.SetField("first_name", "A")
+		dst.SetField("last_name", "B")
+		dst.SetField("email_address", "a@b.co")
+		dst.SetField("overall_evaluation", fmt.Sprintf("%d", n%9-4)) // -4..4: some out of [-3,3]
+		dst.SetField("reviewer_confidence", "3")
+		dst.EndRow()
 	}
-	clear(rec)
-	rec["first_name"] = "A"
-	rec["last_name"] = "B"
-	rec["email_address"] = "a@b.co"
-	rec["overall_evaluation"] = fmt.Sprintf("%d", n%9-4) // -4..4: some out of [-3,3]
-	rec["reviewer_confidence"] = "3"
-	return rec, nil
+	return max, nil
 }
 
 func TestRunManyWorkersAggregatesExactly(t *testing.T) {
@@ -188,8 +190,6 @@ type slowSpanSource struct {
 	inflight atomic.Int32
 	sleeping chan struct{}
 }
-
-func (s *slowSpanSource) Next(dqruntime.Record) (dqruntime.Record, error) { return nil, io.EOF }
 
 func (s *slowSpanSource) NextBatch(*dqruntime.ColumnBatch, int, func(int64, error)) (int, error) {
 	return 0, io.EOF

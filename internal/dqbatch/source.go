@@ -9,6 +9,7 @@ package dqbatch
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -17,26 +18,14 @@ import (
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 )
 
-// Source yields records one at a time. The engine offers a recycled map
-// rec; streaming decoders clear and fill it (overwriting every prior key)
-// and return it, while in-memory sources may ignore it and return their
-// own record, skipping the copy — the engine only reads returned records.
-// Next returns io.EOF at end of input. A *RecordError marks one malformed
-// record the engine counts and skips; any other error aborts the batch.
+// Source delivers records in columnar form: NextBatch decodes up to max
+// records directly into dst (which the engine Resets beforehand),
+// classifying every cell once instead of building one map per record.
+// Malformed records are reported through bad, with the 1-based input line
+// where they start, and skipped. NextBatch returns the number of rows
+// decoded; io.EOF (possibly alongside a final partial count) ends the
+// stream, and any other error aborts the batch.
 type Source interface {
-	Next(rec dqruntime.Record) (dqruntime.Record, error)
-}
-
-// BatchSource is a Source that can also deliver records in columnar form:
-// NextBatch decodes up to max records directly into dst (which the engine
-// Resets beforehand), classifying every cell once instead of building one
-// map per record. Malformed records are reported through bad (with their
-// 1-based input line) and skipped, mirroring the row path's *RecordError
-// handling. NextBatch returns the number of rows decoded; io.EOF (possibly
-// alongside a final partial count) ends the stream, and any other error
-// aborts the batch.
-type BatchSource interface {
-	Source
 	NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error)
 }
 
@@ -49,12 +38,12 @@ type Span struct {
 	FirstLine int64
 }
 
-// SpanSource is a BatchSource whose input is cut into raw spans cheaply
-// and decoded out of order. The engine calls CutSpan on its single
-// producer goroutine and DecodeSpan from its decode pool, so DecodeSpan
-// must touch no source state.
+// SpanSource is a Source whose input is cut into raw spans cheaply and
+// decoded out of order. The engine calls CutSpan on its single producer
+// goroutine and DecodeSpan from its decode pool, so DecodeSpan must touch
+// no source state; NextBatch serves callers that read on one goroutine.
 type SpanSource interface {
-	BatchSource
+	Source
 	// CutSpan consumes up to maxLines whole lines as one span; io.EOF ends
 	// the stream and any other error aborts the batch. A source that reads
 	// a stream copies the lines into *buf (reusing its capacity), so the
@@ -65,24 +54,6 @@ type SpanSource interface {
 	// through bad in line order, and returns the rows appended.
 	DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int
 }
-
-// RecordError is a recoverable per-record input problem (a malformed
-// NDJSON line, a CSV row with the wrong field count). The engine counts
-// it under outcome="error" and moves on.
-type RecordError struct {
-	// Line is the 1-based input file line where the offending record
-	// starts (CSV records with quoted multi-line fields span several file
-	// lines; the count is file lines, not records).
-	Line int64
-	// Err is the underlying decode error.
-	Err error
-}
-
-// Error renders the line and cause.
-func (e *RecordError) Error() string { return fmt.Sprintf("record %d: %v", e.Line, e.Err) }
-
-// Unwrap exposes the cause.
-func (e *RecordError) Unwrap() error { return e.Err }
 
 // maxLineBytes bounds one NDJSON line, terminator excluded; lines beyond
 // it are a hard error (bounded memory is part of the contract).
@@ -99,9 +70,9 @@ type NDJSONSource struct {
 	sc   *bufio.Scanner
 	line int64
 	// offset counts input bytes consumed through the end of the last
-	// scanned line, assuming LF terminators (see ByteOffset).
+	// scanned line.
 	offset int64
-	rows   spanRows
+	buf    []byte
 }
 
 // NewNDJSONSource wraps a reader of NDJSON records.
@@ -109,31 +80,43 @@ func NewNDJSONSource(r io.Reader) *NDJSONSource {
 	sc := bufio.NewScanner(r)
 	// One extra byte holds the terminator of a maxLineBytes-long line.
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes+1)
+	sc.Split(scanRawLines)
 	return &NDJSONSource{sc: sc}
 }
 
+// scanRawLines is bufio.ScanLines without its CR stripping: a token is one
+// whole input line including its LF (the final line may lack one), so a
+// streamed span holds the same bytes MmapNDJSONSource slices out of a
+// mapping, and only the span decoder strips a line's trailing CR.
+func scanRawLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
 // ByteOffset returns the input bytes consumed through the end of the most
-// recently scanned line. Offsets assume LF line terminators (the scanner
-// strips CR, so CRLF input under-counts one byte per line); they exist for
-// progress checkpoints, where a record-aligned resume point matters more
-// than terminator-exact arithmetic. Not safe for concurrent use with the
-// reading methods; a Progress wrapper (CountSource) publishes it across
-// goroutines.
+// recently scanned line — a record-aligned checkpoint position. Not safe
+// for concurrent use with the reading methods; a Progress wrapper
+// (CountSource) publishes it across goroutines.
 func (s *NDJSONSource) ByteOffset() int64 { return s.offset }
 
-// CutSpan copies up to maxLines scanned lines, each LF-terminated, into
-// *buf. A scanner error (an oversized line, a failed read) surfaces once
-// the lines before it have been returned, naming the line it hit; the
-// scanner is not asked again after an error, as it would hand out its
-// buffered remainder as a line.
+// CutSpan copies up to maxLines scanned lines, byte for byte, into *buf. A
+// scanner error (an oversized line, a failed read) surfaces once the lines
+// before it have been returned, naming the line it hit; the scanner is not
+// asked again after an error, as it would hand out its buffered remainder
+// as a line.
 func (s *NDJSONSource) CutSpan(buf *[]byte, maxLines int) (Span, error) {
 	first := s.line + 1
 	b := (*buf)[:0]
 	for s.line+1-first < int64(maxLines) && s.sc.Err() == nil && s.sc.Scan() {
 		raw := s.sc.Bytes()
 		s.line++
-		s.offset += int64(len(raw)) + 1
-		b = append(append(b, raw...), '\n')
+		s.offset += int64(len(raw))
+		b = append(b, raw...)
 	}
 	*buf = b
 	if s.line >= first {
@@ -150,48 +133,18 @@ func (s *NDJSONSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(
 	return decodeNDJSONSpan(sp, dst, bad)
 }
 
-// Next decodes the next non-blank line into rec.
-func (s *NDJSONSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
-	return s.rows.next(s, rec)
-}
-
 // NextBatch decodes the next span of up to max lines into dst.
 func (s *NDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	return s.rows.nextBatch(s, dst, max, bad)
+	return nextSpanBatch(s, &s.buf, dst, max, bad)
 }
 
-// spanRows serves a span source's Next and NextBatch through its own
-// CutSpan and DecodeSpan, so every read path shares one cutter and one
-// decoder.
-type spanRows struct {
-	buf   []byte
-	batch dqruntime.ColumnBatch
-}
-
-// next decodes the next non-blank line into rec; a malformed line comes
-// back as a *RecordError.
-func (r *spanRows) next(s SpanSource, rec dqruntime.Record) (dqruntime.Record, error) {
+// nextSpanBatch serves a span source's NextBatch through its own CutSpan
+// and DecodeSpan, so both read paths share one cutter and one decoder. It
+// decodes spans of up to max lines into dst until one yields a row, so
+// (0, nil) never comes back.
+func nextSpanBatch(s SpanSource, buf *[]byte, dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
 	for {
-		sp, err := s.CutSpan(&r.buf, 1)
-		if err != nil {
-			return nil, err
-		}
-		r.batch.Reset()
-		var bad error
-		if s.DecodeSpan(sp, &r.batch, func(line int64, err error) { bad = &RecordError{Line: line, Err: err} }) > 0 {
-			return r.batch.RowView(0, rec), nil
-		}
-		if bad != nil {
-			return nil, bad
-		}
-	}
-}
-
-// nextBatch decodes spans of up to max lines into dst until one yields a
-// row, so (0, nil) never comes back.
-func (r *spanRows) nextBatch(s SpanSource, dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	for {
-		sp, err := s.CutSpan(&r.buf, max)
+		sp, err := s.CutSpan(buf, max)
 		if err != nil {
 			return 0, err
 		}
@@ -256,22 +209,26 @@ func NewCSVSource(r io.Reader) *CSVSource {
 
 // ByteOffset returns the input bytes consumed through the most recently
 // read record (csv.Reader.InputOffset, so quoting and CRLF are exact). Not
-// safe for concurrent use with Next; a Progress wrapper (CountSource)
+// safe for concurrent use with NextBatch; a Progress wrapper (CountSource)
 // publishes it across goroutines.
 func (s *CSVSource) ByteOffset() int64 { return s.r.InputOffset() }
 
-// Next decodes the next data row into rec.
-func (s *CSVSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
-	for {
+// NextBatch decodes up to max CSV data rows into dst. Rows with the wrong
+// field count and unparsable rows are reported through bad, with the file
+// line where they start, and skipped.
+func (s *CSVSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
+	n := 0
+	for n < max {
 		row, err := s.r.Read()
 		if err == io.EOF {
-			return nil, io.EOF
+			break
 		}
 		if err != nil {
 			if pe, ok := err.(*csv.ParseError); ok {
-				return nil, &RecordError{Line: int64(pe.StartLine), Err: err}
+				bad(int64(pe.StartLine), err)
+				continue
 			}
-			return nil, fmt.Errorf("dqbatch: reading CSV after line %d: %w", s.line, err)
+			return n, fmt.Errorf("dqbatch: reading CSV after line %d: %w", s.line, err)
 		}
 		line, _ := s.r.FieldPos(0)
 		s.line = int64(line)
@@ -281,37 +238,43 @@ func (s *CSVSource) Next(rec dqruntime.Record) (dqruntime.Record, error) {
 			continue
 		}
 		if len(row) != len(s.header) {
-			return nil, &RecordError{Line: s.line,
-				Err: fmt.Errorf("row has %d fields, header has %d", len(row), len(s.header))}
+			bad(s.line, fmt.Errorf("row has %d fields, header has %d", len(row), len(s.header)))
+			continue
 		}
-		clear(rec)
-		for i, v := range row {
-			rec[s.header[i]] = v
+		if s.dupHeader {
+			// Duplicate header names: the last value per name wins, as in a
+			// record map, so round-trip through a scratch map.
+			if s.scratch == nil {
+				s.scratch = make(dqruntime.Record, len(s.header))
+			}
+			clear(s.scratch)
+			for i, v := range row {
+				s.scratch[s.header[i]] = v
+			}
+			for k, v := range s.scratch {
+				dst.SetField(k, v)
+			}
+		} else {
+			for i, v := range row {
+				dst.SetField(s.header[i], v)
+			}
 		}
-		return rec, nil
+		dst.EndRow()
+		n++
 	}
-}
-
-// SliceSource yields an in-memory record slice — the zero-I/O source the
-// benchmarks and tests drive the engine with. It returns its records
-// directly (no copy), so callers must not mutate them while the batch
-// runs.
-type SliceSource struct {
-	records []dqruntime.Record
-	next    int
-}
-
-// NewSliceSource wraps the given records; the slice is read, not copied.
-func NewSliceSource(records []dqruntime.Record) *SliceSource {
-	return &SliceSource{records: records}
-}
-
-// Next returns the next record as-is.
-func (s *SliceSource) Next(dqruntime.Record) (dqruntime.Record, error) {
-	if s.next >= len(s.records) {
-		return nil, io.EOF
+	if n > 0 {
+		return n, nil
 	}
-	r := s.records[s.next]
-	s.next++
-	return r, nil
+	return 0, io.EOF
+}
+
+func hasDuplicates(names []string) bool {
+	seen := make(map[string]struct{}, len(names))
+	for _, n := range names {
+		if _, ok := seen[n]; ok {
+			return true
+		}
+		seen[n] = struct{}{}
+	}
+	return false
 }

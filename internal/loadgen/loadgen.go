@@ -32,7 +32,8 @@ type Config struct {
 	Duration time.Duration
 	// Timeout is the per-request timeout; default 10s.
 	Timeout time.Duration
-	// Client overrides the HTTP client (tests); nil builds one.
+	// Client overrides the HTTP client (tests); nil builds one, whose
+	// connections Run closes before it returns.
 	Client *http.Client
 }
 
@@ -109,6 +110,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				MaxIdleConnsPerHost: workers * 2,
 			},
 		}
+		// Close what the run leaves behind: a connection dialed but never
+		// used stays StateNew on the server, and http.Server.Shutdown waits
+		// up to 5s for it (Go issue 22682).
+		defer client.CloseIdleConnections()
 	}
 
 	if cfg.Duration > 0 {

@@ -2,9 +2,11 @@ package loadgen
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,6 +88,41 @@ func TestRunPathsRoundRobin(t *testing.T) {
 	}
 	if a.Load() == 0 || b.Load() == 0 {
 		t.Fatalf("paths not round-robined: a=%d b=%d", a.Load(), b.Load())
+	}
+}
+
+// TestRunClosesItsConnections pins that Run leaves no connection of its
+// own client open: one left idle, or dialed and never used, would hold up
+// the target server's graceful shutdown.
+func TestRunClosesItsConnections(t *testing.T) {
+	var mu sync.Mutex
+	open := map[net.Conn]bool{}
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch s {
+		case http.StateNew:
+			open[c] = true
+		case http.StateClosed, http.StateHijacked:
+			delete(open, c)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	if _, err := Run(context.Background(), Config{URL: srv.URL, Concurrency: 4, Requests: 40}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		mu.Lock()
+		n := len(open)
+		mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open after Run returned", n)
+		}
 	}
 }
 

@@ -1,13 +1,15 @@
 #!/bin/sh
-# Benchmark harness. Three suites, one JSON data point each per CI run:
-#   - batch engine (BenchmarkBatchSequential, BenchmarkBatchParallel{2,4,8},
+# Benchmark harness. Three suites, one JSON data point each per CI run,
+# each recording the host's CPU count (nproc) next to its ratios:
+#   - batch engine (BenchmarkBatchSequential, the full pipeline over
+#     in-memory NDJSON at BenchmarkBatchParallel{1,2,4,8},
 #     BenchmarkBatchVectorized, the full-engine BenchmarkBatchVectorized8,
 #     the cross-record BenchmarkBatchUniqueness{1,8} exact/Bloom pairs, the
 #     zero-copy ingest pairs BenchmarkDecode{Bufio,Mmap} and
 #     BenchmarkBatchFile{Bufio,Mmap}, and the uniqueness key-materialization
 #     pair BenchmarkBatchUniquenessKeys{Baseline,Hashed})
 #     → BENCH_batch.json: records/sec, allocs, stride-sampled p50/p99
-#     latency, plus the vectorized-vs-row, parallel-vs-sequential,
+#     latency, plus the vectorized-vs-row, parallel-8-vs-parallel-1,
 #     uniqueness-vs-parallel, mmap-vs-bufio, bufio-vs-mmap decode allocs
 #     and key-allocs-reduction ratios.
 # Each run is also archived under artifacts/bench/<timestamp>_{batch,ocl,obs}.json
@@ -31,6 +33,7 @@ out="${1:-BENCH_batch.json}"
 oclout="${2:-BENCH_ocl.json}"
 obsout="${3:-BENCH_obs.json}"
 benchtime="${BENCHTIME:-1s}"
+nproc="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
 raw="$(mktemp)"
 oclraw="$(mktemp)"
 obsraw="$(mktemp)"
@@ -39,7 +42,7 @@ trap 'rm -f "$raw" "$oclraw" "$obsraw"' EXIT
 go test -run '^$' -bench 'Benchmark(Batch(Sequential|Parallel[0-9]+|Vectorized[0-9]*|Uniqueness(Bloom)?[0-9]+|File(Bufio|Mmap)|UniquenessKeys(Baseline|Hashed))|Decode(Bufio|Mmap))$' \
 	-benchmem -benchtime "$benchtime" -count 1 ./internal/dqbatch/ | tee "$raw"
 
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v nproc="$nproc" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^Benchmark(Batch|Decode)/ {
 	name = $1
@@ -59,17 +62,19 @@ END {
 	print "{"
 	print "  \"date\": \"" date "\","
 	print "  \"cpu\": \"" cpu "\","
+	print "  \"nproc\": " nproc ","
 	print "  \"benchtime\": \"'"$benchtime"'\","
 	print "  \"benchmarks\": ["
 	for (i = 0; i < n; i++) print lines[i] (i < n - 1 ? "," : "")
 	print "  ],"
 	seq = rps["BenchmarkBatchSequential"]
+	par1 = rps["BenchmarkBatchParallel1"]
 	par = rps["BenchmarkBatchParallel8"]
 	vec = rps["BenchmarkBatchVectorized"]
 	vec8 = rps["BenchmarkBatchVectorized8"]
 	u8 = rps["BenchmarkBatchUniqueness8"]
 	ub8 = rps["BenchmarkBatchUniquenessBloom8"]
-	printf "  \"speedup_parallel8_vs_sequential\": %.2f,\n", (seq > 0) ? par / seq : 0
+	printf "  \"speedup_parallel8_vs_parallel1\": %.2f,\n", (par1 > 0) ? par / par1 : 0
 	printf "  \"speedup_vectorized_vs_sequential\": %.2f,\n", (seq > 0) ? vec / seq : 0
 	printf "  \"speedup_vectorized8_vs_sequential\": %.2f,\n", (seq > 0) ? vec8 / seq : 0
 	printf "  \"uniqueness8_records_per_sec\": %.0f,\n", u8
@@ -96,7 +101,7 @@ go test -run '^$' -bench 'BenchmarkEval(Interpreted|Compiled)$' -benchmem \
 go test -run '^$' -bench 'BenchmarkBatchCompiled(Rows)?$' -benchmem \
 	-benchtime "$benchtime" -count 1 ./internal/dqbatch/ | tee -a "$oclraw"
 
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v nproc="$nproc" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^Benchmark(Eval|BatchCompiled)/ {
 	name = $1
@@ -115,6 +120,7 @@ END {
 	print "{"
 	print "  \"date\": \"" date "\","
 	print "  \"cpu\": \"" cpu "\","
+	print "  \"nproc\": " nproc ","
 	print "  \"benchtime\": \"'"$benchtime"'\","
 	print "  \"benchmarks\": ["
 	for (i = 0; i < n; i++) print lines[i] (i < n - 1 ? "," : "")
@@ -141,7 +147,7 @@ echo "wrote $oclout"
 go test -run '^$' -bench 'BenchmarkBatch(Parallel8|Attributed8)$' \
 	-benchtime "$benchtime" -count 3 ./internal/dqbatch/ | tee "$obsraw"
 
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v nproc="$nproc" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^BenchmarkBatch/ {
 	name = $1
@@ -160,6 +166,7 @@ END {
 	print "{"
 	print "  \"date\": \"" date "\","
 	print "  \"cpu\": \"" cpu "\","
+	print "  \"nproc\": " nproc ","
 	print "  \"benchtime\": \"'"$benchtime"'\","
 	print "  \"benchmarks\": ["
 	for (i = 0; i < n; i++) print lines[i] (i < n - 1 ? "," : "")
