@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -24,9 +25,18 @@ import (
 // in a fixed order, then the named extra fields, so every source parses
 // identical bytes.
 func benchNDJSONDoc(recs []dqruntime.Record, extra ...string) []byte {
+	return benchNDJSONDocOrder(recs, nil, extra...)
+}
+
+// benchNDJSONDocOrder is benchNDJSONDoc with each record's keys shuffled
+// by rng; a nil rng keeps the fixed order.
+func benchNDJSONDocOrder(recs []dqruntime.Record, rng *rand.Rand, extra ...string) []byte {
 	fields := append([]string{"first_name", "last_name", "email_address", "overall_evaluation", "reviewer_confidence"}, extra...)
 	var b bytes.Buffer
 	for _, r := range recs {
+		if rng != nil {
+			rng.Shuffle(len(fields), func(i, j int) { fields[i], fields[j] = fields[j], fields[i] })
+		}
 		sep := '{'
 		for _, f := range fields {
 			fmt.Fprintf(&b, "%c%q:%q", sep, f, r[f])
@@ -78,6 +88,15 @@ func BenchmarkDecodeBufio(b *testing.B) {
 // zero-copy ingest speedup.
 func BenchmarkDecodeMmap(b *testing.B) {
 	doc := benchNDJSONDoc(benchDataset())
+	benchDecode(b, func() Source { return NewMmapNDJSONSource(doc) })
+}
+
+// BenchmarkDecodeMmapShuffled is BenchmarkDecodeMmap with each record's
+// keys in a random order, so the decoder's predicted field order mostly
+// misses: set next to BenchmarkDecodeMmap, it prices the miss path
+// against the hit path.
+func BenchmarkDecodeMmapShuffled(b *testing.B) {
+	doc := benchNDJSONDocOrder(benchDataset(), rand.New(rand.NewSource(1)))
 	benchDecode(b, func() Source { return NewMmapNDJSONSource(doc) })
 }
 

@@ -2,8 +2,10 @@ package dqbatch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 
@@ -11,15 +13,17 @@ import (
 )
 
 // NDJSON decoding: every NDJSON read path — streamed or memory-mapped,
-// engine, NextBatch or BuildKeySet — decodes through decodeNDJSONSpan. Its fast path parses the common record shape — a flat
-// JSON object of unescaped strings, numbers and booleans — straight out of
-// the span bytes, skipping encoding/json's reflection and intermediate
+// engine, NextBatch or BuildKeySet — decodes through decodeNDJSONSpan.
+// Its fast path parses the common record shape — a flat JSON object of
+// unescaped strings, numbers and booleans — straight out of the span
+// bytes, skipping encoding/json's reflection and intermediate
 // map[string]any entirely. Anything unusual (escape sequences, invalid
 // UTF-8, null or nested values, duplicate keys, any syntax the scanner is
 // not certain about) bails out to slowDecodeLine, the json.Unmarshal +
 // scalarString oracle, so the accept/reject decision and every error text
 // are encoding/json's. TestFastDecodeMatchesSlow and FuzzFlatJSON pin
-// that equivalence line by line.
+// that equivalence line by line, FuzzFlatJSONSpan across the rows of a
+// whole span.
 
 // decodeNDJSONSpan decodes every line of sp into dst — fast path first,
 // slow path on bail — reporting malformed lines through bad in line order,
@@ -30,7 +34,6 @@ func decodeNDJSONSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, 
 	data := sp.Data
 	line := sp.FirstLine - 1
 	n := 0
-	var names [][]byte
 	for len(data) > 0 {
 		var raw []byte
 		if j := bytes.IndexByte(data, '\n'); j >= 0 {
@@ -45,7 +48,7 @@ func decodeNDJSONSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, 
 		if len(trimSpaceBytes(raw)) == 0 {
 			continue
 		}
-		if fastDecodeLine(raw, dst, &names) {
+		if fastDecodeLine(raw, dst) {
 			n++
 			continue
 		}
@@ -57,71 +60,47 @@ func decodeNDJSONSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, 
 // fastDecodeLine decodes one line into dst as the current row. It returns
 // false — after rolling back any partially appended cells — when the line
 // needs the slow path; true means the row was appended (EndRow called).
-// names is a reused scratch of this row's key slices for duplicate-key
-// detection; the slices alias raw and die with the call.
-func fastDecodeLine(raw []byte, dst *dqruntime.ColumnBatch, names *[][]byte) bool {
-	i, n := 0, len(raw)
-	skipWS := func() {
-		for i < n && asciiSpace(raw[i]) {
-			i++
-		}
-	}
+// It keeps no per-row state of its own: dst.SetFieldBytes reports a
+// duplicate key.
+func fastDecodeLine(raw []byte, dst *dqruntime.ColumnBatch) bool {
+	n := len(raw)
 	bail := func() bool {
 		dst.AbortRow()
 		return false
 	}
-	*names = (*names)[:0]
-	skipWS()
+	i := skipSpace(raw, 0)
 	if i >= n || raw[i] != '{' {
 		return bail()
 	}
-	i++
-	skipWS()
+	i = skipSpace(raw, i+1)
 	if i < n && raw[i] == '}' {
 		// Empty object: a record with no fields, same as the row path's
 		// empty map.
-		i++
-		skipWS()
-		if i != n {
+		if skipSpace(raw, i+1) != n {
 			return bail()
 		}
 		dst.EndRow()
 		return true
 	}
 	for {
-		skipWS()
+		i = skipSpace(raw, i)
 		if i >= n || raw[i] != '"' {
 			return bail()
 		}
 		i++
 		keyStart := i
-		for i < n && raw[i] != '"' {
-			// Escaped, control or non-ASCII key bytes: let encoding/json
-			// decode (and validate) them.
-			if raw[i] == '\\' || raw[i] < 0x20 || raw[i] >= utf8.RuneSelf {
-				return bail()
-			}
-			i++
-		}
-		if i >= n {
+		i += plainPrefix(raw[i:])
+		// An escaped, control or non-ASCII key byte stops the scan short of
+		// the closing quote: let encoding/json decode (and validate) it.
+		if i >= n || raw[i] != '"' {
 			return bail()
 		}
 		key := raw[keyStart:i]
-		i++
-		for _, seen := range *names {
-			if string(seen) == string(key) {
-				// Duplicate key: map semantics keep the last value; only the
-				// slow path reproduces that.
-				return bail()
-			}
-		}
-		*names = append(*names, key)
-		skipWS()
+		i = skipSpace(raw, i+1)
 		if i >= n || raw[i] != ':' {
 			return bail()
 		}
-		i++
-		skipWS()
+		i = skipSpace(raw, i+1)
 		if i >= n {
 			return bail()
 		}
@@ -131,14 +110,18 @@ func fastDecodeLine(raw []byte, dst *dqruntime.ColumnBatch, names *[][]byte) boo
 			i++
 			start := i
 			ascii := true
-			for i < n && raw[i] != '"' {
+			for {
+				i += plainPrefix(raw[i:])
+				if i >= n || raw[i] == '"' {
+					break
+				}
 				if raw[i] == '\\' || raw[i] < 0x20 {
 					return bail()
 				}
-				if raw[i] >= utf8.RuneSelf {
-					ascii = false
+				ascii = false
+				for i < n && raw[i] >= utf8.RuneSelf {
+					i++
 				}
-				i++
 			}
 			if i >= n {
 				return bail()
@@ -179,8 +162,12 @@ func fastDecodeLine(raw []byte, dst *dqruntime.ColumnBatch, names *[][]byte) boo
 			// or the canonical decode error.
 			return bail()
 		}
-		dst.SetFieldBytes(key, val)
-		skipWS()
+		if !dst.SetFieldBytes(key, val) {
+			// Duplicate key: map semantics keep the last value; only the
+			// slow path reproduces that.
+			return bail()
+		}
+		i = skipSpace(raw, i)
 		if i >= n {
 			return bail()
 		}
@@ -188,17 +175,54 @@ func fastDecodeLine(raw []byte, dst *dqruntime.ColumnBatch, names *[][]byte) boo
 			i++
 			continue
 		}
-		if raw[i] != '}' {
-			return bail()
-		}
-		i++
-		skipWS()
-		if i != n {
+		if raw[i] != '}' || skipSpace(raw, i+1) != n {
 			return bail()
 		}
 		dst.EndRow()
 		return true
 	}
+}
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(raw []byte, i int) int {
+	for i < len(raw) && asciiSpace(raw[i]) {
+		i++
+	}
+	return i
+}
+
+// Word masks for plainPrefix: every byte 0x01, every byte 0x80.
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+)
+
+// plainPrefix returns the length of b's leading run of bytes a JSON
+// string holds verbatim and the fast path takes as is: printable ASCII
+// other than '"' and '\\'. It tests eight bytes at a time. In each word it
+// flags the bytes equal to '"' or '\\' (x^c has a zero byte there), below
+// 0x20, or at or above 0x80, with the has-zero and has-less tricks: x-lsbs*k
+// borrows into a byte's top bit exactly where that byte is below k, and
+// &^x drops bytes whose own top bit was set. A borrow can also flag a byte
+// above a flagged one, never below it, so the lowest flag is exact.
+func plainPrefix(b []byte) int {
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:])
+		q := x ^ (lsbs * '"')
+		bs := x ^ (lsbs * '\\')
+		m := (q-lsbs)&^q | (bs-lsbs)&^bs | (x-lsbs*0x20)&^x | x
+		if m &= msbs; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for ; i < len(b); i++ {
+		if c := b[i]; c == '"' || c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
+			break
+		}
+	}
+	return i
 }
 
 // scanJSONNumber consumes one JSON number token (strict JSON grammar: no

@@ -237,7 +237,7 @@ func (c PrecisionCheck) ApplyBatch(b *ColumnBatch, out *ColumnResult) {
 		case CellMissing, CellBlank:
 			blank(r)
 		case CellInt:
-			n := col.Ints[r]
+			n := col.Int(r)
 			if n < c.Lower || n > c.Upper {
 				if lastBadIntDetail == nil || lastBadInt != n {
 					lastBadInt = n
@@ -246,7 +246,7 @@ func (c PrecisionCheck) ApplyBatch(b *ColumnBatch, out *ColumnResult) {
 				out.Fail(r, 0, lastBadIntDetail)
 			}
 		default:
-			s := col.Trim[r]
+			s := col.Trim(r)
 			if lastBadStrDetail == nil || lastBadStr != s {
 				lastBadStr = s
 				lastBadStrDetail = []string{fmt.Sprintf("%s=%q is not an integer", c.Field, s)}
@@ -285,7 +285,7 @@ func (c AccuracyCheck) ApplyBatch(b *ColumnBatch, out *ColumnResult) {
 			blank(r)
 			continue
 		}
-		s := col.Trim[r]
+		s := col.Trim(r)
 		if !haveLast || s != lastVal {
 			lastVal, haveLast = s, true
 			lastOK = c.Pattern != nil && c.Pattern.MatchString(s)
@@ -334,7 +334,7 @@ func (c CurrentnessCheck) ApplyBatch(b *ColumnBatch, out *ColumnResult) {
 			blank(r)
 			continue
 		}
-		s := col.Trim[r]
+		s := col.Trim(r)
 		if !haveLast || s != lastVal {
 			lastVal, haveLast = s, true
 			ts, err := time.Parse(time.RFC3339, s)

@@ -1,17 +1,18 @@
 package dqruntime
 
 import (
+	"math"
 	"strconv"
 	"strings"
 )
 
 // Columnar record batches: instead of one map[string]string per record,
 // a batch holds one Column per field with parallel per-row arrays. Each
-// cell is decoded and classified exactly once at append time — trimmed,
-// kind-tagged, and (when numeric or boolean) parsed — so every check that
-// reads the field afterwards pays a slice index instead of a TrimSpace and
-// a strconv round-trip. A lazy row-view adapter rebuilds a Record for
-// checks that have no vectorized path.
+// cell is decoded and classified exactly once at append time — kind-tagged
+// and (when numeric or boolean) parsed — so every check that reads the
+// field afterwards pays a slice index instead of a strconv round-trip. A
+// lazy row-view adapter rebuilds a Record for checks that have no
+// vectorized path.
 
 // CellKind classifies one cell's decoded value.
 type CellKind uint8
@@ -32,27 +33,36 @@ const (
 	CellBool
 )
 
-// Column is one field's cells across a batch. The parallel slices all have
-// one entry per row; Ints/Floats/Bools entries are meaningful only where
-// Kinds says so.
+// Column is one field's cells across a batch: three parallel slices with
+// one entry per row, 25 bytes a cell. Read parsed values through Int,
+// Float and Bool, which are meaningful only where Kinds says so, and the
+// trimmed text through Trim.
 type Column struct {
 	// Name is the field name.
 	Name string
 	// Kinds classifies each cell.
 	Kinds []CellKind
-	// Raw holds the value exactly as delivered ("" for missing cells);
-	// Trim holds strings.TrimSpace(Raw) — sharing Raw's backing when no
-	// trimming was needed.
-	Raw  []string
-	Trim []string
-	// Ints, Floats and Bools hold parsed values for CellInt, CellFloat and
-	// CellBool cells.
-	Ints   []int64
-	Floats []float64
-	Bools  []bool
+	// Raw holds the value exactly as delivered ("" for missing cells).
+	Raw []string
+	// vals holds each cell's parsed value: the int64 bits of a CellInt,
+	// the float64 bits of a CellFloat, 1 or 0 for a CellBool, 0 otherwise.
+	vals []uint64
 	// ocl memoizes the boxed OCL-domain values (see OCLValues).
 	ocl []any
 }
+
+// Trim returns row r's value with surrounding whitespace removed,
+// strings.TrimSpace(Raw[r]).
+func (c *Column) Trim(r int) string { return strings.TrimSpace(c.Raw[r]) }
+
+// Int returns row r's parsed value when Kinds[r] is CellInt.
+func (c *Column) Int(r int) int64 { return int64(c.vals[r]) }
+
+// Float returns row r's parsed value when Kinds[r] is CellFloat.
+func (c *Column) Float(r int) float64 { return math.Float64frombits(c.vals[r]) }
+
+// Bool returns row r's parsed value when Kinds[r] is CellBool.
+func (c *Column) Bool(r int) bool { return c.vals[r] != 0 }
 
 // classifyNumber decides whether a trimmed, non-blank cell is an integer,
 // a float or plain text, with exactly the outcome of trying
@@ -60,6 +70,9 @@ type Column struct {
 // from the cell's shape, so text never pays for a failed parse's
 // *NumError allocations:
 //
+//   - a body (s after its sign) that is empty or starts with anything but
+//     a digit, '.', i, I, n or N is CellString: neither parser accepts it,
+//     so names and e-mail addresses stop at their first byte;
 //   - [+-]?[0-9]{1,18} is CellInt, parsed inline (it cannot overflow);
 //   - a decimal float literal goes to ParseFloat, which can then fail
 //     only on range ("1e400" stays CellString);
@@ -74,11 +87,16 @@ func classifyNumber(s string) (CellKind, int64, float64) {
 	if len(body) > 0 && (body[0] == '+' || body[0] == '-') {
 		body = body[1:]
 	}
+	if len(body) == 0 {
+		return CellString, 0, 0
+	}
+	switch c := body[0]; {
+	case '0' <= c && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+	default:
+		return CellString, 0, 0
+	}
 	switch digits := leadingDigits(body); {
 	case digits == len(body) && digits <= 18:
-		if digits == 0 { // "", "+" or "-"
-			return CellString, 0, 0
-		}
 		var n int64
 		for i := 0; i < len(body); i++ {
 			n = n*10 + int64(body[i]-'0')
@@ -162,36 +180,34 @@ func isDecimalFloat(body string, intDigits int) bool {
 // appendCell classifies and appends one present cell.
 func (c *Column) appendCell(raw string) {
 	trimmed := strings.TrimSpace(raw)
-	c.Raw = append(c.Raw, raw)
-	c.Trim = append(c.Trim, trimmed)
 	kind := CellString
-	var iv int64
-	var fv float64
-	var bv bool
-	switch {
-	case trimmed == "":
+	var v uint64
+	switch trimmed {
+	case "":
 		kind = CellBlank
-	case trimmed == "true":
-		kind, bv = CellBool, true
-	case trimmed == "false":
-		kind, bv = CellBool, false
+	case "true":
+		kind, v = CellBool, 1
+	case "false":
+		kind = CellBool
 	default:
+		var iv int64
+		var fv float64
 		kind, iv, fv = classifyNumber(trimmed)
+		v = uint64(iv)
+		if kind == CellFloat {
+			v = math.Float64bits(fv)
+		}
 	}
 	c.Kinds = append(c.Kinds, kind)
-	c.Ints = append(c.Ints, iv)
-	c.Floats = append(c.Floats, fv)
-	c.Bools = append(c.Bools, bv)
+	c.Raw = append(c.Raw, raw)
+	c.vals = append(c.vals, v)
 }
 
 // appendMissing appends one absent cell.
 func (c *Column) appendMissing() {
 	c.Kinds = append(c.Kinds, CellMissing)
 	c.Raw = append(c.Raw, "")
-	c.Trim = append(c.Trim, "")
-	c.Ints = append(c.Ints, 0)
-	c.Floats = append(c.Floats, 0)
-	c.Bools = append(c.Bools, false)
+	c.vals = append(c.vals, 0)
 }
 
 // padTo appends missing cells until the column has n entries.
@@ -205,10 +221,7 @@ func (c *Column) reset(name string) {
 	c.Name = name
 	c.Kinds = c.Kinds[:0]
 	c.Raw = c.Raw[:0]
-	c.Trim = c.Trim[:0]
-	c.Ints = c.Ints[:0]
-	c.Floats = c.Floats[:0]
-	c.Bools = c.Bools[:0]
+	c.vals = c.vals[:0]
 	c.ocl = nil
 }
 
@@ -235,21 +248,21 @@ func (c *Column) OCLValues() []any {
 		case CellMissing, CellBlank:
 			// vals[i] stays nil
 		case CellBool:
-			vals[i] = c.Bools[i] // bool boxing never allocates
+			vals[i] = c.Bool(i) // bool boxing never allocates
 		case CellInt:
-			n := c.Ints[i]
+			n := c.Int(i)
 			if lastKind != CellInt || lastInt != n {
 				lastKind, lastInt, lastBoxed = CellInt, n, n
 			}
 			vals[i] = lastBoxed
 		case CellFloat:
-			f := c.Floats[i]
+			f := c.Float(i)
 			if lastKind != CellFloat || lastFloat != f {
 				lastKind, lastFloat, lastBoxed = CellFloat, f, f
 			}
 			vals[i] = lastBoxed
 		default:
-			s := c.Trim[i]
+			s := c.Trim(i)
 			if lastKind != CellString || lastStr != s {
 				lastKind, lastStr, lastBoxed = CellString, s, s
 			}
@@ -268,7 +281,10 @@ type ColumnBatch struct {
 	cols   []Column
 	byName map[string]int
 	rows   int
-	nulls  []any
+	// next is the column after the current row's previous field: the
+	// column SetFieldBytes tries before the byName lookup.
+	next  int
+	nulls []any
 	// view marks a batch filled by SliceInto: its column headers and
 	// nulls alias another batch's storage.
 	view bool
@@ -303,6 +319,7 @@ func (b *ColumnBatch) Reset() {
 	}
 	b.cols = b.cols[:0]
 	b.rows = 0
+	b.next = 0
 	b.nulls = b.nulls[:0]
 	clear(b.byName)
 }
@@ -312,6 +329,12 @@ func (b *ColumnBatch) col(name string) *Column {
 	if i, ok := b.byName[name]; ok {
 		return &b.cols[i]
 	}
+	return &b.cols[b.addCol(name)]
+}
+
+// addCol creates the named column, back-filled to the current row, and
+// returns its index.
+func (b *ColumnBatch) addCol(name string) int {
 	if b.byName == nil {
 		b.byName = make(map[string]int, 8)
 	}
@@ -320,11 +343,11 @@ func (b *ColumnBatch) col(name string) *Column {
 	} else {
 		b.cols = append(b.cols, Column{})
 	}
-	c := &b.cols[len(b.cols)-1]
-	c.reset(name)
-	c.padTo(b.rows)
-	b.byName[name] = len(b.cols) - 1
-	return c
+	i := len(b.cols) - 1
+	b.cols[i].reset(name)
+	b.cols[i].padTo(b.rows)
+	b.byName[name] = i
+	return i
 }
 
 // SetField appends the current row's value for one field. Fields may
@@ -334,21 +357,35 @@ func (b *ColumnBatch) SetField(name, raw string) {
 }
 
 // SetFieldBytes is SetField for decoders that hold the field name as a
-// byte slice into their input buffer: once the column exists, the map
-// lookup via string(name) does not allocate, so steady-state decoding
-// never materializes the key.
-func (b *ColumnBatch) SetFieldBytes(name []byte, raw string) {
-	if i, ok := b.byName[string(name)]; ok {
-		b.cols[i].appendCell(raw)
-		return
+// byte slice into their input buffer. It predicts that records repeat
+// their predecessor's key order: it first compares name with the column
+// after the row's previous field, and looks the name up in the byName
+// map only on a miss. Neither path allocates once the column exists, so
+// steady-state decoding never materializes the key. It returns false,
+// appending nothing, when the row already holds a cell for name — a
+// duplicate key, found in O(1).
+func (b *ColumnBatch) SetFieldBytes(name []byte, raw string) bool {
+	i := b.next
+	if i >= len(b.cols) || b.cols[i].Name != string(name) {
+		var ok bool
+		if i, ok = b.byName[string(name)]; !ok {
+			i = b.addCol(string(name))
+		}
 	}
-	b.col(string(name)).appendCell(raw)
+	c := &b.cols[i]
+	if len(c.Kinds) > b.rows {
+		return false
+	}
+	c.appendCell(raw)
+	b.next = i + 1
+	return true
 }
 
 // EndRow completes the current row, back-filling missing cells in columns
 // the row did not touch.
 func (b *ColumnBatch) EndRow() {
 	b.rows++
+	b.next = 0
 	for i := range b.cols {
 		b.cols[i].padTo(b.rows)
 	}
@@ -358,15 +395,13 @@ func (b *ColumnBatch) EndRow() {
 // row whose decoding failed partway (the whole record is malformed, so
 // none of its fields may land in the batch).
 func (b *ColumnBatch) AbortRow() {
+	b.next = 0
 	for i := range b.cols {
 		c := &b.cols[i]
 		if len(c.Kinds) > b.rows {
 			c.Kinds = c.Kinds[:b.rows]
 			c.Raw = c.Raw[:b.rows]
-			c.Trim = c.Trim[:b.rows]
-			c.Ints = c.Ints[:b.rows]
-			c.Floats = c.Floats[:b.rows]
-			c.Bools = c.Bools[:b.rows]
+			c.vals = c.vals[:b.rows]
 		}
 	}
 }
@@ -414,13 +449,10 @@ func (b *ColumnBatch) SliceInto(dst *ColumnBatch, lo, hi int) {
 	for i := range b.cols {
 		src := &b.cols[i]
 		col := Column{
-			Name:   src.Name,
-			Kinds:  src.Kinds[lo:hi],
-			Raw:    src.Raw[lo:hi],
-			Trim:   src.Trim[lo:hi],
-			Ints:   src.Ints[lo:hi],
-			Floats: src.Floats[lo:hi],
-			Bools:  src.Bools[lo:hi],
+			Name:  src.Name,
+			Kinds: src.Kinds[lo:hi],
+			Raw:   src.Raw[lo:hi],
+			vals:  src.vals[lo:hi],
 		}
 		if src.ocl != nil {
 			col.ocl = src.ocl[lo:hi]

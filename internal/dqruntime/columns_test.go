@@ -282,7 +282,7 @@ func TestColumnBatchResetReusesStorage(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { b.Reset(); fill() }); allocs != 0 {
 		t.Fatalf("Reset + refill of 256 rows allocated %.0f times, want 0", allocs)
 	}
-	if b.Rows() != 256 || b.Col("n").Ints[255] != 7 || b.Col("opt").Kinds[1] != CellMissing {
+	if b.Rows() != 256 || b.Col("n").Int(255) != 7 || b.Col("opt").Kinds[1] != CellMissing {
 		t.Fatal("refilled batch does not hold the refilled cells")
 	}
 }
@@ -307,11 +307,12 @@ func TestSliceIntoViewResetKeepsSource(t *testing.T) {
 	view.EndRow()
 	nulls := view.NullValues()
 
-	// A fill appends to every cell slice in step, so Raw, Trim and Kinds
-	// show any write (Floats would not: NaN cells defeat DeepEqual).
+	// A fill appends to every cell slice in step, so Raw, Kinds and the
+	// value slot show any write (the slot holds float bits, so NaN cells
+	// compare equal).
 	for _, c := range want.Columns() {
 		got := src.Col(c.Name)
-		if !reflect.DeepEqual(got.Raw, c.Raw) || !reflect.DeepEqual(got.Trim, c.Trim) ||
+		if !reflect.DeepEqual(got.Raw, c.Raw) || !reflect.DeepEqual(got.vals, c.vals) ||
 			!reflect.DeepEqual(got.Kinds, c.Kinds) {
 			t.Fatalf("source column %q changed after filling a reset view", c.Name)
 		}

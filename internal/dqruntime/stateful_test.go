@@ -16,11 +16,15 @@ func observeAll(states []CheckState, recs []Record) CrossFinding {
 	for i, r := range recs {
 		states[i%len(states)].Observe(int64(i+1), r)
 	}
-	merged := states[0]
+	return mergeStates(states)
+}
+
+// mergeStates folds every state into the first and renders the finding.
+func mergeStates(states []CheckState) CrossFinding {
 	for _, o := range states[1:] {
-		merged.Merge(o)
+		states[0].Merge(o)
 	}
-	return merged.Finding()
+	return states[0].Finding()
 }
 
 func TestUniquenessExact(t *testing.T) {
@@ -145,6 +149,115 @@ func TestUniquenessPermutationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatalf("permutation property failed: %v", err)
+	}
+}
+
+// checkShardingPermutation is the sharding property for any stateful
+// check: whatever order the records arrive in and however they split
+// across 1–7 states, the merged finding deep-equals one state's, details
+// and first-record ordinals included. It runs twice per input: through
+// Observe, one record at a time in a shuffled order with each record
+// keeping its own ordinal, and through ObserveBatch, over chunks cut at
+// random boundaries and observed in a shuffled order. Four details per
+// state keep bounded tallies near their cap.
+func checkShardingPermutation(t *testing.T, c StatefulCheck, gen func(*rand.Rand) Record) {
+	t.Helper()
+	prop := func(seed int64, nStates uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		recs := make([]Record, 20+rng.Intn(100))
+		for i := range recs {
+			recs[i] = gen(rng)
+		}
+		want := observeAll(c.NewStates(1, 4), recs)
+		n := 1 + int(nStates%7)
+
+		states := c.NewStates(n, 4)
+		for _, i := range rng.Perm(len(recs)) {
+			states[rng.Intn(n)].Observe(int64(i+1), recs[i])
+		}
+		if got := mergeStates(states); !reflect.DeepEqual(want, got) {
+			t.Logf("Observe over %d states:\n  single  %+v\n  sharded %+v", n, want, got)
+			return false
+		}
+
+		type chunk struct {
+			base int64
+			b    *ColumnBatch
+		}
+		var chunks []chunk
+		for lo := 0; lo < len(recs); {
+			hi := min(lo+1+rng.Intn(16), len(recs))
+			b := &ColumnBatch{}
+			b.Columnarize(recs[lo:hi])
+			chunks = append(chunks, chunk{int64(lo + 1), b})
+			lo = hi
+		}
+		rng.Shuffle(len(chunks), func(i, j int) { chunks[i], chunks[j] = chunks[j], chunks[i] })
+		states = c.NewStates(n, 4)
+		for _, ch := range chunks {
+			states[rng.Intn(n)].ObserveBatch(ch.base, ch.b)
+		}
+		if got := mergeStates(states); !reflect.DeepEqual(want, got) {
+			t.Logf("ObserveBatch over %d states:\n  single  %+v\n  sharded %+v", n, want, got)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatalf("%s sharding property failed: %v", c.Name(), err)
+	}
+}
+
+func TestReferentialPermutationProperty(t *testing.T) {
+	ref := map[string]struct{}{}
+	for i := 0; i < 10; i++ {
+		ref[KeyOf([]string{"fk", "part"}, Record{"fk": fmt.Sprintf("k%d", i), "part": "p"})] = struct{}{}
+	}
+	gen := func(rng *rand.Rand) Record {
+		r := Record{}
+		switch rng.Intn(10) {
+		case 0: // both key fields missing: a blank key
+		case 1:
+			r["fk"], r["part"] = " ", ""
+		default:
+			r["fk"] = fmt.Sprintf("k%d", rng.Intn(30))
+			if rng.Intn(4) > 0 {
+				r["part"] = "p"
+			}
+		}
+		return r
+	}
+	for _, optional := range []bool{false, true} {
+		checkShardingPermutation(t, ReferentialCheck{
+			Fields: []string{"fk", "part"}, Ref: ref, RefName: "refs", Optional: optional,
+		}, gen)
+	}
+}
+
+func TestTimelinessPermutationProperty(t *testing.T) {
+	asOf := time.Date(2026, 5, 30, 12, 0, 0, 0, time.UTC)
+	gen := func(rng *rand.Rand) Record {
+		switch rng.Intn(10) {
+		case 0:
+			return Record{}
+		case 1:
+			return Record{"ts": " "}
+		case 2:
+			return Record{"ts": "yesterday"}
+		}
+		// Ages from ten minutes ahead of the clock to four days back, in
+		// whole minutes so equal timestamps recur.
+		age := time.Duration(rng.Intn(4*24*60+10)-10) * time.Minute
+		return Record{"ts": asOf.Add(-age).Format(time.RFC3339)}
+	}
+	for _, optional := range []bool{false, true} {
+		checkShardingPermutation(t, TimelinessCheck{
+			Field:    "ts",
+			Windows:  []time.Duration{24 * time.Hour, time.Hour, 72 * time.Hour},
+			MaxSkew:  time.Minute,
+			Now:      func() time.Time { return asOf },
+			Optional: optional,
+		}, gen)
 	}
 }
 

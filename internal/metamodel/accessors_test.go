@@ -1,6 +1,7 @@
 package metamodel
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -219,8 +220,13 @@ func TestModelMetamodelAccessor(t *testing.T) {
 	}
 }
 
+// processWidePackage is built once per process: the process-wide registry
+// refuses a second package under the same name, so a rerun of
+// TestProcessWideRegistry (go test -count=2) must register the same one.
+var processWidePackage = sync.OnceValue(func() *Package { return NewPackage("ProcessWideRegistryTest") })
+
 func TestProcessWideRegistry(t *testing.T) {
-	p := NewPackage("ProcessWideRegistryTest")
+	p := processWidePackage()
 	if err := Register(p); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package xmi
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/modeldriven/dqwebre/internal/dqwebre"
@@ -223,15 +224,22 @@ func TestEquivalentDetectsDifferences(t *testing.T) {
 	}
 }
 
-func TestValueKindsRoundTrip(t *testing.T) {
-	// A synthetic metamodel exercising bool and real slots, absent from the
-	// DQ fixture.
+// vkPackage is a synthetic metamodel exercising bool and real slots,
+// absent from the DQ fixture. It is built once per process: the
+// process-wide registry refuses a second package under the same name, so a
+// rerun (go test -count=2) must register the same one.
+var vkPackage = sync.OnceValue(func() *metamodel.Package {
 	p := metamodel.NewPackage("VK")
 	boolT := p.AddDataType("Boolean", metamodel.PrimBoolean)
 	realT := p.AddDataType("Real", metamodel.PrimReal)
 	c := p.AddClass("Thing")
 	c.AddAttr("flag", boolT)
 	c.AddAttr("score", realT)
+	return p
+})
+
+func TestValueKindsRoundTrip(t *testing.T) {
+	p := vkPackage()
 	metamodel.MustRegister(p)
 
 	m := uml.NewModel("vk", p)

@@ -6,7 +6,8 @@
 #     BenchmarkBatchVectorized, the full-engine BenchmarkBatchVectorized8,
 #     the cross-record BenchmarkBatchUniqueness{1,8} exact/Bloom pairs, the
 #     zero-copy ingest pairs BenchmarkDecode{Bufio,Mmap} and
-#     BenchmarkBatchFile{Bufio,Mmap}, and the uniqueness key-materialization
+#     BenchmarkBatchFile{Bufio,Mmap}, BenchmarkDecodeMmapShuffled (keys
+#     in a random order per record), and the uniqueness key-materialization
 #     pair BenchmarkBatchUniquenessKeys{Baseline,Hashed})
 #     → BENCH_batch.json: records/sec, allocs, stride-sampled p50/p99
 #     latency, plus the vectorized-vs-row, parallel-8-vs-parallel-1,
@@ -39,7 +40,7 @@ oclraw="$(mktemp)"
 obsraw="$(mktemp)"
 trap 'rm -f "$raw" "$oclraw" "$obsraw"' EXIT
 
-go test -run '^$' -bench 'Benchmark(Batch(Sequential|Parallel[0-9]+|Vectorized[0-9]*|Uniqueness(Bloom)?[0-9]+|File(Bufio|Mmap)|UniquenessKeys(Baseline|Hashed))|Decode(Bufio|Mmap))$' \
+go test -run '^$' -bench 'Benchmark(Batch(Sequential|Parallel[0-9]+|Vectorized[0-9]*|Uniqueness(Bloom)?[0-9]+|File(Bufio|Mmap)|UniquenessKeys(Baseline|Hashed))|Decode(Bufio|Mmap|MmapShuffled))$' \
 	-benchmem -benchtime "$benchtime" -count 1 ./internal/dqbatch/ | tee "$raw"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v nproc="$nproc" '
