@@ -37,7 +37,6 @@ func cmdBatch(args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "validation workers (0 = GOMAXPROCS)")
 	report := fs.String("report", "text", "report format: text or json")
 	exemplars := fs.Int("exemplars", 3, "failure exemplars kept per characteristic (-1 = none)")
-	rows := fs.Bool("rows", false, "force the per-record row path (disable vectorized evaluation)")
 	decodeErrs := fs.Int("decode-errors", 10, "decode errors reported with line numbers (-1 = none)")
 	unique := fs.String("unique", "", "comma-separated key fields that must be unique across the dataset")
 	uniqueMaxExact := fs.Int("unique-max-exact", 0,
@@ -167,7 +166,6 @@ func cmdBatch(args []string, out io.Writer) error {
 	res, runErr := dqbatch.Run(ctx, enf.Validator(), src, dqbatch.Options{
 		Workers:         *workers,
 		MaxExemplars:    *exemplars,
-		ForceRows:       *rows,
 		MaxDecodeErrors: *decodeErrs,
 		CrossRecord:     cross,
 	})

@@ -22,7 +22,7 @@ type shard struct {
 	// memoized characteristics to detect a shape change and fall back.
 	byIdx  []*charAgg
 	byChar []iso25012.Characteristic
-	// latency reservoir: stride-sampled per-record validation seconds,
+	// latency reservoir: one per-record validation time per chunk,
 	// overwritten cyclically once full so memory stays bounded.
 	samples   []float64
 	sampleIdx int
@@ -75,49 +75,12 @@ func (s *shard) agg(i int, ch iso25012.Characteristic) *charAgg {
 	return ca
 }
 
-// observe folds one record's validation report into the shard. ordinal is
-// the record's 1-based position in the input; maxExemplars caps retained
-// failures per characteristic.
-func (s *shard) observe(ordinal int64, rep *dqruntime.Report, maxExemplars int) (passed bool) {
-	s.records++
-	passed = true
-	for i := range rep.Results {
-		res := &rep.Results[i]
-		ca := s.agg(i, res.Characteristic)
-		ca.checks++
-		ca.sumScore += res.Score
-		if res.Score < ca.minScore {
-			ca.minScore = res.Score
-		}
-		if res.Score > ca.maxScore {
-			ca.maxScore = res.Score
-		}
-		if res.Passed {
-			ca.passed++
-			continue
-		}
-		passed = false
-		if len(ca.exemplars) < maxExemplars {
-			ca.exemplars = append(ca.exemplars, Exemplar{
-				Record:  ordinal,
-				Check:   res.Check,
-				Details: append([]string(nil), res.Details...),
-			})
-		}
-	}
-	if passed {
-		s.passed++
-	} else {
-		s.failed++
-	}
-	return passed
-}
-
-// observeBatch folds one columnar batch report into the shard. The fold is
-// row-outer — for each row, across checks — reproducing the row path's
-// exact float addition order and exemplar capture order, so a vectorized
-// run's merged statistics are bit-identical to a sequential row run's.
-func (s *shard) observeBatch(base int64, rep *dqruntime.BatchReport, maxExemplars int) (pass, fail uint64) {
+// observe folds one chunk's batch report into the shard. base is the
+// 1-based ordinal of the chunk's first row; maxExemplars caps retained
+// failures per characteristic. The fold is row-outer — for each row,
+// across checks — so a shard adds scores and captures exemplars in input
+// order.
+func (s *shard) observe(base int64, rep *dqruntime.BatchReport, maxExemplars int) (pass, fail uint64) {
 	rows := rep.Rows()
 	nres := len(rep.Results)
 	for r := 0; r < rows; r++ {
@@ -213,6 +176,8 @@ func mergeShards(shards []*shard, maxExemplars int) (stats []CharacteristicStats
 			// global sort below, so the retained set is the first failures
 			// by record ordinal regardless of which worker saw them —
 			// reports stay byte-identical across worker counts and runs.
+			// The sort is stable: a record's exemplars all come from one
+			// shard, in check order, and keep that order.
 			m.exemplars = append(m.exemplars, ca.exemplars...)
 		}
 		samples = append(samples, s.samples...)
@@ -230,7 +195,7 @@ func mergeShards(shards []*shard, maxExemplars int) (stats []CharacteristicStats
 		if m.checks > 0 {
 			cs.MeanScore = m.sumScore / float64(m.checks)
 		}
-		sort.Slice(cs.Exemplars, func(i, j int) bool { return cs.Exemplars[i].Record < cs.Exemplars[j].Record })
+		sort.SliceStable(cs.Exemplars, func(i, j int) bool { return cs.Exemplars[i].Record < cs.Exemplars[j].Record })
 		if len(cs.Exemplars) > maxExemplars {
 			cs.Exemplars = cs.Exemplars[:maxExemplars]
 		}

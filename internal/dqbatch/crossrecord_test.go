@@ -1,6 +1,6 @@
 // Golden parity for cross-record checks: the same input must produce
-// byte-identical reports — JSON and text — at Workers:1 and Workers:8, on
-// the row path and the vectorized path, duplicates, dangling keys and
+// byte-identical reports — JSON and text — at Workers:1 and Workers:8,
+// with the row oracle and the stock validator, duplicates, dangling keys and
 // freshness findings included. The fixtures keep per-record failures under
 // the exemplar cap so the whole report (not just the cross-record block)
 // compares byte-for-byte across worker counts.
@@ -81,12 +81,16 @@ func crossChecks(t *testing.T, maxExact int) []dqruntime.StatefulCheck {
 }
 
 // runCross executes one configuration and normalizes everything that may
-// legitimately differ between configurations (timing, worker count, path).
-func runCross(t *testing.T, doc string, checks []dqruntime.StatefulCheck, workers int, forceRows bool) *Result {
+// legitimately differ between configurations (timing, worker count).
+// rowOracle scores the per-record checks through RowOracleForTest.
+func runCross(t *testing.T, doc string, checks []dqruntime.StatefulCheck, workers int, rowOracle bool) *Result {
 	t.Helper()
 	v := dqruntime.NewValidator("cross", dqruntime.CompletenessCheck{Required: []string{"a"}})
+	if rowOracle {
+		v = RowOracleForTest(v)
+	}
 	res, err := Run(context.Background(), v, NewNDJSONSource(strings.NewReader(doc)), Options{
-		Workers: workers, ChunkSize: 32, ForceRows: forceRows,
+		Workers: workers, ChunkSize: 32,
 		Registry: obs.NewRegistry(), CrossRecord: checks,
 	})
 	if err != nil {
@@ -99,7 +103,7 @@ func runCross(t *testing.T, doc string, checks []dqruntime.StatefulCheck, worker
 
 // TestCrossRecordGoldenParity is the acceptance criterion: uniqueness +
 // two-pass referential + timeliness report byte-identically across
-// Workers:1 vs Workers:8 and row vs vectorized path.
+// Workers:1 vs Workers:8 and row oracle vs stock validator.
 func TestCrossRecordGoldenParity(t *testing.T) {
 	doc := crossNDJSON()
 	checks := crossChecks(t, 0)
@@ -128,24 +132,24 @@ func TestCrossRecordGoldenParity(t *testing.T) {
 	base.WriteText(&baseText)
 
 	for _, workers := range []int{1, 8} {
-		for _, forceRows := range []bool{true, false} {
-			if workers == 1 && forceRows {
+		for _, rowOracle := range []bool{true, false} {
+			if workers == 1 && rowOracle {
 				continue // the baseline itself
 			}
-			res := runCross(t, doc, checks, workers, forceRows)
+			res := runCross(t, doc, checks, workers, rowOracle)
 			gotJSON, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(baseJSON, gotJSON) {
-				t.Fatalf("workers=%d forceRows=%v JSON diverged from baseline:\nbase:\n%s\ngot:\n%s",
-					workers, forceRows, baseJSON, gotJSON)
+				t.Fatalf("workers=%d rowOracle=%v JSON diverged from baseline:\nbase:\n%s\ngot:\n%s",
+					workers, rowOracle, baseJSON, gotJSON)
 			}
 			var gotText bytes.Buffer
 			res.WriteText(&gotText)
 			if !bytes.Equal(baseText.Bytes(), gotText.Bytes()) {
-				t.Fatalf("workers=%d forceRows=%v text diverged:\nbase:\n%s\ngot:\n%s",
-					workers, forceRows, baseText.String(), gotText.String())
+				t.Fatalf("workers=%d rowOracle=%v text diverged:\nbase:\n%s\ngot:\n%s",
+					workers, rowOracle, baseText.String(), gotText.String())
 			}
 		}
 	}
@@ -166,15 +170,15 @@ func TestCrossRecordBloomParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 8} {
-		for _, forceRows := range []bool{true, false} {
-			res := runCross(t, doc, checks, workers, forceRows)
+		for _, rowOracle := range []bool{true, false} {
+			res := runCross(t, doc, checks, workers, rowOracle)
 			gotJSON, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(baseJSON, gotJSON) {
-				t.Fatalf("workers=%d forceRows=%v Bloom report diverged:\nbase:\n%s\ngot:\n%s",
-					workers, forceRows, baseJSON, gotJSON)
+				t.Fatalf("workers=%d rowOracle=%v Bloom report diverged:\nbase:\n%s\ngot:\n%s",
+					workers, rowOracle, baseJSON, gotJSON)
 			}
 		}
 	}
@@ -217,33 +221,40 @@ func TestCrossFindingsAttributeQuality(t *testing.T) {
 	}
 }
 
+// csvLinesDoc mixes quoted multi-line fields with malformed rows whose
+// file lines are known.
+const csvLinesDoc = "a,b\n" + // line 1: header
+	"\"x\ny\",2\n" + // lines 2-3: one record with an embedded newline
+	"only-one-field\n" + // line 4: field-count mismatch
+	"p,q\n" + // line 5: ok
+	"1,2,3\n" + // line 6: field-count mismatch
+	"\"z\nw\",9\n" + // lines 7-8: ok
+	"ab\"cd,x\n" // line 9: bare-quote parse error
+
 // TestCSVDecodeErrorFileLines pins the line-number fix: quoted multi-line
 // fields advance file lines without advancing record counts, and decode
-// errors must point at true file lines on both paths.
+// errors must point at true file lines with either validator.
 func TestCSVDecodeErrorFileLines(t *testing.T) {
-	doc := "a,b\n" + // line 1: header
-		"\"x\ny\",2\n" + // lines 2-3: one record with an embedded newline
-		"only-one-field\n" + // line 4: field-count mismatch
-		"p,q\n" + // line 5: ok
-		"1,2,3\n" + // line 6: field-count mismatch
-		"\"z\nw\",9\n" + // lines 7-8: ok
-		"ab\"cd,x\n" // line 9: bare-quote parse error
-	v := dqruntime.NewValidator("csv", dqruntime.CompletenessCheck{Required: []string{"a"}})
-	for _, forceRows := range []bool{true, false} {
+	doc := csvLinesDoc
+	for _, rowOracle := range []bool{true, false} {
+		v := dqruntime.NewValidator("csv", dqruntime.CompletenessCheck{Required: []string{"a"}})
+		if rowOracle {
+			v = RowOracleForTest(v)
+		}
 		res, err := Run(context.Background(), v, NewCSVSource(strings.NewReader(doc)),
-			Options{Workers: 1, ForceRows: forceRows, Registry: obs.NewRegistry()})
+			Options{Workers: 1, Registry: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Records != 3 || res.Malformed != 3 {
-			t.Fatalf("forceRows=%v: records=%d malformed=%d, want 3/3", forceRows, res.Records, res.Malformed)
+			t.Fatalf("rowOracle=%v: records=%d malformed=%d, want 3/3", rowOracle, res.Records, res.Malformed)
 		}
 		var lines []int64
 		for _, de := range res.DecodeErrors {
 			lines = append(lines, de.Line)
 		}
 		if len(lines) != 3 || lines[0] != 4 || lines[1] != 6 || lines[2] != 9 {
-			t.Fatalf("forceRows=%v: decode error lines = %v, want [4 6 9]", forceRows, lines)
+			t.Fatalf("rowOracle=%v: decode error lines = %v, want [4 6 9]", rowOracle, lines)
 		}
 	}
 }

@@ -13,21 +13,13 @@ import (
 	"github.com/modeldriven/dqwebre/internal/obs"
 )
 
-// Validating is the per-record validation dependency: anything with the
-// allocation-cheap ValidateInto path. *dqruntime.Validator implements it;
-// an Enforcer's Validator() is the usual way to obtain one. The engine
-// calls it concurrently from every worker, so implementations must be
-// safe for concurrent reads (the stock checks are value types).
+// Validating is the validation dependency: one call scores a whole
+// ColumnBatch. *dqruntime.Validator implements it, scoring checks without
+// ApplyBatch through a RowView record map; an Enforcer's Validator() is
+// the usual way to obtain one. The engine calls it concurrently from every
+// worker, each with its own report, so implementations must be safe for
+// concurrent reads (the stock checks are value types).
 type Validating interface {
-	ValidateInto(r dqruntime.Record, rep *dqruntime.Report)
-}
-
-// BatchValidating is the columnar validation dependency: one call scores a
-// whole ColumnBatch. *dqruntime.Validator implements it. When the
-// validator supports it, Run's eval workers score whole chunks at once
-// unless Options.ForceRows says otherwise; the verdicts are identical to
-// the row path either way.
-type BatchValidating interface {
 	ValidateBatch(b *dqruntime.ColumnBatch, rep *dqruntime.BatchReport)
 }
 
@@ -42,16 +34,6 @@ type Options struct {
 	// MaxExemplars caps retained failures per characteristic; 0 means 3,
 	// negative means none.
 	MaxExemplars int
-	// SampleEvery is the per-record latency sampling stride (every n-th
-	// record per worker is timed); 0 means 64, negative disables sampling.
-	// On the vectorized path one amortized sample is taken per chunk
-	// instead (batch duration / rows); negative disables that too.
-	SampleEvery int
-	// ForceRows evaluates every decoded chunk row by row (RowView +
-	// ValidateInto) even when the validator can score whole batches — the
-	// escape hatch for differential debugging, and how the parity tests
-	// drive both paths.
-	ForceRows bool
 	// DecodeWorkers sizes the decode pool between the producer and the
 	// eval workers. Span sources (NDJSON) only cut raw spans on the
 	// producer goroutine and this many goroutines decode them, so parsing
@@ -117,8 +99,9 @@ type Result struct {
 	Seconds       float64 `json:"seconds"`
 	RecordsPerSec float64 `json:"records_per_sec"`
 	// LatencyP50/LatencyP99 are per-record validation latency percentiles
-	// in seconds, from a bounded stride-sampled reservoir; 0 when
-	// sampling was disabled or no record was validated.
+	// in seconds, from a bounded reservoir holding one sample per chunk:
+	// its ValidateBatch time divided by its rows. 0 when no record was
+	// validated.
 	LatencyP50 float64 `json:"latency_p50_seconds"`
 	LatencyP99 float64 `json:"latency_p99_seconds"`
 	// Characteristics is the per-characteristic roll-up.
@@ -128,10 +111,6 @@ type Result struct {
 	CrossRecords []dqruntime.CrossFinding `json:"cross_records,omitempty"`
 	// Duration is Seconds as a time.Duration, for callers doing math.
 	Duration time.Duration `json:"-"`
-	// Vectorized reports whether the eval workers scored whole batches
-	// (false: row by row). Excluded from the serialized forms so both
-	// paths produce identical reports.
-	Vectorized bool `json:"-"`
 }
 
 // colChunk is the unit of work every pipeline stage hands on: a recycled
@@ -248,23 +227,21 @@ func capOr(n, def int) int {
 // recycled chunks in input order (cutting raw spans for span sources), a
 // decode pool of Options.DecodeWorkers decodes them, a sequencer restores
 // input order — assigning record ordinals and replaying malformed-line
-// diagnostics — and a pool of eval workers scores each chunk, as whole
-// columns when v implements BatchValidating (and ForceRows is off) and row
-// by row otherwise. Reports are byte-identical across sources, decode
-// pool sizes, worker counts and both eval modes. Run honors ctx: on
-// cancellation the producer stops, the chunks already in flight finish,
-// and the partial Result — every record read so far — comes back with
-// ctx's error. Every stage has exited before Run returns, so the caller
-// may release the source (unmap a file) at once. Memory is bounded by the
-// chunk free list, never by input size.
+// diagnostics — and a pool of eval workers scores each chunk as columns
+// with one ValidateBatch call. Reports are byte-identical across sources
+// and decode pool sizes, and across worker counts with one exception
+// until score sums are exact: at more than one worker, a mean_score whose
+// scores are not dyadic fractions can differ in its last bits, because
+// the order in which shards add scores follows scheduling. Run honors
+// ctx: on cancellation the producer stops, the chunks already in flight
+// finish, and the partial Result — every record read so far — comes back
+// with ctx's error. Every stage has exited before Run returns, so the
+// caller may release the source (unmap a file) at once. Memory is bounded
+// by the chunk free list, never by input size.
 func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, error) {
 	workers := positiveOr(opts.Workers, runtime.GOMAXPROCS(0))
 	decoders := positiveOr(opts.DecodeWorkers, runtime.GOMAXPROCS(0))
 	chunkSize := positiveOr(opts.ChunkSize, defaultChunkSize)
-	stride := opts.SampleEvery
-	if stride == 0 {
-		stride = 64
-	}
 	maxExemplars := capOr(opts.MaxExemplars, 3)
 	maxDecode := capOr(opts.MaxDecodeErrors, 10)
 	reg := opts.Registry
@@ -277,10 +254,6 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 	errC := reg.Counter("dqbatch_records_total", recordsHelp, obs.Labels{"outcome": "error"})
 	batchH := reg.Histogram("dqbatch_batch_seconds", "Wall-clock batch validation duration", batchBuckets, nil)
 
-	bval, _ := v.(BatchValidating)
-	if opts.ForceRows {
-		bval = nil
-	}
 	in := feedFor(src, chunkSize)
 
 	_, span := obs.StartSpan(ctx, "dqbatch.run")
@@ -390,8 +363,7 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 	shards := make([]*shard, workers)
 	for i := range shards {
 		shards[i] = newShard()
-		ev := &evaluator{v: v, bval: bval, sh: shards[i], stride: stride, maxExemplars: maxExemplars,
-			rec: make(dqruntime.Record, 8)}
+		ev := &evaluator{v: v, sh: shards[i], maxExemplars: maxExemplars}
 		for _, states := range crossStates {
 			ev.states = append(ev.states, states[i])
 		}
@@ -417,7 +389,6 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 		Workers:      workers,
 		Seconds:      dur.Seconds(),
 		Duration:     dur,
-		Vectorized:   bval != nil,
 	}
 	res.reduce(shards, crossStates, maxExemplars)
 	if opts.Quality != nil {
@@ -426,9 +397,6 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 
 	span.SetAttr("records", int(res.Records))
 	span.SetAttr("workers", workers)
-	if bval != nil {
-		span.SetAttr("vectorized", 1)
-	}
 	if res.Failed > 0 {
 		span.SetAttr("failed", int(res.Failed))
 	}
@@ -441,55 +409,25 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 }
 
 // evaluator is one eval worker's state: its shard, its column of the
-// cross-record states, and reports and a record map reused across chunks.
+// cross-record states, and a batch report reused across chunks.
 type evaluator struct {
 	v            Validating
-	bval         BatchValidating // nil: row by row
 	sh           *shard
 	states       []dqruntime.CheckState
-	stride       int
 	maxExemplars int
-	brep         dqruntime.BatchReport
-	rep          dqruntime.Report
-	rec          dqruntime.Record
-	seen         int64
+	rep          dqruntime.BatchReport
 }
 
 // score validates one chunk into the worker's shard and cross-record
-// states and returns its pass and fail counts: whole columns at once, or
-// — the row oracle — one RowView record map at a time.
+// states and returns its pass and fail counts.
 func (e *evaluator) score(c *colChunk) (pass, fail uint64) {
-	if e.bval != nil {
-		t0 := time.Now()
-		e.bval.ValidateBatch(&c.batch, &e.brep)
-		if e.stride > 0 {
-			e.sh.sample(time.Since(t0).Seconds()/float64(c.batch.Rows()), sampleCap)
-		}
-		for _, st := range e.states {
-			st.ObserveBatch(c.base, &c.batch)
-		}
-		return e.sh.observeBatch(c.base, &e.brep, e.maxExemplars)
+	t0 := time.Now()
+	e.v.ValidateBatch(&c.batch, &e.rep)
+	e.sh.sample(time.Since(t0).Seconds()/float64(c.batch.Rows()), sampleCap)
+	for _, st := range e.states {
+		st.ObserveBatch(c.base, &c.batch)
 	}
-	for j := 0; j < c.batch.Rows(); j++ {
-		r, ord := c.batch.RowView(j, e.rec), c.base+int64(j)
-		if e.stride > 0 && e.seen%int64(e.stride) == 0 {
-			t0 := time.Now()
-			e.v.ValidateInto(r, &e.rep)
-			e.sh.sample(time.Since(t0).Seconds(), sampleCap)
-		} else {
-			e.v.ValidateInto(r, &e.rep)
-		}
-		e.seen++
-		for _, st := range e.states {
-			st.Observe(ord, r)
-		}
-		if e.sh.observe(ord, &e.rep, e.maxExemplars) {
-			pass++
-		} else {
-			fail++
-		}
-	}
-	return pass, fail
+	return e.sh.observe(c.base, &e.rep, e.maxExemplars)
 }
 
 // reduce folds the per-worker shards and cross-record states into res.

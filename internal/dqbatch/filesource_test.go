@@ -8,6 +8,7 @@ package dqbatch
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -259,6 +260,44 @@ func FuzzSpanReport(f *testing.F) {
 		got, gotErr := run(NewMmapNDJSONSource(doc), 3)
 		if wantErr != gotErr {
 			t.Fatalf("terminal errors diverged: stream %q, mmap %q", wantErr, gotErr)
+		}
+		assertIdenticalReports(t, want, got)
+	})
+}
+
+// FuzzCSVReport holds CSV ingest to one report on any bytes: the same
+// document read one byte per Read (stdin through a pipe) and from one
+// in-memory reader (OpenFileSource's reader over a mapping) must render
+// byte-identical JSON and text reports — decode-error lines and exemplar
+// ordinals included — and stop with the same error text, at any chunk
+// size from 1 to 64 and any worker count from 1 to 8. parityValidator
+// scores only 0, ½ and 1, whose sums are exact in any order.
+func FuzzCSVReport(f *testing.F) {
+	for i, doc := range []string{
+		parityCSV(),
+		csvLinesDoc,
+		"a,b,a\nx,y,z\n1,2\nq,q,q\n",
+		"a,b,n\r\n\"x\r\ny\",y,2\r\nx,x,9\r\n,,\r\n",
+	} {
+		f.Add([]byte(doc), uint8(i*7), uint8(i))
+	}
+	v := parityValidator(f)
+	f.Fuzz(func(t *testing.T, doc []byte, chunk, workers uint8) {
+		opts := Options{Workers: 1 + int(workers%8), ChunkSize: 1 + int(chunk%64),
+			CrossRecord: []dqruntime.StatefulCheck{UniquenessCheckForTest()}}
+		run := func(r io.Reader) (*Result, string) {
+			opts.Registry = obs.NewRegistry()
+			res, err := Run(context.Background(), v, NewCSVSource(r), opts)
+			normalize(res)
+			if err != nil {
+				return res, err.Error()
+			}
+			return res, ""
+		}
+		want, wantErr := run(iotest.OneByteReader(bytes.NewReader(doc)))
+		got, gotErr := run(bytes.NewReader(doc))
+		if wantErr != gotErr {
+			t.Fatalf("terminal errors diverged: one-byte %q, whole %q", wantErr, gotErr)
 		}
 		assertIdenticalReports(t, want, got)
 	})

@@ -74,7 +74,7 @@ func fastDecodeLine(raw []byte, dst *dqruntime.ColumnBatch) bool {
 	}
 	i = skipSpace(raw, i+1)
 	if i < n && raw[i] == '}' {
-		// Empty object: a record with no fields, same as the row path's
+		// Empty object: a record with no fields, same as slowDecodeLine's
 		// empty map.
 		if skipSpace(raw, i+1) != n {
 			return bail()

@@ -84,7 +84,7 @@ func TestCSVByteOffsetIsExact(t *testing.T) {
 
 // TestCountSourcePublishesProgress drives a real batch through a counted
 // NDJSON source and checks the progress's final position matches the
-// input, on both the row and the vectorized path (CountSource must
+// input, with the row oracle and the stock validator (CountSource must
 // preserve the SpanSource capability).
 func TestCountSourcePublishesProgress(t *testing.T) {
 	v := buildValidator(t)
@@ -100,14 +100,14 @@ func TestCountSourcePublishesProgress(t *testing.T) {
 		if _, isSpan := src.(SpanSource); !isSpan {
 			t.Fatal("CountSource dropped the SpanSource capability")
 		}
-		res, err := Run(context.Background(), v, src, Options{
-			Workers: 4, ChunkSize: 64, ForceRows: rows, Registry: obs.NewRegistry(),
-		})
-		if err != nil {
-			t.Fatal(err)
+		val := v
+		if rows {
+			val = RowOracleForTest(v)
 		}
-		if res.Vectorized == rows {
-			t.Fatalf("ForceRows=%v but Vectorized=%v", rows, res.Vectorized)
+		if _, err := Run(context.Background(), val, src, Options{
+			Workers: 4, ChunkSize: 64, Registry: obs.NewRegistry(),
+		}); err != nil {
+			t.Fatal(err)
 		}
 		if got := p.Records(); got != 500 {
 			t.Fatalf("rows=%v: progress records = %d, want 500", rows, got)

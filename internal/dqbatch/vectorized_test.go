@@ -1,9 +1,10 @@
-// Golden parity for the vectorized pipeline: running the same input
-// through Run with ForceRows and with the columnar path (Workers:1) must
-// produce byte-identical reports — same counts, scores, exemplar order
-// and detail text, same decode errors with the same line numbers — for
-// both NDJSON and CSV, malformed lines included. Timing fields are zeroed
-// before comparison; everything else must match exactly.
+// Golden parity for the columnar pipeline: running the same input
+// through Run with the row oracle (RowOracleForTest: every check scored
+// through Apply on a RowView record map) and with the stock validator
+// (Workers:1) must produce byte-identical reports — same counts, scores,
+// exemplar order and detail text, same decode errors with the same line
+// numbers — for both NDJSON and CSV, malformed lines included. Timing
+// fields are zeroed before comparison; everything else must match exactly.
 package dqbatch
 
 import (
@@ -42,6 +43,21 @@ func parityValidator(t testing.TB) *dqruntime.Validator {
 		}},
 		oclChk,
 	)
+}
+
+// rowOnly hides a check's ApplyBatch, so Validator.ValidateBatch scores
+// it through Apply on a RowView record map, as it does ConsistencyCheck.
+type rowOnly struct{ dqruntime.Check }
+
+// RowOracleForTest returns a validator with v's name whose every check is
+// scored row by row through Apply: the slow oracle the parity tests hold
+// the vectorized checks to.
+func RowOracleForTest(v *dqruntime.Validator) *dqruntime.Validator {
+	var checks []dqruntime.Check
+	for _, c := range v.Checks() {
+		checks = append(checks, rowOnly{c})
+	}
+	return dqruntime.NewValidator(v.Name(), checks...)
 }
 
 // parityNDJSON builds an NDJSON document with passing rows, failing rows,
@@ -91,32 +107,23 @@ func normalize(r *Result) {
 	r.LatencyP50 = 0
 	r.LatencyP99 = 0
 	r.Duration = 0
-	r.Vectorized = false
 }
 
-// runParity runs both paths over the same input and returns the
-// normalized results.
+// runParity runs the row oracle and the stock validator over the same
+// input and returns the normalized results.
 func runParity(t *testing.T, mkSource func() Source) (row, vec *Result) {
 	t.Helper()
 	v := parityValidator(t)
 	opts := Options{Workers: 1, ChunkSize: 64, Registry: obs.NewRegistry()}
 
-	opts.ForceRows = true
-	row, err := Run(context.Background(), v, mkSource(), opts)
+	row, err := Run(context.Background(), RowOracleForTest(v), mkSource(), opts)
 	if err != nil {
 		t.Fatalf("row path: %v", err)
 	}
-	if row.Vectorized {
-		t.Fatal("ForceRows ran the vectorized path")
-	}
 
-	opts.ForceRows = false
 	vec, err = Run(context.Background(), v, mkSource(), opts)
 	if err != nil {
 		t.Fatalf("vectorized path: %v", err)
-	}
-	if !vec.Vectorized {
-		t.Fatal("vectorized path did not engage")
 	}
 	normalize(row)
 	normalize(vec)
@@ -183,25 +190,29 @@ func TestRunParityColumnSource(t *testing.T) {
 // every skipped record regardless.
 func TestDecodeErrorLines(t *testing.T) {
 	doc := "{\"a\": \"1\"}\n{bad\n\n{\"a\": null}\n{worse\n"
-	for _, forceRows := range []bool{true, false} {
-		res, err := Run(context.Background(), parityValidator(t),
+	for _, rowOracle := range []bool{true, false} {
+		v := parityValidator(t)
+		if rowOracle {
+			v = RowOracleForTest(v)
+		}
+		res, err := Run(context.Background(), v,
 			NewNDJSONSource(strings.NewReader(doc)),
-			Options{Workers: 1, ForceRows: forceRows, MaxDecodeErrors: 2, Registry: obs.NewRegistry()})
+			Options{Workers: 1, MaxDecodeErrors: 2, Registry: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Records != 1 || res.Malformed != 3 {
-			t.Fatalf("forceRows=%v: records=%d malformed=%d, want 1/3", forceRows, res.Records, res.Malformed)
+			t.Fatalf("rowOracle=%v: records=%d malformed=%d, want 1/3", rowOracle, res.Records, res.Malformed)
 		}
 		if len(res.DecodeErrors) != 2 {
-			t.Fatalf("forceRows=%v: %d decode errors retained, want 2 (cap)", forceRows, len(res.DecodeErrors))
+			t.Fatalf("rowOracle=%v: %d decode errors retained, want 2 (cap)", rowOracle, len(res.DecodeErrors))
 		}
 		if res.DecodeErrors[0].Line != 2 || res.DecodeErrors[1].Line != 4 {
-			t.Fatalf("forceRows=%v: decode error lines %d,%d, want 2,4",
-				forceRows, res.DecodeErrors[0].Line, res.DecodeErrors[1].Line)
+			t.Fatalf("rowOracle=%v: decode error lines %d,%d, want 2,4",
+				rowOracle, res.DecodeErrors[0].Line, res.DecodeErrors[1].Line)
 		}
 		if res.DecodeErrors[0].Error == "" {
-			t.Fatalf("forceRows=%v: empty decode error text", forceRows)
+			t.Fatalf("rowOracle=%v: empty decode error text", rowOracle)
 		}
 	}
 	// Negative cap retains nothing but still counts.
@@ -234,13 +245,13 @@ func TestRunCancelledKeepsPartialReport(t *testing.T) {
 }
 
 // TestRunVectorizedWorkers runs the columnar path with several workers
-// under load: exact counters must match the sequential row path even
+// under load: exact counters must match the sequential row oracle even
 // though chunk assignment is nondeterministic.
 func TestRunVectorizedWorkers(t *testing.T) {
 	doc := parityNDJSON()
 	v := parityValidator(t)
-	seq, err := Run(context.Background(), v, NewNDJSONSource(strings.NewReader(doc)),
-		Options{Workers: 1, ForceRows: true, Registry: obs.NewRegistry()})
+	seq, err := Run(context.Background(), RowOracleForTest(v), NewNDJSONSource(strings.NewReader(doc)),
+		Options{Workers: 1, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +259,6 @@ func TestRunVectorizedWorkers(t *testing.T) {
 		Options{Workers: 4, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !par.Vectorized {
-		t.Fatal("vectorized path did not engage")
 	}
 	if par.Records != seq.Records || par.Passed != seq.Passed ||
 		par.Failed != seq.Failed || par.Malformed != seq.Malformed {
@@ -265,5 +273,37 @@ func TestRunVectorizedWorkers(t *testing.T) {
 			p.MinScore != s.MinScore || p.MaxScore != s.MaxScore {
 			t.Fatalf("characteristic %d diverged: %+v vs %+v", i, p, s)
 		}
+	}
+}
+
+// TestExemplarTiesKeepCheckOrder pins exemplar order when one record fails
+// two checks of one characteristic: at any worker count the record's
+// exemplars keep the checks' declaration order, as one worker retains
+// them. Eight workers pool up to 24 exemplars per characteristic, past
+// the size up to which an unstable sort happens to keep equal keys in
+// place.
+func TestExemplarTiesKeepCheckOrder(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("a,b,n,opt\n")
+	for i := 0; i < 400; i++ {
+		// a == b fails ConsistencyCheck and n > opt the OCL check, and
+		// both measure Consistency.
+		fmt.Fprintf(&b, "x%d,x%d,3,1\n", i, i)
+	}
+	doc := b.String()
+	v := parityValidator(t)
+	run := func(workers int) *Result {
+		res, err := Run(context.Background(), v, NewCSVSource(strings.NewReader(doc)),
+			Options{Workers: workers, ChunkSize: 1, Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		normalize(res)
+		res.Workers = 0
+		return res
+	}
+	want := run(1)
+	for i := 0; i < 20; i++ {
+		assertIdenticalReports(t, want, run(8))
 	}
 }

@@ -46,16 +46,13 @@ type CrossFinding struct {
 }
 
 // CheckState is one worker's private accumulator for a stateful check.
-// Observe and ObserveBatch are called only by the owning worker; Merge and
-// Finding run single-threaded after the pool drains. Merge must be
-// associative and order-independent in effect, so that any shard count and
-// any record partition yield the same Finding.
+// ObserveBatch is called only by the owning worker; Merge and Finding run
+// single-threaded after the pool drains. Merge must be associative and
+// order-independent in effect, so that any shard count and any record
+// partition — into states and into batches — yield the same Finding.
 type CheckState interface {
-	// Observe folds one record; ordinal is its 1-based input position.
-	Observe(ordinal int64, r Record)
 	// ObserveBatch folds a columnar batch whose first row has the given
-	// 1-based ordinal. It must be record-for-record equivalent to calling
-	// Observe on each row.
+	// 1-based ordinal.
 	ObserveBatch(base int64, b *ColumnBatch)
 	// Merge folds other (a state created by the same NewStates call) into
 	// the receiver.
@@ -111,7 +108,7 @@ func keyCols(fields []string, b *ColumnBatch, scratch []*Column) []*Column {
 }
 
 // colKeyAt extracts row i's key from the resolved columns, mirroring KeyOf
-// on the row path (missing column or cell → "").
+// on the row's record map (missing column or cell → "").
 func colKeyAt(cols []*Column, i int) string {
 	if len(cols) == 1 {
 		if cols[0] == nil {
@@ -605,23 +602,6 @@ func (s *uniquenessState) appendKeyPart(i int, part string) {
 	s.keyBuf = append(s.keyBuf, part...)
 }
 
-// Observe folds one record's key.
-func (s *uniquenessState) Observe(_ int64, r Record) {
-	fields := s.check.Fields
-	if len(fields) == 1 {
-		s.addString(r[fields[0]])
-	} else {
-		s.keyBuf = s.keyBuf[:0]
-		for i, f := range fields {
-			s.appendKeyPart(i, r[f])
-		}
-		s.addBytes(s.keyBuf)
-	}
-	if !s.primed && s.records >= 256 {
-		s.maybePrime()
-	}
-}
-
 // ObserveBatch folds every row's key, extracted column-wise.
 func (s *uniquenessState) ObserveBatch(_ int64, b *ColumnBatch) {
 	s.cols = keyCols(s.check.Fields, b, s.cols)
@@ -801,11 +781,6 @@ func (s *referentialState) add(ordinal int64, key string) {
 	}
 	s.misses++
 	s.missing.add(key, ordinal, 1)
-}
-
-// Observe folds one record's foreign key.
-func (s *referentialState) Observe(ordinal int64, r Record) {
-	s.add(ordinal, KeyOf(s.check.Fields, r))
 }
 
 // ObserveBatch folds every row's foreign key, extracted column-wise.
@@ -996,11 +971,6 @@ func (s *timelinessState) add(raw string) {
 			}
 		}
 	}
-}
-
-// Observe folds one record's timestamp.
-func (s *timelinessState) Observe(_ int64, r Record) {
-	s.add(r[s.check.Field])
 }
 
 // ObserveBatch folds the timestamp column.

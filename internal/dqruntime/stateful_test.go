@@ -10,11 +10,19 @@ import (
 	"time"
 )
 
+// observeRow folds one record into st as a one-row batch; ordinal is its
+// 1-based input position.
+func observeRow(st CheckState, ordinal int64, r Record) {
+	var b ColumnBatch
+	b.Columnarize([]Record{r})
+	st.ObserveBatch(ordinal, &b)
+}
+
 // observeAll folds records into states round-robin — a deterministic stand-in
 // for the engine's arbitrary chunk assignment — then merges and renders.
 func observeAll(states []CheckState, recs []Record) CrossFinding {
 	for i, r := range recs {
-		states[i%len(states)].Observe(int64(i+1), r)
+		observeRow(states[i%len(states)], int64(i+1), r)
 	}
 	return mergeStates(states)
 }
@@ -139,7 +147,7 @@ func TestUniquenessPermutationProperty(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		states := c.NewStates(1+int(nShards%7), 4)
 		for i, r := range shuffled {
-			states[rng.Intn(len(states))].Observe(int64(i+1), r)
+			observeRow(states[rng.Intn(len(states))], int64(i+1), r)
 		}
 		merged := states[0]
 		for _, o := range states[1:] {
@@ -155,11 +163,10 @@ func TestUniquenessPermutationProperty(t *testing.T) {
 // checkShardingPermutation is the sharding property for any stateful
 // check: whatever order the records arrive in and however they split
 // across 1–7 states, the merged finding deep-equals one state's, details
-// and first-record ordinals included. It runs twice per input: through
-// Observe, one record at a time in a shuffled order with each record
-// keeping its own ordinal, and through ObserveBatch, over chunks cut at
-// random boundaries and observed in a shuffled order. Four details per
-// state keep bounded tallies near their cap.
+// and first-record ordinals included. It runs twice per input: one-row
+// batches in a shuffled order with each record keeping its own ordinal,
+// and chunks cut at random boundaries and observed in a shuffled order.
+// Four details per state keep bounded tallies near their cap.
 func checkShardingPermutation(t *testing.T, c StatefulCheck, gen func(*rand.Rand) Record) {
 	t.Helper()
 	prop := func(seed int64, nStates uint8) bool {
@@ -173,10 +180,10 @@ func checkShardingPermutation(t *testing.T, c StatefulCheck, gen func(*rand.Rand
 
 		states := c.NewStates(n, 4)
 		for _, i := range rng.Perm(len(recs)) {
-			states[rng.Intn(n)].Observe(int64(i+1), recs[i])
+			observeRow(states[rng.Intn(n)], int64(i+1), recs[i])
 		}
 		if got := mergeStates(states); !reflect.DeepEqual(want, got) {
-			t.Logf("Observe over %d states:\n  single  %+v\n  sharded %+v", n, want, got)
+			t.Logf("one-row batches over %d states:\n  single  %+v\n  sharded %+v", n, want, got)
 			return false
 		}
 
@@ -358,10 +365,10 @@ func TestTimelinessCheck(t *testing.T) {
 	}
 }
 
-// TestStatefulRowBatchParity pins the tentpole's path parity at the state
-// level: ObserveBatch over a columnarized batch must produce the same
-// finding as Observe over the records.
-func TestStatefulRowBatchParity(t *testing.T) {
+// TestStatefulOneRowWholeBatchParity pins batch-boundary independence at
+// the state level: one ObserveBatch over the whole columnarized dataset
+// must produce the same finding as one-row batches over the records.
+func TestStatefulOneRowWholeBatchParity(t *testing.T) {
 	recs := parityRecords(300)
 	asOf := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	checks := []StatefulCheck{
@@ -376,7 +383,7 @@ func TestStatefulRowBatchParity(t *testing.T) {
 	for _, sc := range checks {
 		rowState := sc.NewStates(1, 4)[0]
 		for i, r := range recs {
-			rowState.Observe(int64(i+1), r)
+			observeRow(rowState, int64(i+1), r)
 		}
 		colState := sc.NewStates(1, 4)[0]
 		colState.ObserveBatch(1, batch)

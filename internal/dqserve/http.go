@@ -85,7 +85,6 @@ func parseOptions(r *http.Request) (JobOptions, error) {
 	if o.UniqueMaxExact, err = intParam("unique_max_exact"); err != nil {
 		return o, err
 	}
-	o.Rows = q.Get("rows") == "1" || q.Get("rows") == "true"
 	o.Context = q.Get("context")
 	o.Unique = splitList(q.Get("unique"))
 	o.Timeliness = q.Get("timeliness")

@@ -32,11 +32,13 @@ const (
 
 // JobOptions are the per-job engine knobs, mirroring `dqwebre batch`
 // flags one for one so the served report can be byte-identical to the
-// CLI's. Durations travel as strings ("24h") and are validated at submit.
+// CLI's. Durations travel as strings ("24h") and are validated at submit,
+// as is UniqueMaxExact, which a resident server bounds to
+// [0, dqruntime.DefaultMaxExact] where the CLI accepts any value; a
+// resumed job is checked again before it runs.
 type JobOptions struct {
 	Workers        int      `json:"workers,omitempty"`
 	Exemplars      int      `json:"exemplars,omitempty"`
-	Rows           bool     `json:"rows,omitempty"`
 	DecodeErrors   int      `json:"decode_errors,omitempty"`
 	Context        string   `json:"context,omitempty"`
 	Unique         []string `json:"unique,omitempty"`
@@ -50,6 +52,11 @@ type JobOptions struct {
 // crossChecks assembles the dataset-level stateful checks the options ask
 // for — the same construction cmdBatch performs from its flags.
 func (o *JobOptions) crossChecks() ([]dqruntime.StatefulCheck, error) {
+	// The exact uniqueness table grows with a job's distinct keys, so a
+	// client may lower its cap but never lift it.
+	if o.UniqueMaxExact < 0 || o.UniqueMaxExact > dqruntime.DefaultMaxExact {
+		return nil, fmt.Errorf("unique_max_exact %d outside [0, %d]", o.UniqueMaxExact, dqruntime.DefaultMaxExact)
+	}
 	var cross []dqruntime.StatefulCheck
 	if len(o.Unique) > 0 {
 		cross = append(cross, dqruntime.UniquenessCheck{
@@ -506,7 +513,6 @@ func (s *Server) runJob(j *Job) {
 	res, runErr := dqbatch.Run(ctx, enf.Validator(), src, dqbatch.Options{
 		Workers:         j.Opts.Workers,
 		MaxExemplars:    j.Opts.Exemplars,
-		ForceRows:       j.Opts.Rows,
 		MaxDecodeErrors: j.Opts.DecodeErrors,
 		Registry:        s.reg,
 		Quality:         s.quality,

@@ -24,6 +24,7 @@ import (
 
 	"github.com/modeldriven/dqwebre/internal/cli"
 	"github.com/modeldriven/dqwebre/internal/dqbatch"
+	"github.com/modeldriven/dqwebre/internal/dqruntime"
 	"github.com/modeldriven/dqwebre/internal/dqserve"
 	"github.com/modeldriven/dqwebre/internal/easychair"
 	"github.com/modeldriven/dqwebre/internal/obs"
@@ -166,8 +167,8 @@ func normalizeReport(t *testing.T, data []byte) string {
 // TestServerCLIReportParity is the golden-parity contract: the same
 // records validated through the job API and through `dqwebre batch` yield
 // byte-identical JSON reports (after zeroing timing), across worker
-// counts and both evaluation paths, cross-record findings and decode
-// errors included.
+// counts and exemplar caps, cross-record findings and decode errors
+// included.
 func TestServerCLIReportParity(t *testing.T) {
 	cfg := testConfig(t)
 	s, ts := startServer(t, cfg)
@@ -178,15 +179,15 @@ func TestServerCLIReportParity(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 8} {
-		for _, rows := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d rows=%v", workers, rows)
+		for _, exemplars := range []int{3, 1} {
+			name := fmt.Sprintf("workers=%d exemplars=%d", workers, exemplars)
 
 			query := fmt.Sprintf("?workers=%d&unique=email_address", workers)
 			cliArgs := []string{"batch", "-model", cfg.DefaultModel, "-in", recFile,
 				"-workers", fmt.Sprint(workers), "-unique", "email_address", "-report", "json"}
-			if rows {
-				query += "&rows=1"
-				cliArgs = append(cliArgs, "-rows")
+			if exemplars == 1 {
+				query += "&exemplars=1"
+				cliArgs = append(cliArgs, "-exemplars", "1")
 			}
 			code, id := submit(t, ts, query, records)
 			if code != http.StatusAccepted {
@@ -754,6 +755,49 @@ func TestBodySizeCapSheds413(t *testing.T) {
 		t.Fatalf("small submit = %d, want 202", code)
 	}
 	waitDone(t, s, id)
+}
+
+// TestUniqueMaxExactBounded checks that a client cannot lift the exact
+// uniqueness cap: unique_max_exact below 0 (always exact) or above
+// dqruntime.DefaultMaxExact is rejected with 400 before any staging I/O,
+// while a value inside the range is honoured — 16 sends a dataset with
+// more distinct keys than that to the approximate Bloom mode.
+func TestUniqueMaxExactBounded(t *testing.T) {
+	cfg := testConfig(t)
+	s, ts := startServer(t, cfg)
+	records := makeNDJSON(200)
+	for _, bad := range []int{-1, dqruntime.DefaultMaxExact + 1} {
+		code, _ := submit(t, ts, fmt.Sprintf("?unique=email_address&unique_max_exact=%d", bad), records)
+		if code != http.StatusBadRequest {
+			t.Fatalf("unique_max_exact=%d: submit = %d, want 400", bad, code)
+		}
+	}
+	entries, err := os.ReadDir(cfg.StagingDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("rejected submissions left staging files: %v", entries)
+	}
+
+	code, id := submit(t, ts, "?unique=email_address&unique_max_exact=16", records)
+	if code != http.StatusAccepted {
+		t.Fatalf("unique_max_exact=16: submit = %d, want 202", code)
+	}
+	if j := waitDone(t, s, id); j.State() != dqserve.StateDone {
+		t.Fatalf("state = %s", j.State())
+	}
+	status, report := get(t, ts, "/v1/jobs/"+id+"/report")
+	if status != http.StatusOK {
+		t.Fatalf("report = %d: %s", status, report)
+	}
+	var res dqbatch.Result
+	if err := json.Unmarshal(report, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.CrossRecords) != 1 || !res.CrossRecords[0].Approximate {
+		t.Fatalf("uniqueness finding at unique_max_exact=16 is not approximate: %+v", res.CrossRecords)
+	}
 }
 
 // TestTerminalJobGC checks the retention sweep: a terminal job older than
