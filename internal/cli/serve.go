@@ -29,7 +29,8 @@ import (
 // The staging directory makes jobs durable: a restarted server re-admits
 // the jobs it finds there and re-runs them from their staged input.
 // SIGINT/SIGTERM drains — in-flight jobs finish (up to -drain-timeout),
-// queued jobs stay staged for the next boot.
+// queued jobs and jobs still running at the deadline stay staged for the
+// next boot.
 func cmdServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8081", "listen address")
@@ -40,7 +41,6 @@ func cmdServe(args []string, out io.Writer) error {
 	maxJobs := fs.Int("max-jobs", 32, "queued+running job bound; submissions beyond are shed with 503")
 	rate := fs.Float64("rate", 0, "per-client sustained submissions/second; excess shed with 429 (0 disables)")
 	rateBurst := fs.Int("rate-burst", 8, "per-client burst headroom above -rate")
-	checkpointEvery := fs.Duration("checkpoint-every", 2*time.Second, "progress checkpoint interval for running jobs")
 	retainFor := fs.Duration("retain", time.Hour, "how long finished jobs (and their staged files/reports) stay available; <0 keeps them forever")
 	maxBody := fs.Int64("max-body", 4<<30, "submission body cap in bytes; larger uploads are rejected with 413 (<0 disables)")
 	readTimeout := fs.Duration("read-timeout", 5*time.Minute, "max time to read one submission body")
@@ -71,25 +71,24 @@ func cmdServe(args []string, out io.Writer) error {
 	defer stop()
 
 	cfg := dqserve.Config{
-		StagingDir:      *staging,
-		LoadEnforcer:    LoadEnforcer,
-		ModelDir:        *modelDir,
-		DefaultModel:    *modelPath,
-		JobWorkers:      *jobWorkers,
-		MaxJobs:         *maxJobs,
-		RatePerSec:      *rate,
-		RateBurst:       *rateBurst,
-		CheckpointEvery: *checkpointEvery,
-		RetainFor:       *retainFor,
-		MaxBodyBytes:    *maxBody,
+		StagingDir:   *staging,
+		LoadEnforcer: LoadEnforcer,
+		ModelDir:     *modelDir,
+		DefaultModel: *modelPath,
+		JobWorkers:   *jobWorkers,
+		MaxJobs:      *maxJobs,
+		RatePerSec:   *rate,
+		RateBurst:    *rateBurst,
+		RetainFor:    *retainFor,
+		MaxBodyBytes: *maxBody,
 	}
 	return runServe(ctx, cfg, *addr, *readTimeout, *drainTimeout, nil, out)
 }
 
 // runServe builds the job server and serves it until ctx cancels, then
 // drains: the HTTP front door closes first, then running jobs get up to
-// drainTimeout to finish (queued jobs stay staged for the next boot's
-// resume scan). When ln is nil a listener opens on addr; tests pass their
+// drainTimeout to finish (queued jobs, and running ones the deadline
+// interrupts, stay staged for the next boot's resume scan). When ln is nil a listener opens on addr; tests pass their
 // own to learn the bound port.
 func runServe(ctx context.Context, cfg dqserve.Config, addr string, readTimeout, drainTimeout time.Duration, ln net.Listener, out io.Writer) error {
 	s, err := dqserve.NewServer(cfg)

@@ -26,6 +26,10 @@ func TestCmdServeRejectsBadFlags(t *testing.T) {
 		!strings.Contains(err.Error(), "positional") {
 		t.Fatalf("serve with positional args: %v", err)
 	}
+	if err := Run([]string{"serve", "-model", "m.xml", "-checkpoint-every", "1s"}, &out); err == nil ||
+		!strings.Contains(err.Error(), "not defined") {
+		t.Fatalf("serve with the removed -checkpoint-every: %v", err)
+	}
 }
 
 // TestRunServeLifecycle boots the service on an ephemeral port through the

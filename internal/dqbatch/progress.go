@@ -8,8 +8,8 @@ import (
 
 // Offsetter is a source that knows its record-aligned input byte offset.
 // NDJSONSource, MmapNDJSONSource and CSVSource implement it, with exact
-// offsets; the offset advances only on whole consumed records, which
-// makes it a valid checkpoint position.
+// offsets; the offset advances only on whole consumed records, so it
+// always names a record boundary.
 type Offsetter interface {
 	ByteOffset() int64
 }
@@ -18,8 +18,7 @@ type Offsetter interface {
 // readers: the records delivered to the engine and, when the source is an
 // Offsetter, the byte offset those records end at. The engine's producer
 // and decode goroutines write through a CountSource wrapper; any goroutine
-// (a job server's status endpoint, a checkpoint ticker) may read at any
-// time.
+// (a job server's status endpoint) may read at any time.
 type Progress struct {
 	records atomic.Int64
 	bytes   atomic.Int64
@@ -32,6 +31,13 @@ func (p *Progress) Records() int64 { return p.records.Load() }
 // Bytes returns the input byte offset the delivered records end at; 0
 // when the wrapped source is not an Offsetter.
 func (p *Progress) Bytes() int64 { return p.bytes.Load() }
+
+// Restore sets both counters to a position read back from storage, so a
+// job reloaded after its run still reports how far that run got.
+func (p *Progress) Restore(records, bytes int64) {
+	p.records.Store(records)
+	p.bytes.Store(bytes)
+}
 
 // CountSource wraps src so every delivered record (and the source's byte
 // offset, when available) is published through p. Wrapping a SpanSource
@@ -58,7 +64,7 @@ func (c *countingSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func
 		c.p.records.Add(int64(n))
 	}
 	// Publish the offset even past malformed records: the source consumed
-	// them, so the checkpoint may move past them.
+	// them, so the position may move past them.
 	if c.off != nil {
 		c.p.bytes.Store(c.off.ByteOffset())
 	}

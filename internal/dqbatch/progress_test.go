@@ -58,7 +58,7 @@ func TestNDJSONByteOffsetAdvancesPastMalformedLines(t *testing.T) {
 	if n := src.DecodeSpan(sp, &batch, func(_ int64, err error) { bad = err }); n != 0 || bad == nil {
 		t.Fatalf("malformed line decoded: n=%d err=%v", n, bad)
 	}
-	// The malformed line was consumed; a checkpoint may move past it.
+	// The malformed line was consumed; the offset may move past it.
 	if got, want := src.ByteOffset(), int64(9); got != want {
 		t.Fatalf("offset after malformed record = %d, want %d", got, want)
 	}

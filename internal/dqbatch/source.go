@@ -99,8 +99,8 @@ func scanRawLines(data []byte, atEOF bool) (advance int, token []byte, err error
 }
 
 // ByteOffset returns the input bytes consumed through the end of the most
-// recently scanned line — a record-aligned checkpoint position. Not safe
-// for concurrent use with the reading methods; a Progress wrapper
+// recently scanned line — a record-aligned position. Not safe for
+// concurrent use with the reading methods; a Progress wrapper
 // (CountSource) publishes it across goroutines.
 func (s *NDJSONSource) ByteOffset() int64 { return s.offset }
 

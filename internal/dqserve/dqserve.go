@@ -11,11 +11,13 @@
 // token bucket sheds hot submitters with 429, a concurrency limiter bounds
 // queued-plus-running jobs and sheds the excess with 503, and both export
 // their shed counters through internal/obs. Durability comes from the
-// staging directory: every job's input is staged with chunk-offset
-// checkpoints before it runs, so a server restart re-admits interrupted
-// jobs and re-runs them from their staged input — validation is
-// deterministic at any worker count, so the resumed report equals an
-// uninterrupted run's.
+// staging directory: a job's input is staged and synced before its
+// manifest seals it, so a server restart re-admits interrupted jobs and
+// re-runs them from their staged input, and removes the files of uploads
+// that never got a job id. Validation is deterministic at any worker
+// count, so the resumed report equals an uninterrupted run's, except that
+// mean_score may differ in its last bits at more than one worker (shards
+// add float sums in scheduling order).
 package dqserve
 
 import (
@@ -25,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,9 +40,10 @@ import (
 // Config assembles a Server. StagingDir and LoadEnforcer are required;
 // every other field has a serving-grade default.
 type Config struct {
-	// StagingDir holds per-job state: staged inputs, manifests, chunk
-	// checkpoints and reports. A server restarted against the same
-	// directory resumes the jobs it finds there.
+	// StagingDir holds per-job state: staged inputs, inline models,
+	// manifests and reports. A server restarted against the same directory
+	// resumes the jobs it finds there and removes the files of uploads
+	// that died before their manifest was written.
 	StagingDir string
 	// LoadEnforcer loads a model file and assembles its runtime enforcer
 	// (the CLI injects its loader, which auto-transforms DQR models to
@@ -62,12 +64,6 @@ type Config struct {
 	// submissions (429 beyond); RatePerSec 0 disables it.
 	RatePerSec float64
 	RateBurst  int
-	// CheckpointEvery is the progress-checkpoint interval while a job
-	// runs; default 2s.
-	CheckpointEvery time.Duration
-	// StageChunkBytes is the staging copy granularity: the durable-offset
-	// checkpoint advances once per chunk. Default 1 MiB.
-	StageChunkBytes int
 	// RetainFor bounds how long a terminal job — its staging files and its
 	// API entry — outlives completion; a janitor sweeps older jobs so a
 	// long-running server's disk and job table stay bounded. Default 1h;
@@ -143,12 +139,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 32
 	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 2 * time.Second
-	}
-	if cfg.StageChunkBytes <= 0 {
-		cfg.StageChunkBytes = 1 << 20
-	}
 	if cfg.RetainFor == 0 {
 		cfg.RetainFor = time.Hour
 	}
@@ -210,7 +200,7 @@ func (s *Server) Start() {
 }
 
 // janitor periodically reaps terminal jobs older than RetainFor. Without
-// it every finished job would pin its staged input, model, checkpoint and
+// it every finished job would pin its staged input, model, manifest and
 // report on disk (and its entry in the job table) for the life of the
 // process.
 func (s *Server) janitor() {
@@ -256,9 +246,10 @@ func (s *Server) gcTerminal(cutoff time.Time) int {
 
 // Drain stops accepting submissions, lets running jobs finish, and leaves
 // queued jobs staged on disk for the next boot to resume. When ctx expires
-// first, the remaining running jobs are cancelled (their partial state is
-// checkpointed, so they too resume after restart). Drain returns nil when
-// every in-flight job completed within the deadline.
+// first, the remaining running jobs are interrupted as by a crash: their
+// runs stop, their manifests still say queued, and they resume after
+// restart. Drain returns nil when every in-flight job completed within the
+// deadline.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	close(s.quit)
@@ -274,31 +265,19 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	// Deadline passed with jobs still validating: pull their plugs. The
 	// engine drains its pool on cancellation, so the workers still exit
-	// cleanly — just with partial, checkpointed results.
-	s.cancelRunning()
+	// cleanly, and no interrupted job reaches a terminal state on disk.
+	s.interrupt()
 	<-done
-	return fmt.Errorf("dqserve: drain deadline exceeded; running jobs cancelled")
+	return fmt.Errorf("dqserve: drain deadline exceeded; running jobs left to resume")
 }
 
-// cancelRunning cancels the context of every running job.
-func (s *Server) cancelRunning() {
+// interrupt marks every job crashed and cancels the running ones, so no
+// run that is still going moves its job to a terminal state on disk: the
+// manifests keep saying queued, exactly what a killed process leaves
+// behind. A client's DELETE is not an interrupt and still lands cancelled.
+func (s *Server) interrupt() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		if j.state == StateRunning && j.cancelRun != nil {
-			j.cancelRun()
-		}
-		j.mu.Unlock()
-	}
-}
-
-// abort simulates a crash for the restart tests: it cancels every running
-// job and stops the workers WITHOUT moving any job to a terminal state on
-// disk — manifests keep saying "running"/"queued", exactly what a killed
-// process leaves behind.
-func (s *Server) abort() {
-	s.mu.Lock()
 	for _, j := range s.jobs {
 		j.mu.Lock()
 		j.crashed = true
@@ -307,7 +286,12 @@ func (s *Server) abort() {
 		}
 		j.mu.Unlock()
 	}
-	s.mu.Unlock()
+}
+
+// abort simulates a crash for the restart tests: it interrupts every job
+// and stops the workers.
+func (s *Server) abort() {
+	s.interrupt()
 	close(s.quit)
 	s.wg.Wait()
 }
@@ -325,13 +309,23 @@ func (s *Server) Job(id string) *Job {
 	return s.jobs[id]
 }
 
+// jobIDBytes is the random length of a job id, which is hex-encoded.
+const jobIDBytes = 6
+
 // newJobID mints a 12-hex-character job id.
 func newJobID() (string, error) {
-	var b [6]byte
+	var b [jobIDBytes]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(b[:]), nil
+}
+
+// isJobID reports whether s has the shape newJobID mints, which is how the
+// restart scan tells job files from anything else in the staging dir.
+func isJobID(s string) bool {
+	b, err := hex.DecodeString(s)
+	return err == nil && len(b) == jobIDBytes
 }
 
 // resolveModel maps a job's model reference to a readable file path:
@@ -439,23 +433,34 @@ func (s *Server) worker() {
 	}
 }
 
-// resumeScan reloads the staging directory: finished jobs become servable
-// again (their reports are on disk), interrupted jobs with fully staged
-// input are re-queued, and jobs whose upload the crash cut short are
-// failed with their staged byte count — the chunk checkpoint tells us
-// exactly how much input survived.
+// resumeScan reloads the staging directory. It first removes what a crash
+// leaves mid-write: every job file ending in .tmp (an atomic write that
+// never reached its rename) and every file of a job id with no manifest
+// (an upload that died before its client got the id). Then finished jobs
+// become servable again and interrupted ones are re-queued: a manifest is
+// written only after its input is staged, so that input is whole.
 func (s *Server) resumeScan() error {
 	entries, err := os.ReadDir(s.cfg.StagingDir)
 	if err != nil {
 		return fmt.Errorf("dqserve: scanning staging dir: %w", err)
 	}
-	var ids []string
+	var ids []string // sorted, as ReadDir sorts by name
+	sealed := make(map[string]bool)
 	for _, e := range entries {
-		if name := e.Name(); strings.HasSuffix(name, manifestSuffix) {
-			ids = append(ids, strings.TrimSuffix(name, manifestSuffix))
+		if id, ok := strings.CutSuffix(e.Name(), manifestSuffix); ok && isJobID(id) {
+			ids = append(ids, id)
+			sealed[id] = true
 		}
 	}
-	sort.Strings(ids)
+	for _, e := range entries {
+		name := e.Name()
+		id, _, _ := strings.Cut(name, ".")
+		if isJobID(id) && (!sealed[id] || strings.HasSuffix(name, tmpSuffix)) {
+			if err := os.Remove(filepath.Join(s.cfg.StagingDir, name)); err != nil {
+				obs.Logger("dqserve").Warn("removing orphaned staging file", "file", name, "err", err)
+			}
+		}
+	}
 	for _, id := range ids {
 		j, err := loadJob(s.cfg.StagingDir, id)
 		if err != nil {
@@ -472,21 +477,7 @@ func (s *Server) resumeScan() error {
 			s.jobs[j.ID] = j
 			s.mu.Unlock()
 		case StateQueued, StateRunning:
-			ck, err := loadCheckpoint(s.cfg.StagingDir, id)
-			if err != nil || !ck.StagedComplete {
-				// The upload itself was interrupted: keep what the chunk
-				// checkpoint guarantees is durable and fail the job — we
-				// cannot validate input we never fully received.
-				if err == nil {
-					_ = os.Truncate(j.InputPath, ck.StagedBytes)
-				}
-				s.mu.Lock()
-				s.jobs[j.ID] = j
-				s.mu.Unlock()
-				s.finishJob(j, StateFailed, nil, nil,
-					fmt.Errorf("input staging interrupted by server restart (%d bytes staged)", ck.StagedBytes))
-				continue
-			}
+			// Older servers persisted running; it means the same as queued.
 			if !s.slots.TryAcquire() {
 				s.mu.Lock()
 				s.jobs[j.ID] = j

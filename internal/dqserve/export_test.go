@@ -12,8 +12,7 @@ import "time"
 func (s *Server) SetBeforeRun(f func(*Job)) { s.beforeRun = f }
 
 // Abort simulates a SIGKILL: workers stop without any terminal state
-// reaching disk, leaving manifests saying "running"/"queued" for the
-// restart tests.
+// reaching disk, leaving manifests saying queued for the restart tests.
 func (s *Server) Abort() { s.abort() }
 
 // GCTerminal runs one retention sweep with the given cutoff and returns

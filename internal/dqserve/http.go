@@ -126,8 +126,9 @@ func recordFormat(r *http.Request) (string, error) {
 }
 
 // handleSubmit admits one job: rate limit, then the queued+running bound,
-// then spill the body to the staging dir with chunk-offset checkpoints,
-// persist the manifest and enqueue.
+// then spill the body to the staging dir and sync it, persist the queued
+// manifest that seals the job, and enqueue. A crash before the manifest
+// leaves files the restart scan removes; the client never got the id.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
@@ -191,9 +192,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			apiError(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds the %d-byte submission cap", maxErr.Limit)
 		case errors.As(err, &stErr):
-			// Server-side staging fault (disk, fsync, checkpoint write):
-			// the submission itself was fine and a retry may succeed, so
-			// never blame the client with a 4xx.
+			// Server-side staging fault (disk, fsync): the submission
+			// itself was fine and a retry may succeed, so never blame the
+			// client with a 4xx.
 			apiError(w, http.StatusInternalServerError, "%v", err)
 		default:
 			apiError(w, http.StatusBadRequest, "%v", err)
@@ -235,7 +236,7 @@ func (s *Server) stageSubmission(j *Job, r *http.Request) error {
 	if j.ModelRef == "" {
 		j.ModelRef = "default"
 	}
-	return s.stageInput(j, r.Body)
+	return stageInput(j, r.Body)
 }
 
 // stageMultipart stages an inline-model submission: the "model" part is
@@ -260,7 +261,7 @@ func (s *Server) stageMultipart(j *Job, r *http.Request, boundary string) error 
 		switch part.FormName() {
 		case "model":
 			modelPath := stagingPath(s.cfg.StagingDir, j.ID, modelSuffix)
-			if _, err := stageTo(modelPath, part, s.cfg.StageChunkBytes, nil); err != nil {
+			if _, err := stageTo(modelPath, part); err != nil {
 				return fmt.Errorf("staging inline model: %w", err)
 			}
 			j.ModelPath = modelPath
@@ -270,7 +271,7 @@ func (s *Server) stageMultipart(j *Job, r *http.Request, boundary string) error 
 			if !haveModel {
 				return fmt.Errorf(`multipart submission must carry the "model" part before "records"`)
 			}
-			if err := s.stageInput(j, part); err != nil {
+			if err := stageInput(j, part); err != nil {
 				return err
 			}
 			haveRecords = true
@@ -284,33 +285,22 @@ func (s *Server) stageMultipart(j *Job, r *http.Request, boundary string) error 
 	return nil
 }
 
-// stageInput spills the record stream to the job's input file, advancing
-// the chunk-offset checkpoint as each chunk becomes durable and sealing it
-// with StagedComplete once the whole body is down. A job whose checkpoint
-// never sealed cannot resume — the restart scan fails it with the staged
-// byte count.
-func (s *Server) stageInput(j *Job, body io.Reader) error {
-	dir := s.cfg.StagingDir
-	n, err := stageTo(j.InputPath, body, s.cfg.StageChunkBytes, func(off int64) error {
-		if err := saveCheckpoint(dir, j.ID, checkpoint{StagedBytes: off}); err != nil {
-			return storageError{err}
-		}
-		return nil
-	})
+// stageInput spills the record stream to the job's input file and syncs
+// it. The input is complete and durable when this returns nil; the
+// manifest handleSubmit writes next is what seals the job.
+func stageInput(j *Job, body io.Reader) error {
+	n, err := stageTo(j.InputPath, body)
 	if err != nil {
 		return fmt.Errorf("staging input: %w", err)
 	}
 	j.InputBytes = n
-	if err := saveCheckpoint(dir, j.ID, checkpoint{StagedBytes: n, StagedComplete: true}); err != nil {
-		return storageError{err}
-	}
 	return nil
 }
 
 // discardStaging removes a job's staging files (failed submissions and
 // retention-reaped terminal jobs alike).
 func (s *Server) discardStaging(id string) {
-	for _, suffix := range []string{inputSuffix, modelSuffix, checkpointSuffix, reportSuffix, manifestSuffix} {
+	for _, suffix := range []string{inputSuffix, modelSuffix, reportSuffix, manifestSuffix} {
 		_ = os.Remove(stagingPath(s.cfg.StagingDir, id, suffix))
 	}
 }

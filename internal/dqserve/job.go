@@ -19,9 +19,9 @@ import (
 )
 
 // Job lifecycle states. A job moves queued → running → one of the three
-// terminal states; a server restart moves an interrupted running job back
-// to queued (resume) because its input is staged and validation is
-// deterministic.
+// terminal states. Running is never persisted, so a server restart finds
+// an interrupted job's manifest still queued and runs it again: its input
+// is staged and validation is deterministic.
 const (
 	StateQueued    = "queued"
 	StateRunning   = "running"
@@ -130,8 +130,9 @@ type Job struct {
 	// drains its ghost, so freed capacity can never outrun channel space.
 	inQueue  bool
 	terminal bool
-	// crashed marks an abort()-simulated kill: the runner must leave the
-	// on-disk state untouched, as a SIGKILL would.
+	// crashed marks a job interrupted by abort() or a drain deadline: the
+	// runner must leave the on-disk state untouched, as a SIGKILL would, so
+	// the next boot resumes the job.
 	crashed bool
 }
 
@@ -199,11 +200,11 @@ func (j *Job) status() statusDoc {
 
 // Per-job staging files, all named <id><suffix> inside StagingDir.
 const (
-	manifestSuffix   = ".job"
-	inputSuffix      = ".input"
-	modelSuffix      = ".model"
-	checkpointSuffix = ".ckpt"
-	reportSuffix     = ".report.json"
+	manifestSuffix = ".job"
+	inputSuffix    = ".input"
+	modelSuffix    = ".model"
+	reportSuffix   = ".report.json"
+	tmpSuffix      = ".tmp" // what writeFileAtomic writes to before its rename
 )
 
 // modelRefInline is the user-facing model reference of a job that shipped
@@ -215,53 +216,40 @@ func stagingPath(dir, id, suffix string) string {
 	return filepath.Join(dir, id+suffix)
 }
 
-// manifest is the persisted form of a Job.
+// manifest is the persisted form of a Job; it is written only once the
+// input is staged, so its existence seals the job. A terminal manifest
+// also carries the run's final progress.
 type manifest struct {
-	ID         string     `json:"id"`
-	ModelRef   string     `json:"model"`
-	ModelPath  string     `json:"model_path"`
-	Format     string     `json:"format"`
-	Options    JobOptions `json:"options"`
-	State      string     `json:"state"`
-	Error      string     `json:"error,omitempty"`
-	InputBytes int64      `json:"input_bytes"`
-	Created    time.Time  `json:"created"`
-	Started    time.Time  `json:"started"`
-	Finished   time.Time  `json:"finished"`
+	ID          string     `json:"id"`
+	ModelRef    string     `json:"model"`
+	ModelPath   string     `json:"model_path"`
+	Format      string     `json:"format"`
+	Options     JobOptions `json:"options"`
+	State       string     `json:"state"`
+	Error       string     `json:"error,omitempty"`
+	InputBytes  int64      `json:"input_bytes"`
+	RecordsRead int64      `json:"records_read,omitempty"`
+	ByteOffset  int64      `json:"byte_offset,omitempty"`
+	Created     time.Time  `json:"created"`
+	Started     time.Time  `json:"started"`
+	Finished    time.Time  `json:"finished"`
 }
 
-// checkpoint is the persisted progress of a job: how much input is durably
-// staged (advanced chunk by chunk during the upload) and how far
-// validation has read (advanced on the checkpoint interval while the job
-// runs). Offsets are record-aligned — they come from the sources'
-// ByteOffset, not raw reader position.
-type checkpoint struct {
-	StagedBytes    int64 `json:"staged_bytes"`
-	StagedComplete bool  `json:"staged_complete"`
-	Records        int64 `json:"records_read"`
-	ByteOffset     int64 `json:"byte_offset"`
-}
-
-// writeJSONAtomic persists v at path via tmp+fsync+rename, then syncs the
-// directory, so readers (and the resume scan after a crash or power loss)
-// never observe a torn, empty or missing document — the same durability
-// the staged input itself gets from stageTo.
-func writeJSONAtomic(path string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
+// writeFileAtomic persists data at path via tmp+fsync+rename, then syncs
+// the directory, so readers (and the resume scan after a crash or power
+// loss) never observe a torn, empty or missing document. A crash before
+// the rename leaves only the .tmp file, which the restart scan removes.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + tmpSuffix
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
+	defer f.Close() // for the error paths; closing twice is harmless
 	if _, err := f.Write(data); err != nil {
-		f.Close()
 		return err
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
@@ -289,33 +277,26 @@ func syncDir(dir string) error {
 func saveManifest(dir string, j *Job) error {
 	j.mu.Lock()
 	m := manifest{
-		ID:         j.ID,
-		ModelRef:   j.ModelRef,
-		ModelPath:  j.ModelPath,
-		Format:     j.Format,
-		Options:    j.Opts,
-		State:      j.state,
-		Error:      j.errMsg,
-		InputBytes: j.InputBytes,
-		Created:    j.Created,
-		Started:    j.started,
-		Finished:   j.finished,
+		ID:          j.ID,
+		ModelRef:    j.ModelRef,
+		ModelPath:   j.ModelPath,
+		Format:      j.Format,
+		Options:     j.Opts,
+		State:       j.state,
+		Error:       j.errMsg,
+		InputBytes:  j.InputBytes,
+		RecordsRead: j.progress.Records(),
+		ByteOffset:  j.progress.Bytes(),
+		Created:     j.Created,
+		Started:     j.started,
+		Finished:    j.finished,
 	}
 	j.mu.Unlock()
-	return writeJSONAtomic(stagingPath(dir, j.ID, manifestSuffix), m)
-}
-
-func saveCheckpoint(dir, id string, ck checkpoint) error {
-	return writeJSONAtomic(stagingPath(dir, id, checkpointSuffix), ck)
-}
-
-func loadCheckpoint(dir, id string) (checkpoint, error) {
-	var ck checkpoint
-	data, err := os.ReadFile(stagingPath(dir, id, checkpointSuffix))
+	data, err := json.Marshal(m)
 	if err != nil {
-		return ck, err
+		return err
 	}
-	return ck, json.Unmarshal(data, &ck)
+	return writeFileAtomic(stagingPath(dir, j.ID, manifestSuffix), data)
 }
 
 // loadJob reconstructs a job from its staged manifest (and report, when
@@ -344,6 +325,7 @@ func loadJob(dir, id string) (*Job, error) {
 		started:    m.Started,
 		finished:   m.Finished,
 	}
+	j.progress.Restore(m.RecordsRead, m.ByteOffset)
 	if m.State == StateDone || m.State == StateFailed || m.State == StateCancelled {
 		j.terminal = true
 		close(j.done)
@@ -369,66 +351,50 @@ type storageError struct{ err error }
 func (e storageError) Error() string { return e.err.Error() }
 func (e storageError) Unwrap() error { return e.err }
 
-// stageTo copies r to path, calling onChunk with the durable offset every
-// chunkBytes of staged input (the file is synced first, so the offset
-// never overstates what a crash would preserve). Only a clean io.EOF ends
-// the copy successfully: net/http yields io.ErrUnexpectedEOF when a
-// client disconnects mid-body on a Content-Length request (multipart does
-// the same for a truncated part), and that MUST fail the submission — a
-// truncated upload can never be sealed and validated as if it were
-// complete. File-side faults come back wrapped in storageError; reader
-// errors propagate as-is. Returns the bytes staged.
-func stageTo(path string, r io.Reader, chunkBytes int, onChunk func(offset int64) error) (int64, error) {
+// stagingFile marks its write faults as storageError, so the error
+// io.Copy returns says which side of the copy failed.
+type stagingFile struct{ f *os.File }
+
+func (w stagingFile) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	if err != nil {
+		err = storageError{err}
+	}
+	return n, err
+}
+
+// stageTo copies r to path and syncs the file once the copy ends. Only a
+// clean io.EOF ends the copy successfully (io.Copy's contract): net/http
+// yields io.ErrUnexpectedEOF when a client disconnects mid-body on a
+// Content-Length request (multipart does the same for a truncated part),
+// and that MUST fail the submission — a truncated upload can never be
+// sealed and validated as if it were complete. File-side faults come back
+// wrapped in storageError; reader errors propagate as-is. Returns the
+// bytes staged.
+func stageTo(path string, r io.Reader) (int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, storageError{err}
 	}
-	buf := make([]byte, chunkBytes)
-	var off, sinceSync int64
-	for {
-		n, rerr := r.Read(buf)
-		if n > 0 {
-			if _, werr := f.Write(buf[:n]); werr != nil {
-				f.Close()
-				return off, storageError{werr}
-			}
-			off += int64(n)
-			sinceSync += int64(n)
-			if onChunk != nil && sinceSync >= int64(chunkBytes) {
-				sinceSync = 0
-				if serr := f.Sync(); serr != nil {
-					f.Close()
-					return off, storageError{serr}
-				}
-				if cerr := onChunk(off); cerr != nil {
-					f.Close()
-					return off, cerr
-				}
-			}
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			f.Close()
-			return off, rerr
-		}
+	defer f.Close() // for the error paths; closing twice is harmless
+	n, err := io.Copy(stagingFile{f}, r)
+	if err != nil {
+		return n, err
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return off, storageError{err}
+		return n, storageError{err}
 	}
 	if err := f.Close(); err != nil {
-		return off, storageError{err}
+		return n, storageError{err}
 	}
-	return off, nil
+	return n, nil
 }
 
 // runJob executes one dequeued job end to end: load the (cached)
-// enforcer, stream the staged input through the batch engine with
-// progress checkpoints, and land the job in a terminal state with its
-// report rendered through the same dqbatch.RenderReport path the CLI
-// uses.
+// enforcer, stream the staged input through the batch engine, and land
+// the job in a terminal state with its report rendered through the same
+// dqbatch.RenderReport path the CLI uses. The running state stays in
+// memory: until finishJob, the manifest on disk says queued.
 func (s *Server) runJob(j *Job) {
 	j.mu.Lock()
 	if j.state != StateQueued { // cancelled while queued
@@ -441,9 +407,6 @@ func (s *Server) runJob(j *Job) {
 	j.cancelRun = cancel
 	j.mu.Unlock()
 	defer cancel()
-	if err := saveManifest(s.cfg.StagingDir, j); err != nil {
-		obs.Logger("dqserve").Warn("persisting running state", "id", j.ID, "err", err)
-	}
 	s.running.Add(1)
 	defer s.running.Add(-1)
 
@@ -481,30 +444,6 @@ func (s *Server) runJob(j *Job) {
 	defer closeIn()
 	src = dqbatch.CountSource(src, &j.progress)
 
-	// Progress checkpoints: the job's record/offset position lands on disk
-	// every interval, so a status probe after a crash-restart can say how
-	// far the dead run got before the resume re-runs it.
-	stopCk := make(chan struct{})
-	ckDone := make(chan struct{})
-	go func() {
-		defer close(ckDone)
-		t := time.NewTicker(s.cfg.CheckpointEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCk:
-				return
-			case <-t.C:
-				_ = saveCheckpoint(s.cfg.StagingDir, j.ID, checkpoint{
-					StagedBytes:    j.InputBytes,
-					StagedComplete: true,
-					Records:        j.progress.Records(),
-					ByteOffset:     j.progress.Bytes(),
-				})
-			}
-		}
-	}()
-
 	qualityCtx := j.Opts.Context
 	if qualityCtx == "" {
 		base := filepath.Base(j.ModelPath)
@@ -519,15 +458,13 @@ func (s *Server) runJob(j *Job) {
 		Context:         qualityCtx,
 		CrossRecord:     cross,
 	})
-	close(stopCk)
-	<-ckDone
 
 	j.mu.Lock()
 	crashed := j.crashed
 	j.mu.Unlock()
 	if crashed {
-		// Simulated kill: leave the on-disk state mid-flight, as a real
-		// crash would, so the restart tests exercise the resume path.
+		// Simulated kill or drain deadline: leave the queued manifest as a
+		// real crash would, so the next boot resumes the job.
 		return
 	}
 
@@ -546,8 +483,9 @@ func (s *Server) runJob(j *Job) {
 }
 
 // finishJob lands j in a terminal state exactly once: renders and persists
-// the report (when a result exists), persists the manifest and final
-// checkpoint, releases the admission slot and closes Done.
+// the report (when a result exists) before the terminal manifest, so a
+// crash between the two leaves the job queued, not done without its
+// report; then it releases the admission slot and closes Done.
 func (s *Server) finishJob(j *Job, state string, res *dqbatch.Result, reportJSON []byte, cause error) {
 	j.mu.Lock()
 	if j.terminal {
@@ -582,17 +520,9 @@ func (s *Server) finishJob(j *Job, state string, res *dqbatch.Result, reportJSON
 	j.mu.Unlock()
 
 	if reportJSON != nil {
-		if err := os.WriteFile(stagingPath(s.cfg.StagingDir, j.ID, reportSuffix), reportJSON, 0o644); err != nil {
+		if err := writeFileAtomic(stagingPath(s.cfg.StagingDir, j.ID, reportSuffix), reportJSON); err != nil {
 			obs.Logger("dqserve").Warn("persisting report", "id", j.ID, "err", err)
 		}
-	}
-	if res != nil {
-		_ = saveCheckpoint(s.cfg.StagingDir, j.ID, checkpoint{
-			StagedBytes:    j.InputBytes,
-			StagedComplete: true,
-			Records:        j.progress.Records(),
-			ByteOffset:     j.progress.Bytes(),
-		})
 	}
 	if err := saveManifest(s.cfg.StagingDir, j); err != nil {
 		obs.Logger("dqserve").Warn("persisting terminal state", "id", j.ID, "err", err)

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,19 +72,18 @@ func makeNDJSON(n int) string {
 }
 
 // testConfig returns a server config against a fresh staging dir and the
-// demo model, with fast checkpoints for the restart tests.
+// demo model.
 func testConfig(t *testing.T) dqserve.Config {
 	t.Helper()
 	dir := t.TempDir()
 	model := writeDemoModel(t, dir)
 	return dqserve.Config{
-		StagingDir:      filepath.Join(dir, "staging"),
-		LoadEnforcer:    cli.LoadEnforcer,
-		DefaultModel:    model,
-		ModelDir:        filepath.Dir(model),
-		CheckpointEvery: 10 * time.Millisecond,
-		Registry:        obs.NewRegistry(),
-		Quality:         obs.NewSeriesSet(time.Minute, 4),
+		StagingDir:   filepath.Join(dir, "staging"),
+		LoadEnforcer: cli.LoadEnforcer,
+		DefaultModel: model,
+		ModelDir:     filepath.Dir(model),
+		Registry:     obs.NewRegistry(),
+		Quality:      obs.NewSeriesSet(time.Minute, 4),
 	}
 }
 
@@ -475,8 +475,8 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	s1.Abort() // simulated SIGKILL: on-disk state stays mid-flight
 	ts1.Close()
 
-	// The dead run's progress checkpoints are record-aligned positions a
-	// status probe can report after restart.
+	// The dead run never reached a terminal state; on disk its manifest
+	// still says queued.
 	if j := s1.Job(id); j.State() != dqserve.StateRunning {
 		t.Fatalf("aborted in-memory state = %s, want running", j.State())
 	}
@@ -509,47 +509,140 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	}
 }
 
-// TestRestartFailsJobWithInterruptedStaging fabricates what a crash
-// mid-upload leaves behind: a queued manifest whose checkpoint never
-// sealed. The restart scan must fail the job (we cannot validate input we
-// never fully received) and truncate the input to the durable bytes.
-func TestRestartFailsJobWithInterruptedStaging(t *testing.T) {
+// TestDrainDeadlineLeavesRunningJobToResume drains with a deadline that
+// has already passed while a job is mid-stream: Drain reports the missed
+// deadline, the job is interrupted as by a crash rather than cancelled,
+// and a server restarted on the same staging dir runs it to a report
+// equal to an uninterrupted run's.
+func TestDrainDeadlineLeavesRunningJobToResume(t *testing.T) {
 	cfg := testConfig(t)
-	if err := os.MkdirAll(cfg.StagingDir, 0o755); err != nil {
+	cfg.JobWorkers = 1
+	s1, ts1 := startServer(t, cfg)
+
+	const total = 300000
+	records := makeNDJSON(total)
+	code, id := submit(t, ts1, "?workers=1&unique=email_address", records)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for s1.Job(id).Records() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("job never started reading")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	ts1.Close()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	if err := s1.Drain(ctx); err == nil {
+		t.Fatal("drain past its deadline with a job running returned nil")
+	}
+
+	s2, ts2 := startServer(t, cfg)
+	j := waitDone(t, s2, id)
+	if j.State() != dqserve.StateDone {
+		t.Fatalf("resumed state = %s", j.State())
+	}
+	_, resumedReport := get(t, ts2, "/v1/jobs/"+id+"/report")
+
+	code, refID := submit(t, ts2, "?workers=1&unique=email_address", records)
+	if code != http.StatusAccepted {
+		t.Fatalf("reference submit = %d", code)
+	}
+	waitDone(t, s2, refID)
+	_, refReport := get(t, ts2, "/v1/jobs/"+refID+"/report")
+	if normalizeReport(t, resumedReport) != normalizeReport(t, refReport) {
+		t.Fatal("resumed report diverges from uninterrupted run")
+	}
+}
+
+// stagingFiles maps every file in dir to its contents.
+func stagingFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	id := "deadbeef0000"
+	files := make(map[string]string)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
+
+// fileNames returns the sorted names of a stagingFiles map.
+func fileNames(files map[string]string) []string {
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// TestRestartReapsInterruptedUpload places beside a finished job what a
+// crash leaves in the staging dir: the input and inline model of an upload
+// that died before its manifest (and a pre-manifest .ckpt of an older
+// server), a manifest write that never reached its rename, and a torn
+// write for the finished job. The restart must register no job for the
+// dead upload and remove exactly those files, leaving the finished job's
+// files and a file that is not a job file untouched.
+func TestRestartReapsInterruptedUpload(t *testing.T) {
+	cfg := testConfig(t)
+	s1, ts1 := startServer(t, cfg)
+	code, id := submit(t, ts1, "", makeNDJSON(200))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	waitDone(t, s1, id)
+	ts1.Close()
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
 	writeFile := func(name, content string) {
 		t.Helper()
 		if err := os.WriteFile(filepath.Join(cfg.StagingDir, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	writeFile(id+".input", "{\"a\":\"1\"}\n{\"a\":")
-	writeFile(id+".ckpt", `{"staged_bytes":10,"staged_complete":false}`)
-	manifest := fmt.Sprintf(
-		`{"id":%q,"model":"default","model_path":%q,"format":"ndjson","state":"queued","created":"2026-01-01T00:00:00Z"}`,
-		id, cfg.DefaultModel)
-	writeFile(id+".job", manifest)
+	writeFile("notes.txt", "operator notes\n")
+	keep := stagingFiles(t, cfg.StagingDir)
+	// A finished job persists its input, manifest and report, nothing else.
+	want := []string{id + ".input", id + ".job", id + ".report.json", "notes.txt"}
+	if got := fileNames(keep); !slices.Equal(got, want) {
+		t.Fatalf("staging before restart = %v, want %v", got, want)
+	}
+	const orphan = "deadbeef0000"
+	writeFile(orphan+".input", "{\"a\":\"1\"}\n{\"a\":")
+	writeFile(orphan+".model", "<xmi/>")
+	writeFile(orphan+".job.tmp", `{"id":"deadbeef0000","state":`)
+	writeFile(orphan+".ckpt", `{"staged_bytes":10,"staged_complete":false}`)
+	writeFile(id+".job.tmp", `{"id":`)
 
-	s, ts := startServer(t, cfg)
-	j := s.Job(id)
-	if j == nil {
-		t.Fatal("interrupted job not registered")
+	s2, ts2 := startServer(t, cfg)
+	if s2.Job(orphan) != nil {
+		t.Fatal("restart registered a job for an upload that was never sealed")
 	}
-	if j.State() != dqserve.StateFailed {
-		t.Fatalf("state = %s, want failed", j.State())
+	if status, _ := get(t, ts2, "/v1/jobs/"+orphan); status != http.StatusNotFound {
+		t.Fatalf("orphan job status = %d, want 404", status)
 	}
-	status, body := get(t, ts, "/v1/jobs/"+id)
-	if status != http.StatusOK || !strings.Contains(string(body), "staging interrupted") {
-		t.Fatalf("status doc = %d: %s", status, body)
+	after := stagingFiles(t, cfg.StagingDir)
+	if got := fileNames(after); !slices.Equal(got, want) {
+		t.Fatalf("staging after restart = %v, want %v", got, want)
 	}
-	info, err := os.Stat(filepath.Join(cfg.StagingDir, id+".input"))
-	if err != nil {
-		t.Fatal(err)
+	for name, content := range keep {
+		if after[name] != content {
+			t.Fatalf("restart changed or removed %s", name)
+		}
 	}
-	if info.Size() != 10 {
-		t.Fatalf("input truncated to %d bytes, want 10", info.Size())
+	if j := s2.Job(id); j == nil || j.State() != dqserve.StateDone {
+		t.Fatal("finished job not served after restart")
 	}
 }
 
@@ -564,12 +657,17 @@ func TestRestartServesFinishedReports(t *testing.T) {
 	}
 	waitDone(t, s1, id)
 	_, before := get(t, ts1, "/v1/jobs/"+id+"/report")
+	_, statusBefore := get(t, ts1, "/v1/jobs/"+id)
 	ts1.Close()
 	if err := s1.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	_, ts2 := startServer(t, cfg)
+	// The status document, progress included, is served byte-identically.
+	if _, statusAfter := get(t, ts2, "/v1/jobs/"+id); !bytes.Equal(statusBefore, statusAfter) {
+		t.Fatalf("restart changed the status document:\nbefore: %s\nafter:  %s", statusBefore, statusAfter)
+	}
 	status, after := get(t, ts2, "/v1/jobs/"+id+"/report")
 	if status != http.StatusOK {
 		t.Fatalf("restarted report = %d", status)
@@ -802,7 +900,7 @@ func TestUniqueMaxExactBounded(t *testing.T) {
 
 // TestTerminalJobGC checks the retention sweep: a terminal job older than
 // the cutoff disappears from the API and its staging files (input,
-// checkpoint, report, manifest) are removed; fresher jobs survive.
+// report, manifest) are removed; fresher jobs survive.
 func TestTerminalJobGC(t *testing.T) {
 	cfg := testConfig(t)
 	s, ts := startServer(t, cfg)
