@@ -8,6 +8,7 @@ package dqwebre_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/modeldriven/dqwebre"
 	"github.com/modeldriven/dqwebre/internal/activity"
@@ -380,7 +381,8 @@ func BenchmarkFig7Execution(b *testing.B) {
 // ---- Observability overhead ----
 
 // benchEnforcerCheck drives the enforcement hot path — CheckInput over the
-// case study's review record — with or without metric instrumentation.
+// case study's review record — with or without the check observer that
+// easychair attaches.
 func benchEnforcerCheck(b *testing.B, instrumented bool) {
 	e := easychair.MustBuildModel()
 	dqsr, _, err := transform.RunDQR2DQSR(e.Model)
@@ -392,7 +394,7 @@ func benchEnforcerCheck(b *testing.B, instrumented bool) {
 		b.Fatal(err)
 	}
 	if instrumented {
-		enf.Instrument(obs.NewRegistry())
+		enf.AttachObserver(dqruntime.NewSeriesObserver(obs.NewSeriesSet(time.Minute, 60), obs.NewRegistry()))
 	}
 	record := dqwebre.Record{
 		"first_name": "Grace", "last_name": "Hopper",
@@ -410,7 +412,9 @@ func benchEnforcerCheck(b *testing.B, instrumented bool) {
 // BenchmarkEnforcerUninstrumented is the baseline enforcement cost.
 func BenchmarkEnforcerUninstrumented(b *testing.B) { benchEnforcerCheck(b, false) }
 
-// BenchmarkEnforcerInstrumented is the same path with dq_checks_total
-// counters live; compare against the baseline to bound the observability
-// tax on every form submission (it must stay within a few percent).
+// BenchmarkEnforcerInstrumented is the same path through the observer
+// easychair attaches — score series, dq_checks_total counters and
+// dq_check_seconds histograms live, two clock reads per check — so the
+// difference from the baseline is the observability cost of every form
+// submission.
 func BenchmarkEnforcerInstrumented(b *testing.B) { benchEnforcerCheck(b, true) }

@@ -98,8 +98,7 @@ func TestServerShedsUnderOverloadAndRecovers(t *testing.T) {
 	})
 	defer cancel()
 
-	// The counters live in the process-wide registry, so earlier runs
-	// (-count > 1) and tests have already moved them: assert increases.
+	// Assert increases over a scrape taken before the overload.
 	const shedSeries = `http_requests_shed_total{reason="overload"}`
 	const slow503Series = `http_requests_total{method="GET",route="/slow",status="503"}`
 	_, before := getBody(t, base+"/metrics")

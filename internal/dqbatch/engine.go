@@ -49,7 +49,8 @@ type Options struct {
 	// counts every skipped record regardless of the cap.
 	MaxDecodeErrors int
 	// Registry receives dqbatch_records_total{outcome} and
-	// dqbatch_batch_seconds; nil means obs.Default().
+	// dqbatch_batch_seconds; nil records them into a registry local to the
+	// call, which nothing reads.
 	Registry *obs.Registry
 	// Quality, when non-nil, receives the batch's merged per-characteristic
 	// attribution: after the shards reduce, each characteristic's exact
@@ -246,7 +247,7 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 	maxDecode := capOr(opts.MaxDecodeErrors, 10)
 	reg := opts.Registry
 	if reg == nil {
-		reg = obs.Default()
+		reg = obs.NewRegistry()
 	}
 	const recordsHelp = "Batch-validated records, by outcome (pass, fail, error=malformed input)"
 	passC := reg.Counter("dqbatch_records_total", recordsHelp, obs.Labels{"outcome": "pass"})

@@ -29,14 +29,6 @@ type Enforcer struct {
 	dqModel *iso25012.DQModel
 	// requirements summarizes the source requirements for reporting.
 	requirements []RequirementSummary
-	// reg, when non-nil, receives per-characteristic pass/fail counters on
-	// every check execution (see Instrument).
-	reg *obs.Registry
-	// checkCounters caches the {pass, fail} counter pair per check, in
-	// validator check order, so the instrumented hot path is two atomic
-	// increments away from the uninstrumented one instead of a label-map
-	// allocation and registry lookup per check.
-	checkCounters [][2]*obs.Counter
 	// observer, when non-nil, receives check-level attribution (outcome,
 	// score, latency, context label) from CheckInputLabeled; see attrib.go.
 	observer CheckObserver
@@ -281,40 +273,6 @@ func (e *Enforcer) Requirements() []RequirementSummary {
 // DQModel returns the required-levels model for assessments.
 func (e *Enforcer) DQModel() *iso25012.DQModel { return e.dqModel }
 
-// Instrument routes per-characteristic pass/fail counters from every check
-// execution into the given metric registry (dq_checks_total, labeled by
-// characteristic, check and result). A nil registry disables
-// instrumentation; the uninstrumented path stays allocation-free.
-func (e *Enforcer) Instrument(reg *obs.Registry) *Enforcer {
-	e.reg = reg
-	e.checkCounters = nil
-	if reg == nil {
-		return e
-	}
-	for _, c := range e.validator.Checks() {
-		e.checkCounters = append(e.checkCounters, [2]*obs.Counter{
-			e.checkCounter(c.Name(), c.Characteristic(), true),
-			e.checkCounter(c.Name(), c.Characteristic(), false),
-		})
-	}
-	return e
-}
-
-// checkCounter resolves the dq_checks_total series for one check outcome.
-func (e *Enforcer) checkCounter(check string, ch iso25012.Characteristic, passed bool) *obs.Counter {
-	result := "fail"
-	if passed {
-		result = "pass"
-	}
-	return e.reg.Counter("dq_checks_total",
-		"DQ check executions, by ISO/IEC 25012 characteristic, check and result",
-		obs.Labels{
-			"characteristic": string(ch),
-			"check":          check,
-			"result":         result,
-		})
-}
-
 // AttachObserver routes check-level attribution (outcome, score, latency,
 // context label) from every CheckInputLabeled call into o. A nil observer
 // detaches; without one the per-check clock reads are skipped entirely.
@@ -330,10 +288,8 @@ func (e *Enforcer) CheckInput(r Record) *Report {
 
 // CheckInputContext validates user input with observability: when the
 // context carries an active span a child span "enforcer.check_input"
-// records check count and failures, and when the enforcer is Instrumented
-// every check result increments its pass/fail counter — the operational
-// view that an attached CheckObserver complements with windowed score
-// series.
+// records check count and failures, and an attached CheckObserver receives
+// every check result.
 func (e *Enforcer) CheckInputContext(ctx context.Context, r Record) *Report {
 	return e.CheckInputLabeled(ctx, r, "")
 }
@@ -360,22 +316,6 @@ func (e *Enforcer) CheckInputLabeled(ctx context.Context, r Record, contextLabel
 		})
 	} else {
 		e.validator.ValidateInto(r, rep)
-	}
-	if e.reg != nil {
-		for i, res := range rep.Results {
-			if i < len(e.checkCounters) {
-				// Results are in validator check order; use the counter
-				// pair cached at Instrument time.
-				if res.Passed {
-					e.checkCounters[i][0].Inc()
-				} else {
-					e.checkCounters[i][1].Inc()
-				}
-				continue
-			}
-			// Check added after Instrument: resolve through the registry.
-			e.checkCounter(res.Check, res.Characteristic, res.Passed).Inc()
-		}
 	}
 	if span != nil {
 		span.SetAttr("checks", len(rep.Results))

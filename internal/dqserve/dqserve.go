@@ -73,19 +73,20 @@ type Config struct {
 	// rejected with 413 before they can fill the staging disk. Default
 	// 4 GiB; negative disables the cap.
 	MaxBodyBytes int64
-	// Registry receives the server's metrics; nil means obs.Default().
+	// Registry receives the server's metrics and backs its /metrics; nil
+	// gives the server a registry of its own. A registry shared by two
+	// servers adds their counts together.
 	Registry *obs.Registry
-	// Quality receives per-characteristic attribution from every job,
-	// served on /debug/quality and exported as dq_score on /metrics; nil
-	// builds a fresh 1-minute × 60-window set.
-	Quality *obs.SeriesSet
 }
 
 // Server is the resident validation service. Create with NewServer, wire
 // Handler into an http.Server, call Start, and Drain on shutdown.
 type Server struct {
-	cfg     Config
-	reg     *obs.Registry
+	cfg Config
+	reg *obs.Registry
+	// quality receives per-characteristic attribution from every job
+	// (one-minute windows, an hour kept), served on /debug/quality and
+	// rendered as the dq_score families on /metrics.
 	quality *obs.SeriesSet
 
 	// slots bounds queued+running jobs (the admission valve); rate is the
@@ -147,17 +148,13 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	reg := cfg.Registry
 	if reg == nil {
-		reg = obs.Default()
-	}
-	quality := cfg.Quality
-	if quality == nil {
-		quality = obs.NewSeriesSet(time.Minute, 60)
+		reg = obs.NewRegistry()
 	}
 
 	s := &Server{
 		cfg:      cfg,
 		reg:      reg,
-		quality:  quality,
+		quality:  obs.NewSeriesSet(time.Minute, 60),
 		slots:    webapp.NewConcurrencyLimiter(cfg.MaxJobs),
 		queue:    make(chan *Job, cfg.MaxJobs),
 		quit:     make(chan struct{}),
@@ -295,12 +292,6 @@ func (s *Server) abort() {
 	close(s.quit)
 	s.wg.Wait()
 }
-
-// Registry returns the metric registry backing /metrics.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Quality returns the windowed quality series backing /debug/quality.
-func (s *Server) Quality() *obs.SeriesSet { return s.quality }
 
 // Job returns a job by id, nil when unknown.
 func (s *Server) Job(id string) *Job {

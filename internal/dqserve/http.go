@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/modeldriven/dqwebre/internal/dqbatch"
+	"github.com/modeldriven/dqwebre/internal/dqruntime"
 	"github.com/modeldriven/dqwebre/internal/webapp"
 )
 
@@ -55,6 +56,9 @@ func apiError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxContextBytes bounds a job's quality context label.
+const maxContextBytes = 128
+
 // parseOptions builds JobOptions from the submit query parameters,
 // validating everything that can fail later so a bad job is rejected at
 // the door, not at run time.
@@ -85,7 +89,11 @@ func parseOptions(r *http.Request) (JobOptions, error) {
 	if o.UniqueMaxExact, err = intParam("unique_max_exact"); err != nil {
 		return o, err
 	}
-	o.Context = q.Get("context")
+	// The context labels the server's quality series for as long as it
+	// runs, so a client may not make it arbitrarily long.
+	if o.Context = q.Get("context"); len(o.Context) > maxContextBytes {
+		return o, fmt.Errorf("context is %d bytes, longer than %d", len(o.Context), maxContextBytes)
+	}
 	o.Unique = splitList(q.Get("unique"))
 	o.Timeliness = q.Get("timeliness")
 	o.Windows = splitList(q.Get("windows"))
@@ -402,16 +410,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics serves the registry in the Prometheus text exposition,
-// mirroring the dq_score window export the easychair server does so one
-// scrape config covers both.
+// handleMetrics serves the server's registry in the Prometheus text
+// exposition, then the dq_score families rendered from the jobs' quality
+// series, the same families the easychair server serves so one scrape
+// config covers both.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.quality.Export(s.reg,
-		"dq_score", "Windowed mean DQ check score, by characteristic, context and window",
-		"dq_check_failures", "Windowed DQ check failure count, by characteristic, context and window")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_ = s.reg.WritePrometheus(w)
+	_ = dqruntime.WriteScores(w, s.quality)
 }
 
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {

@@ -83,7 +83,6 @@ func testConfig(t *testing.T) dqserve.Config {
 		DefaultModel: model,
 		ModelDir:     filepath.Dir(model),
 		Registry:     obs.NewRegistry(),
-		Quality:      obs.NewSeriesSet(time.Minute, 4),
 	}
 }
 
@@ -895,6 +894,64 @@ func TestUniqueMaxExactBounded(t *testing.T) {
 	}
 	if len(res.CrossRecords) != 1 || !res.CrossRecords[0].Approximate {
 		t.Fatalf("uniqueness finding at unique_max_exact=16 is not approximate: %+v", res.CrossRecords)
+	}
+}
+
+// TestContextLabelBounded checks that a client cannot grow the server's
+// quality telemetry with a long context label: one of more than 128 bytes
+// is rejected with 400 before any staging I/O, and one of 128 bytes labels
+// the job's quality series.
+func TestContextLabelBounded(t *testing.T) {
+	cfg := testConfig(t)
+	s, ts := startServer(t, cfg)
+	records := makeNDJSON(50)
+	if code, _ := submit(t, ts, "?context="+strings.Repeat("c", 129), records); code != http.StatusBadRequest {
+		t.Fatalf("129-byte context: submit = %d, want 400", code)
+	}
+	entries, err := os.ReadDir(cfg.StagingDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("rejected submission left staging files: %v", entries)
+	}
+
+	label := strings.Repeat("c", 128)
+	code, id := submit(t, ts, "?context="+label, records)
+	if code != http.StatusAccepted {
+		t.Fatalf("128-byte context: submit = %d, want 202", code)
+	}
+	waitDone(t, s, id)
+	status, quality := get(t, ts, "/debug/quality")
+	if status != http.StatusOK || !strings.Contains(string(quality), `"context": "`+label+`"`) {
+		t.Fatalf("/debug/quality = %d, want the 128-byte context label:\n%s", status, quality)
+	}
+}
+
+// TestServersKeepTheirOwnMetrics checks that a server built without a
+// registry gets one of its own: a job on one server leaves another's
+// counters at zero.
+func TestServersKeepTheirOwnMetrics(t *testing.T) {
+	cfgA, cfgB := testConfig(t), testConfig(t)
+	cfgA.Registry, cfgB.Registry = nil, nil
+	a, tsA := startServer(t, cfgA)
+	_, tsB := startServer(t, cfgB)
+	code, id := submit(t, tsA, "", makeNDJSON(50))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	waitDone(t, a, id)
+	for _, c := range []struct {
+		ts   *httptest.Server
+		want string
+	}{
+		{tsA, `dqserve_jobs_total{state="submitted"} 1`},
+		{tsB, `dqserve_jobs_total{state="submitted"} 0`},
+	} {
+		status, metrics := get(t, c.ts, "/metrics")
+		if status != http.StatusOK || !strings.Contains(string(metrics), c.want+"\n") {
+			t.Errorf("/metrics = %d, want %q:\n%s", status, c.want, metrics)
+		}
 	}
 }
 

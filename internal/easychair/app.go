@@ -93,14 +93,13 @@ func NewApp() (*App, error) {
 	if err != nil {
 		return nil, fmt.Errorf("easychair: generating review form: %w", err)
 	}
-	// Operational observability: the process-wide registry (so library-
-	// level counters from validate/transform/xmi surface on /metrics too)
-	// plus an app-owned tracer whose ring buffer backs /debug/spans.
-	reg := obs.Default()
-	enforcer.Instrument(reg)
+	// Operational observability: the app's own registry behind /metrics,
+	// and a tracer whose ring buffer backs /debug/spans.
+	reg := obs.NewRegistry()
 	// The enforcer attributes every check execution (outcome, score,
-	// latency, submitter role) into the collector's series via the stock
-	// observer: the one place a review's DQ results are recorded.
+	// latency, submitter role) into the collector's series and the app's
+	// check counters via the stock observer: the one place a review's DQ
+	// results are recorded.
 	enforcer.AttachObserver(dqruntime.NewSeriesObserver(collector.Scores(), reg))
 	app := &App{
 		Router:     webapp.NewRouter(),
@@ -468,20 +467,18 @@ func (a *App) handleViolations(c *webapp.Context) {
 	c.Text(http.StatusOK, "%s", b.String())
 }
 
-// handlePrometheus serves the operational metric registry in the
-// Prometheus text exposition format: request latency histograms and
-// status-aware counters from the webapp middleware, the enforcer's
-// per-characteristic DQ check counters, library counters
-// (validate/transform/xmi), and — exported at scrape time — the windowed
-// dq_score families and dq_threshold_violations.
+// handlePrometheus serves the app's metric registry in the Prometheus
+// text exposition format — request latency histograms and status-aware
+// counters from the webapp middleware, the per-check DQ counters and
+// latency histograms, and dq_threshold_violations, set at scrape time —
+// followed by the windowed dq_score families rendered from the
+// collector's series.
 func (a *App) handlePrometheus(c *webapp.Context) {
 	a.collector.Export(a.reg)
-	a.collector.Scores().Export(a.reg,
-		"dq_score", "Windowed mean DQ check score, by characteristic, context and window",
-		"dq_check_failures", "Windowed DQ check failure count, by characteristic, context and window")
 	c.W.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	c.W.WriteHeader(http.StatusOK)
 	_ = a.reg.WritePrometheus(c.W)
+	_ = dqruntime.WriteScores(c.W, a.collector.Scores())
 }
 
 // handleQuality serves the windowed quality series as JSON: for every

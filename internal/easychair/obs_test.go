@@ -47,6 +47,39 @@ func TestPrometheusEndpoint(t *testing.T) {
 	}
 }
 
+// TestAppsKeepTheirOwnMetrics: each app serves a registry of its own, so
+// a review posted to one app leaves no DQ check samples on another.
+func TestAppsKeepTheirOwnMetrics(t *testing.T) {
+	_, first := startApp(t)
+	_, second := startApp(t)
+	c := newClient(t, first.URL)
+	c.login("grace", "pc", "2")
+	if status, body := c.post("/papers", url.Values{"title": {"T"}}); status != 201 {
+		t.Fatalf("paper: %d %s", status, body)
+	}
+	if status, body := c.post("/papers/1/reviews", goodReview()); status != 201 {
+		t.Fatalf("review: %d %s", status, body)
+	}
+
+	_, body := c.get("/metrics")
+	for _, want := range []string{
+		// The review's two precision checks.
+		`dq_check_seconds_count{check="check_precision"} 2`,
+		// A check's fail counter exists from its first execution on.
+		`dq_checks_total{characteristic="Precision",check="check_precision",result="fail"} 0`,
+	} {
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("first app's /metrics missing %q\n---\n%s", want, body)
+		}
+	}
+	_, body = newClient(t, second.URL).get("/metrics")
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "dq_check_seconds") || strings.HasPrefix(line, "dq_checks_total") {
+			t.Fatalf("second app's /metrics has a DQ check sample: %s", line)
+		}
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, srv := startApp(t)
 	c := newClient(t, srv.URL)

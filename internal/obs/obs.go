@@ -10,35 +10,20 @@
 //     span tree or JSON — `dqwebre trace` and /debug/spans render them.
 //   - Metrics: atomic Counter, Gauge and fixed-bucket Histogram types in a
 //     Registry that renders the Prometheus text exposition format, served
-//     by the EasyChair webapp at /metrics.
+//     at /metrics by the EasyChair webapp and `dqwebre serve`, and a
+//     SeriesSet of windowed scores rendered beside it at scrape time.
 //   - Logging: thin per-component *slog.Logger construction over one
 //     process-wide handler.
 //
-// Library code (validate, transform, xmi, dqruntime) instruments itself
-// against the package-level Default registry and whatever span is already
-// in the incoming context, so uninstrumented callers pay almost nothing: a
-// context lookup that misses yields a nil *Span whose methods are no-ops.
+// There is no process-wide registry: a Registry belongs to the server that
+// serves it, and code that records into one is handed it explicitly.
+// Library code (validate, transform, xmi) records spans only, under
+// whatever span is already in the incoming context, so uninstrumented
+// callers pay almost nothing: a context lookup that misses yields a nil
+// *Span whose methods are no-ops.
 package obs
 
-import (
-	"context"
-	"sync"
-)
-
-// defaultRegistry is the process-wide metric registry, in the spirit of
-// Prometheus' default registerer: library code records into it, and any
-// server can expose it. Tests needing isolation construct their own
-// Registry.
-var (
-	defaultOnce     sync.Once
-	defaultRegistry *Registry
-)
-
-// Default returns the process-wide metric registry.
-func Default() *Registry {
-	defaultOnce.Do(func() { defaultRegistry = NewRegistry() })
-	return defaultRegistry
-}
+import "context"
 
 // spanKey carries the active span through a context.
 type spanKey struct{}

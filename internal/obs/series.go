@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"math"
 	"sort"
 	"sync"
@@ -14,8 +15,8 @@ import (
 // (Delta between the current and previous window, EWMA across the ring),
 // so a dashboard can tell a degrading quality score from a noisy one
 // without a time-series database. A SeriesSet groups Series by label set
-// the way a metric family groups Counters, and can export its windows and
-// trends into a Registry as gauges at scrape time.
+// the way a metric family groups Counters, and renders its windows and
+// trends as Prometheus gauge families at scrape time.
 
 // Window is the aggregated view of one fixed-length time window of a
 // Series, exported for snapshots and JSON.
@@ -299,7 +300,9 @@ type seriesEntry struct {
 
 // SeriesSet groups Series by label set the way a metric family groups
 // counters: one set is one logical windowed family (say, DQ check scores
-// per characteristic × context). Safe for concurrent use; series are
+// per characteristic × context). The set is the only store of its
+// windows: WritePrometheus renders them for /metrics and Report for
+// /debug/quality, both at read time. Safe for concurrent use; series are
 // created on first touch and live for the life of the set.
 type SeriesSet struct {
 	interval time.Duration
@@ -396,9 +399,8 @@ func (ss *SeriesSet) Report(name string, alpha float64) SeriesReport {
 	return rep
 }
 
-// Export mirrors the set into reg as gauge families, the bridge from the
-// windowed layer to the Prometheus exposition: for every member series it
-// sets
+// WritePrometheus renders the set in the Prometheus text exposition as
+// three gauge families: for every member series
 //
 //	<name>{<labels>,window="current"|"previous"}  — window mean (NaN when
 //	                                                the window is empty)
@@ -406,10 +408,10 @@ func (ss *SeriesSet) Report(name string, alpha float64) SeriesReport {
 //	<name>_trend{<labels>,stat="delta"|"ewma"}    — trend numbers (NaN
 //	                                                when underived)
 //
-// Call it at scrape time: gauges are plain last-write-wins cells, so
-// exporting just before rendering keeps them honest about windows that
-// have since emptied or aged out.
-func (ss *SeriesSet) Export(reg *Registry, name, help, failName, failHelp string) {
+// The gauges live in a registry local to the call, so every scrape reads
+// the windows as they are now and no registry outlives it holding a copy.
+func (ss *SeriesSet) WritePrometheus(w io.Writer, name, help, failName, failHelp string) error {
+	reg := NewRegistry()
 	for _, e := range ss.entries() {
 		cur, okCur := e.s.Current()
 		prev, okPrev := e.s.Previous()
@@ -428,6 +430,7 @@ func (ss *SeriesSet) Export(reg *Registry, name, help, failName, failHelp string
 		}
 		reg.Gauge(name+"_trend", trendHelp, withLabel(e.labels, "stat", "ewma")).Set(ewma)
 	}
+	return reg.WritePrometheus(w)
 }
 
 // exportWindow sets the mean and failure gauges for one window position.

@@ -126,8 +126,8 @@ func TestSeriesRingEvictionAndBigJump(t *testing.T) {
 }
 
 // TestSeriesStaleWindowsAgeOut: windows older than the ring's span of now
-// drop out of every read — Snapshot, EWMA, Report and Export — even when no
-// write has advanced the ring past them.
+// drop out of every read — Snapshot, EWMA, Report and WritePrometheus —
+// even when no write has advanced the ring past them.
 func TestSeriesStaleWindowsAgeOut(t *testing.T) {
 	clk := newFakeClock()
 	ss := NewSeriesSet(time.Minute, 60)
@@ -147,9 +147,7 @@ func TestSeriesStaleWindowsAgeOut(t *testing.T) {
 	if len(rep.Series) != 1 || len(rep.Series[0].Windows) != 0 || rep.Series[0].EWMA != nil {
 		t.Errorf("report = %+v, want one series without windows or ewma", rep)
 	}
-	reg := NewRegistry()
-	ss.Export(reg, "dq_score", "score", "dq_check_failures", "failures")
-	if text := reg.PrometheusText(); !strings.Contains(text,
+	if text := scrapeSet(t, ss); !strings.Contains(text,
 		`dq_score_trend{characteristic="Completeness",context="reviewer",stat="ewma"} NaN`) {
 		t.Errorf("stale ewma not NaN:\n%s", text)
 	}
@@ -242,7 +240,7 @@ func TestSeriesSetReportJSON(t *testing.T) {
 	}
 }
 
-func TestSeriesSetExport(t *testing.T) {
+func TestSeriesSetWritePrometheus(t *testing.T) {
 	clk := newFakeClock()
 	ss := NewSeriesSet(time.Minute, 4)
 	ss.SetClock(clk.Now)
@@ -252,9 +250,7 @@ func TestSeriesSetExport(t *testing.T) {
 	clk.Advance(time.Minute)
 	ss.Series(labels).Observe(1)
 
-	reg := NewRegistry()
-	ss.Export(reg, "dq_score", "score", "dq_check_failures", "failures")
-	text := reg.PrometheusText()
+	text := scrapeSet(t, ss)
 
 	for _, want := range []string{
 		`dq_score{characteristic="Completeness",context="reviewer",window="current"} 1`,
@@ -272,14 +268,23 @@ func TestSeriesSetExport(t *testing.T) {
 	// After a silent advance the stale "current" must become NaN, not keep
 	// the last value.
 	clk.Advance(time.Minute)
-	ss.Export(reg, "dq_score", "score", "dq_check_failures", "failures")
-	text = reg.PrometheusText()
+	text = scrapeSet(t, ss)
 	if !strings.Contains(text, `dq_score{characteristic="Completeness",context="reviewer",window="current"} NaN`) {
 		t.Errorf("stale current window not NaN:\n%s", text)
 	}
 	if !strings.Contains(text, `dq_score{characteristic="Completeness",context="reviewer",window="previous"} 1`) {
 		t.Errorf("previous window should hold the last populated mean:\n%s", text)
 	}
+}
+
+// scrapeSet renders ss the way a /metrics handler does.
+func scrapeSet(t *testing.T, ss *SeriesSet) string {
+	t.Helper()
+	var b strings.Builder
+	if err := ss.WritePrometheus(&b, "dq_score", "score", "dq_check_failures", "failures"); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // TestSeriesConcurrentWriters hammers one set from many goroutines while a

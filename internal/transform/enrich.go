@@ -27,15 +27,13 @@ func EnrichWithDQ(rm *dqwebre.RequirementsModel, dims []iso25012.Characteristic)
 
 // EnrichWithDQContext is EnrichWithDQ under the context's active span: a
 // "transform.EnrichWithDQ" span records the number of InformationCases
-// added, and the process-wide registry counts enrichment runs.
+// added.
 func EnrichWithDQContext(ctx context.Context, rm *dqwebre.RequirementsModel, dims []iso25012.Characteristic) (int, error) {
 	_, span := obs.StartSpan(ctx, "transform.EnrichWithDQ")
 	added, err := enrichWithDQ(rm, dims)
 	span.SetAttr("added", added)
 	span.Fail(err)
 	span.End()
-	obs.Default().Counter("transform_runs_total", "model-to-model transformation runs",
-		obs.Labels{"transformation": "EnrichWithDQ"}).Inc()
 	return added, err
 }
 

@@ -135,8 +135,7 @@ func (tr *Transformation) Run(src *uml.Model, targetMeta *metamodel.Package, tar
 
 // RunContext is Run with observability: under an active span in ctx the
 // engine nests "transform.<name>" with one child span per phase (match,
-// bind, finalize) carrying match and trace-link counts, and the
-// process-wide registry counts runs and produced links per transformation.
+// bind, finalize) carrying match and trace-link counts.
 func (tr *Transformation) RunContext(ctx context.Context, src *uml.Model, targetMeta *metamodel.Package, targetName string) (*uml.Model, *Trace, error) {
 	ctx, span := obs.StartSpan(ctx, "transform."+tr.Name)
 	span.SetAttr("source", src.Name())
@@ -147,14 +146,6 @@ func (tr *Transformation) RunContext(ctx context.Context, src *uml.Model, target
 		span.SetAttr("links", len(t.Links))
 	}
 	span.End()
-
-	reg := obs.Default()
-	labels := obs.Labels{"transformation": tr.Name}
-	reg.Counter("transform_runs_total", "model-to-model transformation runs", labels).Inc()
-	if err == nil {
-		reg.Counter("transform_links_total", "trace links produced by transformations", labels).
-			Add(uint64(len(t.Links)))
-	}
 	return dst, t, err
 }
 

@@ -234,8 +234,7 @@ func (e *Engine) Run() *Report { return e.RunContext(context.Background()) }
 
 // RunContext is Run with observability: when the context carries an active
 // span the engine nests "validate.run" with per-pass child spans
-// (conformance, rules) and annotates job and worker counts; run and
-// finding totals are always counted on the process-wide metric registry.
+// (conformance, rules) and annotates job and worker counts.
 func (e *Engine) RunContext(ctx context.Context) *Report {
 	ctx, span := obs.StartSpan(ctx, "validate.run")
 	span.SetAttr("model", e.model.Name())
@@ -243,13 +242,6 @@ func (e *Engine) RunContext(ctx context.Context) *Report {
 	span.SetAttr("checked", rep.Checked)
 	span.SetAttr("findings", len(rep.Diagnostics))
 	span.End()
-
-	reg := obs.Default()
-	reg.Counter("validate_runs_total", "model validation runs", nil).Inc()
-	for _, d := range rep.Diagnostics {
-		reg.Counter("validate_findings_total", "validation diagnostics produced, by severity",
-			obs.Labels{"severity": d.Severity.String()}).Inc()
-	}
 	return rep
 }
 

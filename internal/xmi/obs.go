@@ -8,8 +8,7 @@ import (
 )
 
 // instrument wraps one serialization operation with a span (child of the
-// context's active span) and process-wide counters: operations and bytes
-// moved, labeled by op ("marshal"/"unmarshal") and format ("xml"/"json").
+// context's active span) recording its format and the bytes moved.
 func instrument(ctx context.Context, op, format string, fn func() (int, error)) error {
 	_, span := obs.StartSpan(ctx, "xmi."+op)
 	span.SetAttr("format", format)
@@ -17,14 +16,6 @@ func instrument(ctx context.Context, op, format string, fn func() (int, error)) 
 	span.SetAttr("bytes", n)
 	span.Fail(err)
 	span.End()
-
-	labels := obs.Labels{"op": op, "format": format}
-	reg := obs.Default()
-	reg.Counter("xmi_operations_total", "XMI serialization operations, by op and format", labels).Inc()
-	if err == nil {
-		reg.Counter("xmi_bytes_total", "bytes serialized or parsed by the XMI layer", labels).
-			Add(uint64(n))
-	}
 	return err
 }
 
