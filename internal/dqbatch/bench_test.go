@@ -109,24 +109,25 @@ func benchOCLValidator(b *testing.B) *dqruntime.Validator {
 }
 
 // benchVectorized drives an engine-less single-goroutine ValidateBatch
-// loop over pre-columnarized chunk views — the columnar mirror of
+// loop over 256-row batches columnarized up front — the columnar mirror of
 // BenchmarkBatchSequential's pre-decoded map loop.
 func benchVectorized(b *testing.B, v *dqruntime.Validator) {
-	batch := &dqruntime.ColumnBatch{}
-	batch.Columnarize(benchDataset())
-	batch.WarmOCLValues()
-	view := &dqruntime.ColumnBatch{}
+	recs := benchDataset()
+	var chunks []*dqruntime.ColumnBatch
+	for lo := 0; lo < benchRecords; lo += 256 {
+		c := &dqruntime.ColumnBatch{}
+		c.Columnarize(recs[lo:min(lo+256, benchRecords)])
+		chunks = append(chunks, c)
+	}
 	rep := &dqruntime.BatchReport{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < benchRecords; lo += 256 {
-			hi := min(lo+256, benchRecords)
-			batch.SliceInto(view, lo, hi)
-			v.ValidateBatch(view, rep)
+		for ci, c := range chunks {
+			v.ValidateBatch(c, rep)
 			for r := 0; r < rep.Rows(); r++ {
-				if rep.RowPassed(r) == ((lo+r)%10 == 0) {
-					b.Fatalf("record %d: passed = %v", lo+r, rep.RowPassed(r))
+				if rep.RowPassed(r) == ((ci*256+r)%10 == 0) {
+					b.Fatalf("record %d: passed = %v", ci*256+r, rep.RowPassed(r))
 				}
 			}
 		}
@@ -169,32 +170,6 @@ func BenchmarkBatchCompiledRows(b *testing.B) {
 // the columnar-vs-row speedup.
 func BenchmarkBatchVectorized(b *testing.B) {
 	benchVectorized(b, benchValidator(b))
-}
-
-// BenchmarkBatchVectorized8 runs the full engine on the vectorized path:
-// a pre-columnarized ColumnSource streaming zero-copy chunk views through
-// 8 workers, each scoring whole columns per chunk.
-func BenchmarkBatchVectorized8(b *testing.B) {
-	v := benchValidator(b)
-	src := NewColumnSource(benchDataset())
-	opts := Options{Workers: 8, Registry: obs.NewRegistry()}
-	var last *Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src.Rewind()
-		res, err := Run(context.Background(), v, src, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Records != benchRecords || res.Failed != benchRecords/10 {
-			b.Fatalf("result = %+v", res)
-		}
-		last = res
-	}
-	b.StopTimer()
-	reportThroughput(b, int64(b.N)*benchRecords)
-	b.ReportMetric(last.LatencyP50*1e9, "p50_ns")
-	b.ReportMetric(last.LatencyP99*1e9, "p99_ns")
 }
 
 func BenchmarkBatchParallel1(b *testing.B) { benchParallel(b, 1) }

@@ -1,8 +1,9 @@
 // Benchmarks for the zero-copy ingest path: decode-only mmap-vs-bufio,
-// end-to-end engine runs over a real file through both sources, and the
-// uniqueness key handling before/after the hashed-table rewrite.
-// scripts/bench.sh parses them into BENCH_batch.json speedup keys
-// (mmap_vs_bufio, file_mmap_vs_bufio, uniqueness_key_allocs_reduction).
+// end-to-end engine runs over a real file through both NDJSON sources and
+// the CSV source, and the uniqueness key handling before/after the
+// hashed-table rewrite. scripts/bench.sh parses them into BENCH_batch.json
+// speedup keys (mmap_vs_bufio, file_mmap_vs_bufio, file_csv_vs_mmap,
+// uniqueness_key_allocs_reduction).
 package dqbatch
 
 import (
@@ -47,18 +48,20 @@ func benchNDJSONDocOrder(recs []dqruntime.Record, rng *rand.Rand, extra ...strin
 	return b.Bytes()
 }
 
-// benchDecode drains NextBatch over the benchmark document — decoding
-// only, no validation — so the mmap/bufio pair isolates the ingest cost.
+// benchDecode drains the benchmark document on one goroutine through
+// nextSpanBatch — decoding only, no validation — so the mmap/bufio pair
+// isolates the ingest cost.
 func benchDecode(b *testing.B, mk func() Source) {
 	var batch dqruntime.ColumnBatch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := mk()
+		var buf []byte // a streaming source's span storage lives as long as the source
 		rows := 0
 		for {
 			batch.Reset()
-			n, err := src.NextBatch(&batch, 256, func(int64, error) {
+			n, err := nextSpanBatch(src, &buf, &batch, 256, func(int64, error) {
 				b.Fatal("malformed line in benchmark document")
 			})
 			rows += n
@@ -100,12 +103,31 @@ func BenchmarkDecodeMmapShuffled(b *testing.B) {
 	benchDecode(b, func() Source { return NewMmapNDJSONSource(doc) })
 }
 
-// benchFile runs the full engine over a real on-disk file through the
-// given opener — the end-to-end number the zero-copy work moves.
-func benchFile(b *testing.B, open func(path string) (Source, func() error, error)) {
+// benchCSVDoc serializes records as CSV under a header of the
+// case-study fields, in benchNDJSONDoc's order.
+func benchCSVDoc(recs []dqruntime.Record) []byte {
+	fields := []string{"first_name", "last_name", "email_address", "overall_evaluation", "reviewer_confidence"}
+	var b bytes.Buffer
+	b.WriteString(strings.Join(fields, ",") + "\n")
+	for _, r := range recs {
+		for i, f := range fields {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(r[f])
+		}
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// benchFile runs the full engine over doc written to a real on-disk file
+// named name, through the given opener — the end-to-end number the
+// zero-copy work moves.
+func benchFile(b *testing.B, name string, doc []byte, open func(path string) (Source, func() error, error)) {
 	v := benchValidator(b)
-	path := filepath.Join(b.TempDir(), "bench.ndjson")
-	if err := os.WriteFile(path, benchNDJSONDoc(benchDataset()), 0o644); err != nil {
+	path := filepath.Join(b.TempDir(), name)
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
 		b.Fatal(err)
 	}
 	opts := Options{Workers: 2, Registry: obs.NewRegistry()}
@@ -134,7 +156,7 @@ func benchFile(b *testing.B, open func(path string) (Source, func() error, error
 // BenchmarkBatchFileBufio reads the file through os.Open + the scanner
 // source: the pre-mmap ingest path.
 func BenchmarkBatchFileBufio(b *testing.B) {
-	benchFile(b, func(path string) (Source, func() error, error) {
+	benchFile(b, "bench.ndjson", benchNDJSONDoc(benchDataset()), func(path string) (Source, func() error, error) {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, nil, err
@@ -146,8 +168,18 @@ func BenchmarkBatchFileBufio(b *testing.B) {
 // BenchmarkBatchFileMmap reads the same file through OpenFileSource — the
 // mmap source plus the pipelined decode stage when the platform allows.
 func BenchmarkBatchFileMmap(b *testing.B) {
-	benchFile(b, func(path string) (Source, func() error, error) {
+	benchFile(b, "bench.ndjson", benchNDJSONDoc(benchDataset()), func(path string) (Source, func() error, error) {
 		return OpenFileSource(path, "ndjson")
+	})
+}
+
+// BenchmarkBatchFileCSV reads the same records as a CSV file through
+// OpenFileSource: the CSV cutter on the producer, csv.Reader per span in
+// the decode pool. Set next to BenchmarkBatchFileMmap, it prices CSV
+// ingest against NDJSON's.
+func BenchmarkBatchFileCSV(b *testing.B) {
+	benchFile(b, "bench.csv", benchCSVDoc(benchDataset()), func(path string) (Source, func() error, error) {
+		return OpenFileSource(path, "csv")
 	})
 }
 

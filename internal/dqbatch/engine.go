@@ -27,18 +27,17 @@ type Validating interface {
 type Options struct {
 	// Workers is the validation goroutine count; 0 means GOMAXPROCS.
 	Workers int
-	// ChunkSize is how many records (input lines, for NDJSON) travel per
-	// work item; chunking amortizes channel handoff to nothing per record.
-	// 0 means 256.
+	// ChunkSize is how many records (input lines for NDJSON, records and
+	// blank lines for CSV) travel per work item; chunking amortizes channel
+	// handoff to nothing per record. 0 means 256.
 	ChunkSize int
 	// MaxExemplars caps retained failures per characteristic; 0 means 3,
 	// negative means none.
 	MaxExemplars int
 	// DecodeWorkers sizes the decode pool between the producer and the
-	// eval workers. Span sources (NDJSON) only cut raw spans on the
-	// producer goroutine and this many goroutines decode them, so parsing
-	// overlaps evaluation; other sources decode on the producer and the
-	// pool just passes their chunks on. 1 decodes in input order on one
+	// eval workers. The producer goroutine only cuts raw spans of whole
+	// records, and this many goroutines decode them, so parsing overlaps
+	// evaluation for NDJSON and CSV alike. 1 decodes in input order on one
 	// goroutine — the sequential oracle. 0 or negative means GOMAXPROCS:
 	// decoding a record costs tens of times what evaluating it does, so
 	// the decode pool is what keeps every core busy, and a decoder left
@@ -115,12 +114,12 @@ type Result struct {
 }
 
 // colChunk is the unit of work every pipeline stage hands on: a recycled
-// column batch plus, for span sources, the raw span it decodes from. idx
-// is the producer's sequence number (the sequencer restores input order
-// from it), base the 1-based ordinal of the first row, and bads buffers
-// the chunk's malformed-line diagnostics until the sequencer replays them
-// in line order. buf is the chunk's own line storage for streaming span
-// sources, so raw bytes in flight are bounded by the free list too.
+// column batch plus the raw span it decodes from. idx is the producer's
+// sequence number (the sequencer restores input order from it), base the
+// 1-based ordinal of the first row, and bads buffers the chunk's
+// malformed-line diagnostics until the sequencer replays them in line
+// order. buf is the chunk's own span storage for streaming sources, so
+// raw bytes in flight are bounded by the free list too.
 type colChunk struct {
 	idx   int64
 	base  int64
@@ -143,7 +142,6 @@ func (c *colChunk) bad(line int64, err error) { c.bads = append(c.bads, lineErr{
 func (c *colChunk) reset(idx int64) {
 	c.idx = idx
 	c.batch.Reset()
-	c.span = Span{}
 	c.bads = c.bads[:0]
 }
 
@@ -158,41 +156,6 @@ func getColChunk() *colChunk {
 		return c
 	}
 	return &colChunk{}
-}
-
-// feed is how one source fills chunks: fill runs on the producer
-// goroutine and loads the next chunk in input order, decode runs in the
-// decode pool and finishes it (a no-op unless the source cut a raw span).
-type feed struct {
-	fill   func(c *colChunk) error
-	decode func(c *colChunk)
-}
-
-// feedFor picks src's fill: span sources cut a span into the chunk, and
-// the decode pool decodes it; other sources (CSV, ColumnSource) decode
-// straight into the chunk's batch on the producer. fill returns io.EOF at
-// end of input; a chunk filled alongside any error is still complete.
-func feedFor(src Source, chunkSize int) feed {
-	if s, ok := src.(SpanSource); ok {
-		return feed{
-			fill: func(c *colChunk) (err error) {
-				c.span, err = s.CutSpan(&c.buf, chunkSize)
-				return err
-			},
-			decode: func(c *colChunk) {
-				if len(c.span.Data) > 0 {
-					s.DecodeSpan(c.span, &c.batch, c.bad)
-				}
-			},
-		}
-	}
-	return feed{
-		fill: func(c *colChunk) error {
-			_, err := src.NextBatch(&c.batch, chunkSize, c.bad)
-			return err
-		},
-		decode: func(*colChunk) {},
-	}
 }
 
 // defaultChunkSize is Options.ChunkSize's default.
@@ -224,21 +187,21 @@ func capOr(n, def int) int {
 }
 
 // Run streams records from src through one pipeline, validating each with
-// v and merging per-characteristic statistics. A producer goroutine fills
-// recycled chunks in input order (cutting raw spans for span sources), a
-// decode pool of Options.DecodeWorkers decodes them, a sequencer restores
-// input order — assigning record ordinals and replaying malformed-line
-// diagnostics — and a pool of eval workers scores each chunk as columns
-// with one ValidateBatch call. Reports are byte-identical across sources
-// and decode pool sizes, and across worker counts with one exception
-// until score sums are exact: at more than one worker, a mean_score whose
-// scores are not dyadic fractions can differ in its last bits, because
-// the order in which shards add scores follows scheduling. Run honors
-// ctx: on cancellation the producer stops, the chunks already in flight
-// finish, and the partial Result — every record read so far — comes back
-// with ctx's error. Every stage has exited before Run returns, so the
-// caller may release the source (unmap a file) at once. Memory is bounded
-// by the chunk free list, never by input size.
+// v and merging per-characteristic statistics. A producer goroutine cuts
+// src into raw spans of whole records, one per recycled chunk, in input
+// order; a decode pool of Options.DecodeWorkers decodes them; a sequencer
+// restores input order — assigning record ordinals and replaying
+// malformed-line diagnostics — and a pool of eval workers scores each
+// chunk as columns with one ValidateBatch call. Reports are
+// byte-identical across sources and decode pool sizes, and across worker
+// counts with one exception until score sums are exact: at more than one
+// worker, a mean_score whose scores are not dyadic fractions can differ
+// in its last bits, because the order in which shards add scores follows
+// scheduling. Run honors ctx: on cancellation the producer stops, the
+// chunks already in flight finish, and the partial Result — every record
+// read so far — comes back with ctx's error. Every stage has exited
+// before Run returns, so the caller may release the source (unmap a file)
+// at once. Memory is bounded by the chunk free list, never by input size.
 func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, error) {
 	workers := positiveOr(opts.Workers, runtime.GOMAXPROCS(0))
 	decoders := positiveOr(opts.DecodeWorkers, runtime.GOMAXPROCS(0))
@@ -254,8 +217,6 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 	failC := reg.Counter("dqbatch_records_total", recordsHelp, obs.Labels{"outcome": "fail"})
 	errC := reg.Counter("dqbatch_records_total", recordsHelp, obs.Labels{"outcome": "error"})
 	batchH := reg.Histogram("dqbatch_batch_seconds", "Wall-clock batch validation duration", batchBuckets, nil)
-
-	in := feedFor(src, chunkSize)
 
 	_, span := obs.StartSpan(ctx, "dqbatch.run")
 	start := time.Now()
@@ -310,7 +271,8 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 				return
 			}
 			c.reset(idx)
-			err := in.fill(c)
+			var err error
+			c.span, err = src.CutSpan(&c.buf, chunkSize)
 			todo <- c
 			if err != nil {
 				if err != io.EOF {
@@ -327,7 +289,9 @@ func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, 
 		spawn(func() {
 			defer decoding.Done()
 			for c := range todo {
-				in.decode(c)
+				if len(c.span.Data) > 0 {
+					src.DecodeSpan(c.span, &c.batch, c.bad)
+				}
 				decoded <- c
 			}
 		})

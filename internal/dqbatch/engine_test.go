@@ -2,6 +2,7 @@ package dqbatch_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -48,7 +49,22 @@ func badRecord() dqruntime.Record {
 	return r
 }
 
-func TestRunOverColumnSource(t *testing.T) {
+// recordSource serves records to the engine as an in-memory NDJSON
+// document, one JSON object per record.
+func recordSource(t testing.TB, recs []dqruntime.Record) Source {
+	t.Helper()
+	var doc []byte
+	for _, r := range recs {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc = append(append(doc, line...), '\n')
+	}
+	return NewMmapNDJSONSource(doc)
+}
+
+func TestRunOverRecords(t *testing.T) {
 	v := buildValidator(t)
 	var recs []dqruntime.Record
 	for i := 0; i < 1000; i++ {
@@ -59,7 +75,7 @@ func TestRunOverColumnSource(t *testing.T) {
 		}
 	}
 	reg := obs.NewRegistry()
-	res, err := Run(context.Background(), v, NewColumnSource(recs), Options{
+	res, err := Run(context.Background(), v, recordSource(t, recs), Options{
 		Workers: 4, ChunkSize: 32, MaxExemplars: 2, Registry: reg,
 	})
 	if err != nil {
@@ -202,7 +218,7 @@ func TestRunEmptyInput(t *testing.T) {
 func TestResultWriteTextAndJSONShape(t *testing.T) {
 	v := buildValidator(t)
 	res, err := Run(context.Background(), v,
-		NewColumnSource([]dqruntime.Record{goodRecord(), badRecord()}),
+		recordSource(t, []dqruntime.Record{goodRecord(), badRecord()}),
 		Options{Workers: 1, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)

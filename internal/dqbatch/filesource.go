@@ -78,19 +78,14 @@ func (s *MmapNDJSONSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad f
 	return decodeNDJSONSpan(sp, dst, bad)
 }
 
-// NextBatch decodes the next span of up to max lines into dst.
-func (s *MmapNDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	return nextSpanBatch(s, nil, dst, max, bad)
-}
-
 // OpenFileSource opens path and returns the fastest Source this platform
 // offers for it, plus a closer releasing the file and any mapping. Regular
 // non-empty files are memory-mapped when the platform allows: NDJSON gets
-// the zero-copy MmapNDJSONSource, CSV a csv.Reader over the mapping
-// (quoted newlines rule out raw line splitting, but the read side still
+// the zero-copy MmapNDJSONSource, CSV a CSVSource reading the mapping
+// through a bytes.Reader (its cutter copies each span, but the read side
 // skips the file-read copies). Pipes, devices, empty files and platforms
-// without mmap fall back to the portable bufio sources, which feed the
-// same pipeline and decoder — only the copy into span buffers differs.
+// without mmap fall back to the portable bufio sources. Every source it
+// returns cuts spans on Run's producer and decodes them in the pool.
 // format is "csv" or "ndjson"; "" selects CSV for a .csv extension and
 // NDJSON otherwise, matching the CLI.
 func OpenFileSource(path, format string) (Source, func() error, error) {

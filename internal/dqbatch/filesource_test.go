@@ -266,12 +266,14 @@ func FuzzSpanReport(f *testing.F) {
 }
 
 // FuzzCSVReport holds CSV ingest to one report on any bytes: the same
-// document read one byte per Read (stdin through a pipe) and from one
-// in-memory reader (OpenFileSource's reader over a mapping) must render
-// byte-identical JSON and text reports — decode-error lines and exemplar
-// ordinals included — and stop with the same error text, at any chunk
-// size from 1 to 64 and any worker count from 1 to 8. parityValidator
-// scores only 0, ½ and 1, whose sums are exact in any order.
+// document read one byte per Read (stdin through a pipe) and decoded in
+// input order (DecodeWorkers 1, the sequential oracle), and read from one
+// in-memory reader (OpenFileSource's reader over a mapping) and decoded
+// in a pool of three, must render byte-identical JSON and text reports —
+// decode-error lines and exemplar ordinals included — and stop with the
+// same error text, at any chunk size from 1 to 64 and any worker count
+// from 1 to 8. parityValidator scores only 0, ½ and 1, whose sums are
+// exact in any order.
 func FuzzCSVReport(f *testing.F) {
 	for i, doc := range []string{
 		parityCSV(),
@@ -285,7 +287,8 @@ func FuzzCSVReport(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte, chunk, workers uint8) {
 		opts := Options{Workers: 1 + int(workers%8), ChunkSize: 1 + int(chunk%64),
 			CrossRecord: []dqruntime.StatefulCheck{UniquenessCheckForTest()}}
-		run := func(r io.Reader) (*Result, string) {
+		run := func(r io.Reader, decoders int) (*Result, string) {
+			opts.DecodeWorkers = decoders
 			opts.Registry = obs.NewRegistry()
 			res, err := Run(context.Background(), v, NewCSVSource(r), opts)
 			normalize(res)
@@ -294,8 +297,8 @@ func FuzzCSVReport(f *testing.F) {
 			}
 			return res, ""
 		}
-		want, wantErr := run(iotest.OneByteReader(bytes.NewReader(doc)))
-		got, gotErr := run(bytes.NewReader(doc))
+		want, wantErr := run(iotest.OneByteReader(bytes.NewReader(doc)), 1)
+		got, gotErr := run(bytes.NewReader(doc), 3)
 		if wantErr != gotErr {
 			t.Fatalf("terminal errors diverged: one-byte %q, whole %q", wantErr, gotErr)
 		}
@@ -304,9 +307,9 @@ func FuzzCSVReport(f *testing.F) {
 }
 
 // TestMmapSourceRowPath drains both sources one line at a time through
-// NextBatch and compares record for record, diagnostic for diagnostic and
-// byte offset for byte offset — CRLF lines included, since both offsets
-// are exact.
+// NextBatchForTest and compares record for record, diagnostic for
+// diagnostic and byte offset for byte offset — CRLF lines included, since
+// both offsets are exact.
 func TestMmapSourceRowPath(t *testing.T) {
 	doc := trickyNDJSON()
 	bufio := NewNDJSONSource(strings.NewReader(doc))
@@ -318,7 +321,7 @@ func TestMmapSourceRowPath(t *testing.T) {
 	}
 	next := func(src Source) (r read) {
 		var batch dqruntime.ColumnBatch
-		n, err := src.NextBatch(&batch, 1, func(line int64, err error) {
+		n, err := NextBatchForTest(src, &batch, 1, func(line int64, err error) {
 			r.bads = append(r.bads, fmt.Sprintf("line %d: %v", line, err))
 		})
 		if n > 0 {
@@ -346,17 +349,17 @@ func TestMmapSourceRowPath(t *testing.T) {
 
 // TestMmapTooLongLine pins the bounded-memory contract on the zero-copy
 // path: a line over maxLineBytes is a hard error naming the right line,
-// on NextBatch and NextSpan alike.
+// on a one-goroutine read and on NextSpan alike.
 func TestMmapTooLongLine(t *testing.T) {
 	doc := "{\"a\": \"ok\"}\n{\"a\": \"" + strings.Repeat("x", maxLineBytes) + "\"}\n"
 	src := NewMmapNDJSONSource([]byte(doc))
 	var batch dqruntime.ColumnBatch
-	n, err := src.NextBatch(&batch, 16, func(int64, error) {})
+	n, err := NextBatchForTest(src, &batch, 16, func(int64, error) {})
 	if n != 1 || err != nil {
-		t.Fatalf("NextBatch before oversized line: n=%d err=%v", n, err)
+		t.Fatalf("NextBatchForTest before oversized line: n=%d err=%v", n, err)
 	}
 	batch.Reset()
-	_, err = src.NextBatch(&batch, 16, func(int64, error) {})
+	_, err = NextBatchForTest(src, &batch, 16, func(int64, error) {})
 	if err == nil || !strings.Contains(err.Error(), "token too long") {
 		t.Fatalf("oversized line error = %v, want token too long", err)
 	}
@@ -374,10 +377,18 @@ func TestMmapTooLongLine(t *testing.T) {
 	}
 }
 
-// firstRecord reads src's first record through NextBatch.
+// NextBatchForTest decodes src's next span of up to max records into dst
+// on the caller's goroutine, through the nextSpanBatch loop BuildKeySet
+// reads with: the tests drain any Source with it.
+func NextBatchForTest(src Source, dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
+	var buf []byte
+	return nextSpanBatch(src, &buf, dst, max, bad)
+}
+
+// firstRecord reads src's first record through NextBatchForTest.
 func firstRecord(src Source) (dqruntime.Record, error) {
 	var batch dqruntime.ColumnBatch
-	if _, err := src.NextBatch(&batch, 1, func(int64, error) {}); err != nil {
+	if _, err := NextBatchForTest(src, &batch, 1, func(int64, error) {}); err != nil {
 		return nil, err
 	}
 	return batch.RowView(0, dqruntime.Record{}), nil
@@ -404,7 +415,7 @@ func TestOpenFileSourceRouting(t *testing.T) {
 	}
 	rec, err := firstRecord(src)
 	if err != nil || rec["a"] != "1" {
-		t.Fatalf("mmap-backed NextBatch: %v, %v", rec, err)
+		t.Fatalf("mmap-backed read: %v, %v", rec, err)
 	}
 
 	// Extension picks CSV; the mapped bytes feed the CSV decoder.
@@ -422,7 +433,7 @@ func TestOpenFileSourceRouting(t *testing.T) {
 	}
 	rec, err = firstRecord(csvSrc)
 	if err != nil || rec["a"] != "1" || rec["b"] != "2" {
-		t.Fatalf("CSV NextBatch: %v, %v", rec, err)
+		t.Fatalf("CSV read: %v, %v", rec, err)
 	}
 
 	// Zero-length input cannot be mapped and must fall back.
@@ -439,7 +450,7 @@ func TestOpenFileSourceRouting(t *testing.T) {
 		t.Fatalf("empty file routed to %T, want *NDJSONSource fallback", emptySrc)
 	}
 	if _, err := firstRecord(emptySrc); err != io.EOF {
-		t.Fatalf("empty file NextBatch = %v, want io.EOF", err)
+		t.Fatalf("empty file read = %v, want io.EOF", err)
 	}
 
 	if _, _, err := OpenFileSource(filepath.Join(dir, "missing.ndjson"), ""); err == nil {
@@ -468,26 +479,22 @@ func TestFileSourcePipeFallsBack(t *testing.T) {
 	}
 	rec, err := firstRecord(src)
 	if err != nil || rec["a"] != "piped" {
-		t.Fatalf("pipe NextBatch: %v, %v", rec, err)
+		t.Fatalf("pipe read: %v, %v", rec, err)
 	}
 }
 
-// TestCountSourcePreservesSpans pins that the progress wrapper keeps a
-// SpanSource's span path and still counts decoded records.
+// TestCountSourcePreservesSpans pins that the progress wrapper passes
+// spans through and still counts decoded records.
 func TestCountSourcePreservesSpans(t *testing.T) {
 	doc := `{"a": "1"}` + "\n" + `{"a": "2"}` + "\n"
 	var p Progress
 	src := CountSource(NewMmapNDJSONSource([]byte(doc)), &p)
-	ssrc, ok := src.(SpanSource)
-	if !ok {
-		t.Fatalf("CountSource dropped SpanSource: %T", src)
-	}
-	sp, err := ssrc.CutSpan(nil, 16)
+	sp, err := src.CutSpan(nil, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var batch dqruntime.ColumnBatch
-	if n := ssrc.DecodeSpan(sp, &batch, func(int64, error) {}); n != 2 {
+	if n := src.DecodeSpan(sp, &batch, func(int64, error) {}); n != 2 {
 		t.Fatalf("DecodeSpan n = %d, want 2", n)
 	}
 	if p.Records() != 2 {
@@ -499,7 +506,7 @@ func TestCountSourcePreservesSpans(t *testing.T) {
 }
 
 // TestSpanCoverage pins span arithmetic: spans tile the input exactly,
-// first lines are correct, and decode agrees with NextBatch.
+// first lines are correct, and decode agrees with NextBatchForTest.
 func TestSpanCoverage(t *testing.T) {
 	doc := trickyNDJSON()
 	src := NewMmapNDJSONSource([]byte(doc))
@@ -533,7 +540,7 @@ func TestSpanCoverage(t *testing.T) {
 	var n int
 	for {
 		var batch dqruntime.ColumnBatch
-		got, err := other.NextBatch(&batch, 64, func(int64, error) {})
+		got, err := NextBatchForTest(other, &batch, 64, func(int64, error) {})
 		n += got
 		if err == io.EOF {
 			break
@@ -543,6 +550,6 @@ func TestSpanCoverage(t *testing.T) {
 		}
 	}
 	if total != n {
-		t.Fatalf("span decode produced %d rows, NextBatch %d", total, n)
+		t.Fatalf("span decode produced %d rows, NextBatchForTest %d", total, n)
 	}
 }

@@ -39,16 +39,15 @@ func (p *Progress) Restore(records, bytes int64) {
 	p.bytes.Store(bytes)
 }
 
-// CountSource wraps src so every delivered record (and the source's byte
-// offset, when available) is published through p. Wrapping a SpanSource
-// yields a SpanSource, so the engine still cuts spans on its producer and
-// decodes them in its pool.
+// CountSource wraps src so every decoded record (and the source's byte
+// offset, when available) is published through p. The byte offset is
+// published from the producer side (CutSpan advances the cursor, so
+// progress runs slightly ahead of decoded records), while record counts
+// are added from the concurrent decode pool — Progress's counters are
+// atomic, so any goroutine may write.
 func CountSource(src Source, p *Progress) Source {
 	cs := &countingSource{src: src, p: p}
 	cs.off, _ = src.(Offsetter)
-	if ssrc, ok := src.(SpanSource); ok {
-		return &countingSpanSource{countingSource: cs, ssrc: ssrc}
-	}
 	return cs
 }
 
@@ -58,39 +57,18 @@ type countingSource struct {
 	p   *Progress
 }
 
-func (c *countingSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	n, err := c.src.NextBatch(dst, max, bad)
-	if n > 0 {
-		c.p.records.Add(int64(n))
-	}
+func (c *countingSource) CutSpan(buf *[]byte, maxLines int) (Span, error) {
+	sp, err := c.src.CutSpan(buf, maxLines)
 	// Publish the offset even past malformed records: the source consumed
 	// them, so the position may move past them.
-	if c.off != nil {
-		c.p.bytes.Store(c.off.ByteOffset())
-	}
-	return n, err
-}
-
-// countingSpanSource keeps a SpanSource's span path: the byte offset is
-// published from the producer side (CutSpan advances the cursor, so
-// progress runs slightly ahead of decoded records), while record counts
-// are added from the concurrent decode pool — Progress's counters are
-// atomic, so any goroutine may write.
-type countingSpanSource struct {
-	*countingSource
-	ssrc SpanSource
-}
-
-func (c *countingSpanSource) CutSpan(buf *[]byte, maxLines int) (Span, error) {
-	sp, err := c.ssrc.CutSpan(buf, maxLines)
 	if c.off != nil {
 		c.p.bytes.Store(c.off.ByteOffset())
 	}
 	return sp, err
 }
 
-func (c *countingSpanSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
-	n := c.ssrc.DecodeSpan(sp, dst, bad)
+func (c *countingSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
+	n := c.src.DecodeSpan(sp, dst, bad)
 	if n > 0 {
 		c.p.records.Add(int64(n))
 	}

@@ -37,7 +37,7 @@ func TestNDJSONByteOffsetTracksConsumedLines(t *testing.T) {
 	}
 }
 
-// failOnBad is a NextBatch bad callback for inputs with no malformed
+// failOnBad is a bad callback for inputs with no malformed
 // records.
 func failOnBad(t *testing.T) func(int64, error) {
 	return func(line int64, err error) { t.Fatalf("line %d malformed: %v", line, err) }
@@ -68,13 +68,13 @@ func TestCSVByteOffsetIsExact(t *testing.T) {
 	input := "a,b\n1,2\n3,4\n"
 	src := NewCSVSource(strings.NewReader(input))
 	var batch dqruntime.ColumnBatch
-	if _, err := src.NextBatch(&batch, 1, failOnBad(t)); err != nil {
+	if _, err := NextBatchForTest(src, &batch, 1, failOnBad(t)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := src.ByteOffset(), int64(8); got != want {
 		t.Fatalf("offset after first data row = %d, want %d", got, want)
 	}
-	if _, err := src.NextBatch(&batch, 1, failOnBad(t)); err != nil {
+	if _, err := NextBatchForTest(src, &batch, 1, failOnBad(t)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := src.ByteOffset(), int64(len(input)); got != want {
@@ -84,8 +84,7 @@ func TestCSVByteOffsetIsExact(t *testing.T) {
 
 // TestCountSourcePublishesProgress drives a real batch through a counted
 // NDJSON source and checks the progress's final position matches the
-// input, with the row oracle and the stock validator (CountSource must
-// preserve the SpanSource capability).
+// input, with the row oracle and the stock validator.
 func TestCountSourcePublishesProgress(t *testing.T) {
 	v := buildValidator(t)
 	var b strings.Builder
@@ -97,9 +96,6 @@ func TestCountSourcePublishesProgress(t *testing.T) {
 	for _, rows := range []bool{true, false} {
 		var p Progress
 		src := CountSource(NewNDJSONSource(strings.NewReader(input)), &p)
-		if _, isSpan := src.(SpanSource); !isSpan {
-			t.Fatal("CountSource dropped the SpanSource capability")
-		}
 		val := v
 		if rows {
 			val = RowOracleForTest(v)
@@ -121,7 +117,7 @@ func TestCountSourcePublishesProgress(t *testing.T) {
 func TestRenderReportMatchesLegacyRendering(t *testing.T) {
 	v := buildValidator(t)
 	res, err := Run(context.Background(), v,
-		NewColumnSource([]dqruntime.Record{goodRecord(), badRecord()}),
+		recordSource(t, []dqruntime.Record{goodRecord(), badRecord()}),
 		Options{Workers: 1, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func TestRunAttributesQualitySeries(t *testing.T) {
 		}
 	}
 	quality := obs.NewSeriesSet(time.Minute, 4)
-	res, err := Run(context.Background(), v, NewColumnSource(recs), Options{
+	res, err := Run(context.Background(), v, recordSource(t, recs), Options{
 		Workers: 4, ChunkSize: 16, Quality: quality, Context: "nightly", Registry: obs.NewRegistry(),
 	})
 	if err != nil {
@@ -75,7 +75,7 @@ func TestRunAttributesQualitySeries(t *testing.T) {
 	}
 
 	// A second run in the same window accumulates rather than replaces.
-	if _, err := Run(context.Background(), v, NewColumnSource(recs[:100]), Options{
+	if _, err := Run(context.Background(), v, recordSource(t, recs[:100]), Options{
 		Workers: 2, Quality: quality, Context: "nightly", Registry: obs.NewRegistry(),
 	}); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestRunAttributesQualitySeries(t *testing.T) {
 func TestRunQualityContextDefaults(t *testing.T) {
 	v := buildValidator(t)
 	quality := obs.NewSeriesSet(time.Minute, 4)
-	if _, err := Run(context.Background(), v, NewColumnSource([]dqruntime.Record{goodRecord()}), Options{
+	if _, err := Run(context.Background(), v, recordSource(t, []dqruntime.Record{goodRecord()}), Options{
 		Quality: quality, Registry: obs.NewRegistry(),
 	}); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestRunQualityContextDefaults(t *testing.T) {
 func TestRunWithoutQualityUnchanged(t *testing.T) {
 	v := buildValidator(t)
 	recs := []dqruntime.Record{goodRecord(), badRecord()}
-	res, err := Run(context.Background(), v, NewColumnSource(recs), Options{Registry: obs.NewRegistry()})
+	res, err := Run(context.Background(), v, recordSource(t, recs), Options{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

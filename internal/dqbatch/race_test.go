@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,27 +23,44 @@ import (
 )
 
 // generatorSource produces synthetic records forever (or until limit),
-// counting how many it has emitted. It never blocks, so the engine's
-// cancellation path is what stops the stream.
+// counting how many it has emitted. Each record is one line holding its
+// overall_evaluation, which DecodeSpan expands to the case-study fields.
+// It never blocks, so the engine's cancellation path is what stops the
+// stream.
 type generatorSource struct {
 	emitted atomic.Int64
 	limit   int64 // <= 0 means unbounded
 }
 
-func (g *generatorSource) NextBatch(dst *dqruntime.ColumnBatch, max int, _ func(int64, error)) (int, error) {
-	for i := 0; i < max; i++ {
+func (g *generatorSource) CutSpan(buf *[]byte, maxLines int) (Span, error) {
+	b := (*buf)[:0]
+	first := g.emitted.Load() + 1
+	for i := 0; i < maxLines; i++ {
 		n := g.emitted.Add(1)
 		if g.limit > 0 && n > g.limit {
-			return i, io.EOF
+			break
 		}
+		b = strconv.AppendInt(b, n%9-4, 10) // -4..4: some out of [-3,3]
+		b = append(b, '\n')
+	}
+	*buf = b
+	if len(b) == 0 {
+		return Span{}, io.EOF
+	}
+	return Span{Data: b, FirstLine: first}, nil
+}
+
+func (g *generatorSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, _ func(int64, error)) int {
+	lines := strings.Split(strings.TrimSuffix(string(sp.Data), "\n"), "\n")
+	for _, eval := range lines {
 		dst.SetField("first_name", "A")
 		dst.SetField("last_name", "B")
 		dst.SetField("email_address", "a@b.co")
-		dst.SetField("overall_evaluation", fmt.Sprintf("%d", n%9-4)) // -4..4: some out of [-3,3]
+		dst.SetField("overall_evaluation", eval)
 		dst.SetField("reviewer_confidence", "3")
 		dst.EndRow()
 	}
-	return max, nil
+	return len(lines)
 }
 
 func TestRunManyWorkersAggregatesExactly(t *testing.T) {
@@ -181,29 +199,22 @@ func TestRunDecodePoolNoDeadlock(t *testing.T) {
 	}
 }
 
-// slowSpanSource cuts an endless stream of one-record spans; decoding the
+// slowDecodeSource cuts an endless stream of one-record spans; decoding the
 // sixth sleeps, long enough that a Run returning without joining its
 // decode pool leaves that decode running (the use-after-munmap shape: the
 // caller unmaps the file as soon as Run returns).
-type slowSpanSource struct {
+type slowDecodeSource struct {
 	line     int64
 	inflight atomic.Int32
 	sleeping chan struct{}
 }
 
-func (s *slowSpanSource) NextBatch(*dqruntime.ColumnBatch, int, func(int64, error)) (int, error) {
-	return 0, io.EOF
-}
-
-func (s *slowSpanSource) CutSpan(*[]byte, int) (Span, error) {
+func (s *slowDecodeSource) CutSpan(*[]byte, int) (Span, error) {
 	s.line++
 	return Span{Data: []byte("{}\n"), FirstLine: s.line}, nil
 }
 
-// NextSpan is CutSpan for callers that hold no span storage.
-func (s *slowSpanSource) NextSpan(n int) (Span, error) { return s.CutSpan(nil, n) }
-
-func (s *slowSpanSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, _ func(int64, error)) int {
+func (s *slowDecodeSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, _ func(int64, error)) int {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	if sp.FirstLine == 6 {
@@ -227,7 +238,7 @@ func (v slowBatchValidator) ValidateBatch(b *dqruntime.ColumnBatch, rep *dqrunti
 // and requires Run to have waited for it: no decode may be in flight once
 // Run returns.
 func TestRunJoinsDecodePoolOnCancel(t *testing.T) {
-	src := &slowSpanSource{sleeping: make(chan struct{})}
+	src := &slowDecodeSource{sleeping: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		<-src.sleeping

@@ -18,15 +18,23 @@ import (
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 )
 
-// Source delivers records in columnar form: NextBatch decodes up to max
-// records directly into dst (which the engine Resets beforehand),
-// classifying every cell once instead of building one map per record.
-// Malformed records are reported through bad, with the 1-based input line
-// where they start, and skipped. NextBatch returns the number of rows
-// decoded; io.EOF (possibly alongside a final partial count) ends the
-// stream, and any other error aborts the batch.
+// Source is the one input contract of Run and BuildKeySet: a source
+// cuts its input into raw spans of whole records cheaply, on one
+// goroutine, and decodes each span independently. Run calls CutSpan on
+// its single producer goroutine and DecodeSpan from its decode pool, so
+// DecodeSpan must not touch state that CutSpan is still writing.
 type Source interface {
-	NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error)
+	// CutSpan consumes up to maxLines whole records as one span; io.EOF
+	// ends the stream and any other error aborts the batch. A span never
+	// comes back empty alongside a nil error. A source that reads a stream
+	// copies the records into *buf (reusing its capacity), so the caller
+	// owns the span's bytes; a source over a read-only mapping returns a
+	// slice of it and leaves buf alone.
+	CutSpan(buf *[]byte, maxLines int) (Span, error)
+	// DecodeSpan decodes one span into dst, reporting malformed records
+	// through bad, with the 1-based input line where they start, in line
+	// order, and returns the rows appended.
+	DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int
 }
 
 // Span is a run of whole input lines ready for decoding. Data covers the
@@ -36,23 +44,6 @@ type Source interface {
 type Span struct {
 	Data      []byte
 	FirstLine int64
-}
-
-// SpanSource is a Source whose input is cut into raw spans cheaply and
-// decoded out of order. The engine calls CutSpan on its single producer
-// goroutine and DecodeSpan from its decode pool, so DecodeSpan must touch
-// no source state; NextBatch serves callers that read on one goroutine.
-type SpanSource interface {
-	Source
-	// CutSpan consumes up to maxLines whole lines as one span; io.EOF ends
-	// the stream and any other error aborts the batch. A source that reads
-	// a stream copies the lines into *buf (reusing its capacity), so the
-	// caller owns the span's bytes; a source over a read-only mapping
-	// returns a slice of it and leaves buf alone.
-	CutSpan(buf *[]byte, maxLines int) (Span, error)
-	// DecodeSpan decodes one span into dst, reporting malformed lines
-	// through bad in line order, and returns the rows appended.
-	DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int
 }
 
 // maxLineBytes bounds one NDJSON line, terminator excluded; lines beyond
@@ -133,16 +124,17 @@ func (s *NDJSONSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(
 	return decodeNDJSONSpan(sp, dst, bad)
 }
 
-// NextBatch decodes the next span of up to max lines into dst.
+// NextBatch decodes the next span of up to max lines into dst, on the
+// caller's goroutine.
 func (s *NDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
 	return nextSpanBatch(s, &s.buf, dst, max, bad)
 }
 
-// nextSpanBatch serves a span source's NextBatch through its own CutSpan
-// and DecodeSpan, so both read paths share one cutter and one decoder. It
-// decodes spans of up to max lines into dst until one yields a row, so
-// (0, nil) never comes back.
-func nextSpanBatch(s SpanSource, buf *[]byte, dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
+// nextSpanBatch reads s on one goroutine through its own CutSpan and
+// DecodeSpan, so it shares Run's cutter and decoder: NDJSONSource.NextBatch
+// and BuildKeySet read through it. It decodes spans of up to max records
+// into dst until one yields a row, so (0, nil) never comes back.
+func nextSpanBatch(s Source, buf *[]byte, dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
 	for {
 		sp, err := s.CutSpan(buf, max)
 		if err != nil {
@@ -182,99 +174,217 @@ func trimSpaceBytes(b []byte) []byte {
 
 func asciiSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
-// CSVSource streams CSV rows, taking field names from the header row.
-// It reuses the csv.Reader's record storage, so memory stays bounded by
-// one row.
+// CSVSource reads CSV records by encoding/csv's rules, taking field names
+// from the header, the first record that parses. CutSpan finds record
+// boundaries with a byte scan on the producer, so a quoted field may span
+// lines; DecodeSpan parses each span with its own csv.Reader in the decode
+// pool. A leading UTF-8 byte order mark, as spreadsheet exports write,
+// is dropped before the header.
 type CSVSource struct {
-	r      *csv.Reader
-	header []string
-	// line is the 1-based file line where the most recent record starts —
-	// a true file line from csv.Reader.FieldPos, not a record count, so
-	// quoted multi-line fields don't skew later diagnostics.
-	line int64
-	// dupHeader and scratch support NextBatch when header names repeat
-	// (map semantics: last value per name wins).
-	dupHeader bool
-	scratch   dqruntime.Record
+	r *bufio.Reader
+	// line and offset count the lines and bytes of the whole records cut
+	// so far (offset includes a dropped byte order mark); err is the first
+	// read error, or io.EOF, surfaced once the records before it are out.
+	line, offset int64
+	err          error
+	// hdr is set once, by CutSpan. DecodeSpan reads it only for a record
+	// that parses, and a span cut before the header holds none, so no
+	// decoder reads hdr while the producer writes it.
+	hdr *csvHeader
 }
 
-// NewCSVSource wraps a reader of CSV records whose first row names the
-// fields.
+// csvHeader is the header resolved once: names are the distinct field
+// names in order of first appearance, and index[i] is the field names[i]
+// takes its value from — the last of that name, as in a record map.
+type csvHeader struct {
+	fields int
+	names  [][]byte
+	index  []int
+}
+
+// NewCSVSource wraps a reader of CSV records under a header row.
 func NewCSVSource(r io.Reader) *CSVSource {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	cr.FieldsPerRecord = -1 // field-count mismatches are per-record errors
-	return &CSVSource{r: cr}
+	return &CSVSource{r: bufio.NewReaderSize(r, 64*1024)}
 }
 
-// ByteOffset returns the input bytes consumed through the most recently
-// read record (csv.Reader.InputOffset, so quoting and CRLF are exact). Not
-// safe for concurrent use with NextBatch; a Progress wrapper (CountSource)
-// publishes it across goroutines.
-func (s *CSVSource) ByteOffset() int64 { return s.r.InputOffset() }
+// newCSVReader reads records out of data whatever their field count.
+func newCSVReader(data []byte) *csv.Reader {
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.ReuseRecord = true
+	cr.FieldsPerRecord = -1
+	return cr
+}
 
-// NextBatch decodes up to max CSV data rows into dst. Rows with the wrong
-// field count and unparsable rows are reported through bad, with the file
-// line where they start, and skipped.
-func (s *CSVSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	n := 0
-	for n < max {
-		row, err := s.r.Read()
-		if err == io.EOF {
+// ByteOffset returns the input bytes of the whole records cut so far, so
+// quoting and CRLF are exact. Not safe for concurrent use with CutSpan; a
+// Progress wrapper (CountSource) publishes it across goroutines.
+func (s *CSVSource) ByteOffset() int64 { return s.offset }
+
+var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
+
+// CutSpan copies up to maxLines whole records (a blank line counts as
+// one) into *buf. Records before the header that fail to parse go into
+// the span for DecodeSpan to report; the header itself never does. A read
+// error surfaces once the records before it have been returned, and the
+// record it cut short is dropped.
+func (s *CSVSource) CutSpan(buf *[]byte, maxLines int) (Span, error) {
+	if s.offset == 0 && s.err == nil {
+		// Nothing is read yet; a failed Peek leaves its error to the reads.
+		if p, _ := s.r.Peek(len(utf8BOM)); bytes.Equal(p, utf8BOM) {
+			n, _ := s.r.Discard(len(p))
+			s.offset += int64(n)
+		}
+	}
+	b := (*buf)[:0]
+	first := s.line + 1
+	for records := 0; records < maxLines && s.err == nil; {
+		start := len(b)
+		if b, s.err = s.cutRecord(b); s.err != nil {
 			break
 		}
-		if err != nil {
-			if pe, ok := err.(*csv.ParseError); ok {
-				bad(int64(pe.StartLine), err)
+		if s.hdr == nil {
+			if row, err := newCSVReader(b[start:]).Read(); err == nil {
+				s.hdr = newCSVHeader(row)
+				// A span holds contiguous lines, so the header ends it.
+				if b = b[:start]; len(b) > 0 {
+					break
+				}
+				first = s.line + 1
 				continue
 			}
-			return n, fmt.Errorf("dqbatch: reading CSV after line %d: %w", s.line, err)
 		}
-		line, _ := s.r.FieldPos(0)
-		s.line = int64(line)
-		if s.header == nil {
-			s.header = append([]string(nil), row...)
-			s.dupHeader = hasDuplicates(s.header)
-			continue
-		}
-		if len(row) != len(s.header) {
-			bad(s.line, fmt.Errorf("row has %d fields, header has %d", len(row), len(s.header)))
-			continue
-		}
-		if s.dupHeader {
-			// Duplicate header names: the last value per name wins, as in a
-			// record map, so round-trip through a scratch map.
-			if s.scratch == nil {
-				s.scratch = make(dqruntime.Record, len(s.header))
-			}
-			clear(s.scratch)
-			for i, v := range row {
-				s.scratch[s.header[i]] = v
-			}
-			for k, v := range s.scratch {
-				dst.SetField(k, v)
-			}
-		} else {
-			for i, v := range row {
-				dst.SetField(s.header[i], v)
-			}
-		}
-		dst.EndRow()
-		n++
+		records++
 	}
-	if n > 0 {
-		return n, nil
+	*buf = b
+	if len(b) > 0 {
+		return Span{Data: b, FirstLine: first}, nil
 	}
-	return 0, io.EOF
+	if s.err == io.EOF {
+		return Span{}, io.EOF
+	}
+	return Span{}, fmt.Errorf("dqbatch: reading CSV line %d: %w", s.line+1, s.err)
 }
 
-func hasDuplicates(names []string) bool {
-	seen := make(map[string]struct{}, len(names))
-	for _, n := range names {
-		if _, ok := seen[n]; ok {
-			return true
+// cutRecord appends the next record to b — one line, or more while a
+// quoted field is open — and counts its lines and bytes. It returns
+// io.EOF at the end of input, and on a read error b as it was.
+func (s *CSVSource) cutRecord(b []byte) ([]byte, error) {
+	start, lines, state := len(b), int64(0), csvFieldStart
+	for {
+		end := len(b)
+		chunk, err := s.r.ReadSlice('\n')
+		b = append(b, chunk...)
+		for err == bufio.ErrBufferFull {
+			chunk, err = s.r.ReadSlice('\n')
+			b = append(b, chunk...)
 		}
-		seen[n] = struct{}{}
+		if err != nil && err != io.EOF {
+			return b[:start], err
+		}
+		if len(b) > end {
+			lines++
+			state = scanCSVLine(state, b[end:])
+		}
+		// At the end of input an open quoted field ends unterminated, and
+		// DecodeSpan reports it.
+		if err == io.EOF || state != csvQuoted {
+			if lines == 0 {
+				return b, io.EOF
+			}
+			s.line += lines
+			s.offset += int64(len(b) - start)
+			return b, nil
+		}
 	}
-	return false
+}
+
+// States of the CSV record-boundary scan.
+const (
+	csvFieldStart = iota // before a field's first byte
+	csvUnquoted          // inside an unquoted field
+	csvQuoted            // inside a quoted field, where a newline is data
+	csvAfterQuote        // after a quote in a quoted field: "" or the close
+	csvBroken            // after a parse error, which ends the record with its line
+)
+
+// scanCSVLine advances the record-boundary scan over one line by
+// encoding/csv's rules: a field is quoted only when it starts with a
+// quote, and a quote in an unquoted field, or a closing quote followed by
+// anything but a comma, ends the record with its line (as a parse error
+// unless the line ends there; DecodeSpan tells which). The record ends
+// with the line unless the result is csvQuoted; a line without quotes
+// leaves the state as it was.
+func scanCSVLine(state int, line []byte) int {
+	if bytes.IndexByte(line, '"') < 0 {
+		return state
+	}
+	for _, c := range line {
+		switch {
+		case state == csvQuoted:
+			if c == '"' {
+				state = csvAfterQuote
+			}
+		case state == csvAfterQuote && c == '"':
+			state = csvQuoted
+		case c == ',':
+			state = csvFieldStart
+		case c == '"' && state == csvFieldStart:
+			state = csvQuoted
+		case c == '"' || state == csvAfterQuote:
+			return csvBroken
+		default:
+			state = csvUnquoted
+		}
+	}
+	return state
+}
+
+func newCSVHeader(row []string) *csvHeader {
+	h := &csvHeader{fields: len(row)}
+	at := make(map[string]int, len(row))
+	for i, name := range row {
+		if j, ok := at[name]; ok {
+			h.index[j] = i
+			continue
+		}
+		at[name] = len(h.names)
+		h.names = append(h.names, []byte(name))
+		h.index = append(h.index, i)
+	}
+	return h
+}
+
+// DecodeSpan parses sp with its own csv.Reader, shifting its line numbers
+// by the span's FirstLine, so error texts, lines and values are those of
+// one reader over the whole input. Rows with the wrong field count and
+// unparsable records are reported through bad and skipped. Cells are set
+// in header order, so the batch's predicted column hits on every cell.
+func (s *CSVSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
+	cr := newCSVReader(sp.Data)
+	shift := sp.FirstLine - 1
+	n := 0
+	for {
+		row, err := cr.Read()
+		if err == io.EOF {
+			return n
+		}
+		if err != nil {
+			// Over an in-memory span, Read fails only with parse errors.
+			pe := err.(*csv.ParseError)
+			pe.StartLine += int(shift)
+			pe.Line += int(shift)
+			bad(int64(pe.StartLine), pe)
+			continue
+		}
+		line, _ := cr.FieldPos(0)
+		if h := s.hdr; len(row) != h.fields {
+			bad(int64(line)+shift, fmt.Errorf("row has %d fields, header has %d", len(row), h.fields))
+		} else {
+			for i, name := range h.names {
+				dst.SetFieldBytes(name, row[h.index[i]])
+			}
+			dst.EndRow()
+			n++
+		}
+	}
 }

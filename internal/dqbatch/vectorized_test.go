@@ -172,19 +172,6 @@ func TestRunParityCSV(t *testing.T) {
 	assertIdenticalReports(t, row, vec)
 }
 
-func TestRunParityColumnSource(t *testing.T) {
-	recs := make([]dqruntime.Record, 0, 200)
-	for i := 0; i < 200; i++ {
-		recs = append(recs, dqruntime.Record{
-			"a": fmt.Sprintf("v%d", i), "b": fmt.Sprintf("w%d", i%5),
-			"n": fmt.Sprintf("%d", i%9-4), "opt": fmt.Sprintf("%d", i%6),
-			"email": "u@example.org", "ts": "2026-01-01T00:00:00Z",
-		})
-	}
-	row, vec := runParity(t, func() Source { return NewColumnSource(recs) })
-	assertIdenticalReports(t, row, vec)
-}
-
 // TestDecodeErrorLines pins the decode-error capture: line numbers point
 // at the malformed input lines, the cap applies, and Malformed counts
 // every skipped record regardless.

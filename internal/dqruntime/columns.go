@@ -274,9 +274,9 @@ func (c *Column) OCLValues() []any {
 }
 
 // ColumnBatch is one chunk of records in columnar form. Build one with
-// BeginRow/SetField/EndRow (streaming decoders) or Columnarize, reuse it
-// across chunks with Reset, and slice views out of a larger batch with
-// SliceInto.
+// SetField or SetFieldBytes and EndRow (the span decoders) or Columnarize
+// (tests), and reuse it across chunks with Reset: every batch owns its
+// cell storage.
 type ColumnBatch struct {
 	cols   []Column
 	byName map[string]int
@@ -285,9 +285,6 @@ type ColumnBatch struct {
 	// column SetFieldBytes tries before the byName lookup.
 	next  int
 	nulls []any
-	// view marks a batch filled by SliceInto: its column headers and
-	// nulls alias another batch's storage.
-	view bool
 }
 
 // Rows returns the number of complete rows in the batch.
@@ -308,15 +305,7 @@ func (b *ColumnBatch) Col(name string) *Column {
 
 // Reset empties the batch for reuse. Column storage keeps its capacity,
 // so refilling a batch with chunks of the same shape allocates nothing.
-// A view (a batch filled by SliceInto) owns no cell storage: its Reset
-// zeroes the aliased column headers and drops the aliased nulls, so no
-// later fill can append into the batch it was sliced from.
 func (b *ColumnBatch) Reset() {
-	if b.view {
-		clear(b.cols[:cap(b.cols)])
-		b.nulls = nil
-		b.view = false
-	}
 	b.cols = b.cols[:0]
 	b.rows = 0
 	b.next = 0
@@ -430,56 +419,13 @@ func (b *ColumnBatch) RowView(i int, scratch Record) Record {
 	return scratch
 }
 
-// SliceInto fills dst with a zero-copy view of rows [lo, hi) of b: every
-// column header in dst aliases b's cell storage, and dst's own cell
-// storage is dropped. dst is marked a view, so its next Reset zeroes the
-// aliased headers instead of recycling them; b must not change while the
-// view is read. Memoized OCL values slice along when already built, so
-// pre-columnarized sources box once for the whole dataset.
-func (b *ColumnBatch) SliceInto(dst *ColumnBatch, lo, hi int) {
-	dst.view = true
-	dst.rows = hi - lo
-	dst.cols = dst.cols[:0]
-	dst.nulls = nil
-	if dst.byName == nil {
-		dst.byName = make(map[string]int, len(b.cols))
-	} else {
-		clear(dst.byName)
-	}
-	for i := range b.cols {
-		src := &b.cols[i]
-		col := Column{
-			Name:  src.Name,
-			Kinds: src.Kinds[lo:hi],
-			Raw:   src.Raw[lo:hi],
-			vals:  src.vals[lo:hi],
-		}
-		if src.ocl != nil {
-			col.ocl = src.ocl[lo:hi]
-		}
-		dst.cols = append(dst.cols, col)
-		dst.byName[src.Name] = i
-	}
-	if b.nulls != nil && len(b.nulls) >= hi-lo {
-		dst.nulls = b.nulls[:hi-lo]
-	}
-}
-
 // Columnarize appends records to the batch in row order — the bulk loader
-// behind in-memory sources and tests.
+// tests and benchmarks build batches with.
 func (b *ColumnBatch) Columnarize(recs []Record) {
 	for _, r := range recs {
 		for k, v := range r {
 			b.SetField(k, v)
 		}
 		b.EndRow()
-	}
-}
-
-// WarmOCLValues builds every column's boxed OCL values eagerly, so chunk
-// views sliced from this batch share one boxing pass.
-func (b *ColumnBatch) WarmOCLValues() {
-	for i := range b.cols {
-		b.cols[i].OCLValues()
 	}
 }

@@ -206,26 +206,26 @@ func TestRowViewReconstructsRecords(t *testing.T) {
 	}
 }
 
-func TestSliceIntoViews(t *testing.T) {
+// TestChunkBatchesMatchWholeBatch pins that a batch's verdicts do not
+// depend on how the records were chunked: each chunk, columnarized on its
+// own, scores every row exactly as one batch of all the records does.
+func TestChunkBatchesMatchWholeBatch(t *testing.T) {
 	recs := parityRecords(100)
 	batch := &ColumnBatch{}
 	batch.Columnarize(recs)
-	batch.WarmOCLValues()
 	v := parityValidator(t)
 	whole := &BatchReport{}
 	v.ValidateBatch(batch, whole)
-	view := &ColumnBatch{}
+	chunk := &ColumnBatch{}
 	rep := &BatchReport{}
 	for lo := 0; lo < 100; lo += 33 {
-		hi := lo + 33
-		if hi > 100 {
-			hi = 100
+		hi := min(lo+33, 100)
+		chunk.Reset()
+		chunk.Columnarize(recs[lo:hi])
+		if chunk.Rows() != hi-lo {
+			t.Fatalf("chunk rows = %d, want %d", chunk.Rows(), hi-lo)
 		}
-		batch.SliceInto(view, lo, hi)
-		if view.Rows() != hi-lo {
-			t.Fatalf("view rows = %d, want %d", view.Rows(), hi-lo)
-		}
-		v.ValidateBatch(view, rep)
+		v.ValidateBatch(chunk, rep)
 		for ci := range whole.Results {
 			for r := 0; r < hi-lo; r++ {
 				w := &whole.Results[ci]
@@ -284,42 +284,6 @@ func TestColumnBatchResetReusesStorage(t *testing.T) {
 	}
 	if b.Rows() != 256 || b.Col("n").Int(255) != 7 || b.Col("opt").Kinds[1] != CellMissing {
 		t.Fatal("refilled batch does not hold the refilled cells")
-	}
-}
-
-// TestSliceIntoViewResetKeepsSource pins the view rule: once a view is
-// Reset, filling it must neither write into the batch it was sliced from
-// nor share that batch's storage.
-func TestSliceIntoViewResetKeepsSource(t *testing.T) {
-	recs := parityRecords(40)
-	src := &ColumnBatch{}
-	src.Columnarize(recs)
-	src.NullValues()
-	want := &ColumnBatch{}
-	want.Columnarize(recs)
-
-	view := &ColumnBatch{}
-	src.SliceInto(view, 0, 10)
-	view.Reset()
-	for _, f := range parityFields {
-		view.SetField(f, "overwritten")
-	}
-	view.EndRow()
-	nulls := view.NullValues()
-
-	// A fill appends to every cell slice in step, so Raw, Kinds and the
-	// value slot show any write (the slot holds float bits, so NaN cells
-	// compare equal).
-	for _, c := range want.Columns() {
-		got := src.Col(c.Name)
-		if !reflect.DeepEqual(got.Raw, c.Raw) || !reflect.DeepEqual(got.vals, c.vals) ||
-			!reflect.DeepEqual(got.Kinds, c.Kinds) {
-			t.Fatalf("source column %q changed after filling a reset view", c.Name)
-		}
-	}
-	srcNulls := src.NullValues()
-	if len(srcNulls) != 40 || len(nulls) != 1 || &nulls[0] == &srcNulls[0] {
-		t.Fatal("a reset view still shares the source's null column")
 	}
 }
 

@@ -99,10 +99,17 @@ func startServer(t *testing.T, cfg dqserve.Config) (*dqserve.Server, *httptest.S
 	return s, ts
 }
 
-// submit POSTs body and returns the response and decoded id (when 202).
+// submit POSTs an NDJSON body and returns the response and decoded id
+// (when 202).
 func submit(t *testing.T, ts *httptest.Server, query, body string) (int, string) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/jobs"+query, "application/x-ndjson", strings.NewReader(body))
+	return submitAs(t, ts, query, "application/x-ndjson", body)
+}
+
+// submitAs is submit with the given Content-Type.
+func submitAs(t *testing.T, ts *httptest.Server, query, contentType, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs"+query, contentType, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,6 +248,103 @@ func TestServerCLIReportParity(t *testing.T) {
 	status, quality := get(t, ts, "/debug/quality")
 	if status != http.StatusOK || !strings.Contains(string(quality), "characteristic") {
 		t.Fatalf("/debug/quality = %d: %s", status, quality)
+	}
+}
+
+// makeCSV builds n review rows under a header: every 13th has a quoted
+// name spanning two lines, every 17th ends in CRLF, every 11th repeats an
+// email address and every 97th is malformed (alternately a short row and
+// a bare quote). It returns the document and its well-formed data rows.
+func makeCSV(n int) (string, int64) {
+	var b strings.Builder
+	b.WriteString("first_name,last_name,email_address,overall_evaluation,reviewer_confidence\n")
+	var rows int64
+	for i := 0; i < n; i++ {
+		if i%97 == 96 {
+			if i%2 == 0 {
+				b.WriteString("short,row\n")
+			} else {
+				b.WriteString("bad\"quote,Vee,q@conf.org,1,1\n")
+			}
+			continue
+		}
+		rows++
+		name := fmt.Sprintf("R%d", i)
+		if i%13 == 0 {
+			name = fmt.Sprintf("\"R%d\nline two\"", i)
+		}
+		email := fmt.Sprintf("r%d@conf.org", i)
+		if i%11 == 10 {
+			email = "dup@conf.org"
+		}
+		end := "\n"
+		if i%17 == 0 {
+			end = "\r\n"
+		}
+		fmt.Fprintf(&b, "%s,Vee,%s,%d,%d%s", name, email, i%9-4, i%5+1, end)
+	}
+	return b.String(), rows
+}
+
+// TestServerCLIReportParityCSV extends the golden-parity contract to CSV
+// jobs, chosen by ?format=csv and by Content-Type: text/csv alike: the
+// served report equals `dqwebre batch -format csv` on the same bytes, and
+// the job's status counts every well-formed row and every input byte.
+func TestServerCLIReportParityCSV(t *testing.T) {
+	cfg := testConfig(t)
+	s, ts := startServer(t, cfg)
+	records, rows := makeCSV(1000)
+	recFile := filepath.Join(t.TempDir(), "records.csv")
+	if err := os.WriteFile(recFile, []byte(records), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		var cliOut strings.Builder
+		if err := cli.Run([]string{"batch", "-model", cfg.DefaultModel, "-in", recFile, "-format", "csv",
+			"-workers", fmt.Sprint(workers), "-unique", "email_address", "-report", "json"}, &cliOut); err != nil {
+			t.Fatalf("workers=%d: cli batch: %v", workers, err)
+		}
+		cliNorm := normalizeReport(t, []byte(cliOut.String()))
+		for _, via := range []struct{ query, contentType string }{
+			{"&format=csv", "application/octet-stream"},
+			{"", "text/csv; charset=utf-8"},
+		} {
+			name := fmt.Sprintf("workers=%d content-type=%s", workers, via.contentType)
+			code, id := submitAs(t, ts, fmt.Sprintf("?workers=%d&unique=email_address", workers)+via.query,
+				via.contentType, records)
+			if code != http.StatusAccepted {
+				t.Fatalf("%s: submit = %d", name, code)
+			}
+			if j := waitDone(t, s, id); j.State() != dqserve.StateDone {
+				t.Fatalf("%s: state = %s", name, j.State())
+			}
+			status, serverReport := get(t, ts, "/v1/jobs/"+id+"/report")
+			if status != http.StatusOK {
+				t.Fatalf("%s: report = %d: %s", name, status, serverReport)
+			}
+			if serverNorm := normalizeReport(t, serverReport); serverNorm != cliNorm {
+				t.Fatalf("%s: server and CLI reports diverge:\nserver: %s\ncli: %s", name, serverNorm, cliNorm)
+			}
+			var res dqbatch.Result
+			if err := json.Unmarshal(serverReport, &res); err != nil {
+				t.Fatal(err)
+			}
+			if res.Records != rows || res.Failed == 0 || len(res.DecodeErrors) == 0 || len(res.CrossRecords) == 0 {
+				t.Fatalf("%s: report lacks expected content: %+v", name, res)
+			}
+			_, body := get(t, ts, "/v1/jobs/"+id)
+			var st struct {
+				Format      string `json:"format"`
+				RecordsRead int64  `json:"records_read"`
+				ByteOffset  int64  `json:"byte_offset"`
+			}
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Format != "csv" || st.RecordsRead != rows || st.ByteOffset != int64(len(records)) {
+				t.Fatalf("%s: status = %s, want csv, %d records, %d bytes", name, body, rows, len(records))
+			}
+		}
 	}
 }
 

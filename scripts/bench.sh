@@ -3,16 +3,16 @@
 # each recording the host's CPU count (nproc) next to its ratios:
 #   - batch engine (BenchmarkBatchSequential, the full pipeline over
 #     in-memory NDJSON at BenchmarkBatchParallel{1,2,4,8},
-#     BenchmarkBatchVectorized, the full-engine BenchmarkBatchVectorized8,
-#     the cross-record BenchmarkBatchUniqueness{1,8} exact/Bloom pairs, the
-#     zero-copy ingest pairs BenchmarkDecode{Bufio,Mmap} and
-#     BenchmarkBatchFile{Bufio,Mmap}, BenchmarkDecodeMmapShuffled (keys
-#     in a random order per record), and the uniqueness key-materialization
-#     pair BenchmarkBatchUniquenessKeys{Baseline,Hashed})
+#     BenchmarkBatchVectorized, the cross-record
+#     BenchmarkBatchUniqueness{1,8} exact/Bloom pairs, the zero-copy ingest
+#     pairs BenchmarkDecode{Bufio,Mmap} and BenchmarkBatchFile{Bufio,Mmap},
+#     the CSV file run BenchmarkBatchFileCSV, BenchmarkDecodeMmapShuffled
+#     (keys in a random order per record), and the uniqueness
+#     key-materialization pair BenchmarkBatchUniquenessKeys{Baseline,Hashed})
 #     → BENCH_batch.json: records/sec, allocs, stride-sampled p50/p99
 #     latency, plus the vectorized-vs-row, parallel-8-vs-parallel-1,
-#     uniqueness-vs-parallel, mmap-vs-bufio, bufio-vs-mmap decode allocs
-#     and key-allocs-reduction ratios.
+#     uniqueness-vs-parallel, mmap-vs-bufio, CSV-file-vs-NDJSON-file,
+#     bufio-vs-mmap decode allocs and key-allocs-reduction ratios.
 # Each run is also archived under artifacts/bench/<timestamp>_{batch,ocl,obs}.json
 # so scripts/bench_compare.sh can flag throughput regressions against the
 # previous entry.
@@ -40,7 +40,7 @@ oclraw="$(mktemp)"
 obsraw="$(mktemp)"
 trap 'rm -f "$raw" "$oclraw" "$obsraw"' EXIT
 
-go test -run '^$' -bench 'Benchmark(Batch(Sequential|Parallel[0-9]+|Vectorized[0-9]*|Uniqueness(Bloom)?[0-9]+|File(Bufio|Mmap)|UniquenessKeys(Baseline|Hashed))|Decode(Bufio|Mmap|MmapShuffled))$' \
+go test -run '^$' -bench 'Benchmark(Batch(Sequential|Parallel[0-9]+|Vectorized|Uniqueness(Bloom)?[0-9]+|File(Bufio|Mmap|CSV)|UniquenessKeys(Baseline|Hashed))|Decode(Bufio|Mmap|MmapShuffled))$' \
 	-benchmem -benchtime "$benchtime" -count 1 ./internal/dqbatch/ | tee "$raw"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v nproc="$nproc" '
@@ -72,12 +72,10 @@ END {
 	par1 = rps["BenchmarkBatchParallel1"]
 	par = rps["BenchmarkBatchParallel8"]
 	vec = rps["BenchmarkBatchVectorized"]
-	vec8 = rps["BenchmarkBatchVectorized8"]
 	u8 = rps["BenchmarkBatchUniqueness8"]
 	ub8 = rps["BenchmarkBatchUniquenessBloom8"]
 	printf "  \"speedup_parallel8_vs_parallel1\": %.2f,\n", (par1 > 0) ? par / par1 : 0
 	printf "  \"speedup_vectorized_vs_sequential\": %.2f,\n", (seq > 0) ? vec / seq : 0
-	printf "  \"speedup_vectorized8_vs_sequential\": %.2f,\n", (seq > 0) ? vec8 / seq : 0
 	printf "  \"uniqueness8_records_per_sec\": %.0f,\n", u8
 	printf "  \"uniqueness_bloom8_records_per_sec\": %.0f,\n", ub8
 	printf "  \"uniqueness8_vs_parallel8\": %.2f,\n", (par > 0) ? u8 / par : 0
@@ -85,11 +83,13 @@ END {
 	dm = rps["BenchmarkDecodeMmap"]
 	fb = rps["BenchmarkBatchFileBufio"]
 	fm = rps["BenchmarkBatchFileMmap"]
+	fc = rps["BenchmarkBatchFileCSV"]
 	ab = allocs["BenchmarkBatchUniquenessKeysBaseline"]
 	ah = allocs["BenchmarkBatchUniquenessKeysHashed"]
 	printf "  \"file_mmap_records_per_sec\": %.0f,\n", fm
 	printf "  \"mmap_vs_bufio\": %.2f,\n", (db > 0) ? dm / db : 0
 	printf "  \"file_mmap_vs_bufio\": %.2f,\n", (fb > 0) ? fm / fb : 0
+	printf "  \"file_csv_vs_mmap\": %.2f,\n", (fm > 0) ? fc / fm : 0
 	printf "  \"decode_bufio_vs_mmap_allocs\": %.2f,\n", (allocs["BenchmarkDecodeMmap"] > 0) ? allocs["BenchmarkDecodeBufio"] / allocs["BenchmarkDecodeMmap"] : 0
 	printf "  \"uniqueness_key_allocs_reduction\": %.1f\n", (ah > 0) ? ab / ah : 0
 	print "}"
