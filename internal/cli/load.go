@@ -93,7 +93,8 @@ func cmdLoad(args []string, out io.Writer) error {
 // runJobLoad is `dqwebre load -jobs N`: it drives the dqserve job API,
 // submitting whole NDJSON bodies and following each job to a terminal
 // state, so the report covers submit latency, end-to-end completion
-// latency and how many submissions the admission valves shed.
+// latency and how many submissions the admission valves shed, lined up
+// with the server's own dqserve_jobs_total counts.
 func runJobLoad(out io.Writer, url, bodyPath, model string, jobs, concurrency int, poll, timeout time.Duration) error {
 	if bodyPath == "" {
 		return fmt.Errorf("load -jobs needs -job-body (the records file each job posts)")
@@ -126,7 +127,7 @@ func runJobLoad(out io.Writer, url, bodyPath, model string, jobs, concurrency in
 		if err != nil {
 			scrapeErr = err
 		} else {
-			loadgen.DiffServerMetrics(before, after).WriteReport(out)
+			loadgen.DiffJobMetrics(before, after).WriteReport(out)
 		}
 	}
 	if scrapeErr != nil {

@@ -38,7 +38,7 @@ func cmdServe(args []string, out io.Writer) error {
 	modelDir := fs.String("model-dir", "", "directory job ?model= references resolve in (default: the -model file's directory)")
 	staging := fs.String("staging", "", "job staging directory (default: a temporary directory — jobs do not survive restarts)")
 	jobWorkers := fs.Int("job-workers", 1, "jobs validated concurrently")
-	maxJobs := fs.Int("max-jobs", 32, "queued+running job bound; submissions beyond are shed with 503")
+	maxJobs := fs.Int("max-jobs", 32, "bound on jobs being staged, queued or running; submissions beyond are shed with 503")
 	rate := fs.Float64("rate", 0, "per-client sustained submissions/second; excess shed with 429 (0 disables)")
 	rateBurst := fs.Int("rate-burst", 8, "per-client burst headroom above -rate")
 	retainFor := fs.Duration("retain", time.Hour, "how long finished jobs (and their staged files/reports) stay available; <0 keeps them forever")

@@ -134,12 +134,28 @@ func TestCmdLoadJobModeNeedsBody(t *testing.T) {
 }
 
 // TestCmdLoadJobMode drives the job-mode flags end to end against a stub
-// job API (accept → poll → done) and checks the report.
+// job API (accept → poll → done) and checks the report, including the
+// dqserve_jobs_total deltas between the stub's before and after scrapes.
 func TestCmdLoadJobMode(t *testing.T) {
 	var mu sync.Mutex
 	polls := map[string]int{}
 	next := 0
+	scrapes := 0
 	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		scrapes++
+		after := scrapes > 1
+		mu.Unlock()
+		counts := []int{10, 8, 1, 1, 5, 2}
+		if after {
+			counts = []int{14, 12, 1, 1, 7, 2}
+		}
+		fmt.Fprintln(w, "# TYPE dqserve_jobs_total counter")
+		for i, st := range []string{"submitted", "completed", "failed", "cancelled", "shed_queue", "shed_rate"} {
+			fmt.Fprintf(w, "dqserve_jobs_total{state=%q} %d\n", st, counts[i])
+		}
+	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		mu.Lock()
@@ -178,7 +194,8 @@ func TestCmdLoadJobMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load -jobs: %v\n%s", err, out.String())
 	}
-	for _, want := range []string{"4 submitted", "4 done", "shed:        0"} {
+	for _, want := range []string{"4 submitted", "4 done", "shed:        0",
+		"server:      4 submitted, 4 completed, 0 failed, 0 cancelled, 2 shed_queue, 0 shed_rate"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, out.String())
 		}

@@ -81,8 +81,6 @@ type BatchReport struct {
 	// scratch is the pooled row-view map for checks without a vectorized
 	// path.
 	scratch Record
-	// order caches the cost-ordered evaluation schedule.
-	order []int
 }
 
 // Rows returns the number of rows the last ValidateBatch covered.
@@ -98,50 +96,6 @@ func (rep *BatchReport) RowPassed(row int) bool {
 	return true
 }
 
-// checkCost ranks checks by estimated per-row cost, so ValidateBatch runs
-// cheap predicates first within the batch: null-bitmap scans, then integer
-// bounds, then timestamp parses and compiled OCL, then regexes, with
-// row-fallback checks last (they pay the map adapter). Results always land
-// at the check's declared index, so the schedule changes timing only,
-// never output order.
-func checkCost(c Check) int {
-	switch c.(type) {
-	case CompletenessCheck, *CompletenessCheck:
-		return 1
-	case PrecisionCheck, *PrecisionCheck:
-		return 2
-	case CurrentnessCheck, *CurrentnessCheck:
-		return 3
-	case *OCLCheck:
-		return 4
-	case AccuracyCheck, *AccuracyCheck:
-		return 5
-	}
-	if _, ok := c.(BatchCheck); ok {
-		return 6
-	}
-	return 100
-}
-
-// orderFor returns the cost-ordered evaluation schedule, cached across
-// batches (check sets are fixed per validator during a run).
-func (rep *BatchReport) orderFor(checks []Check) []int {
-	if len(rep.order) == len(checks) {
-		return rep.order
-	}
-	rep.order = rep.order[:0]
-	for i := range checks {
-		rep.order = append(rep.order, i)
-	}
-	// Insertion sort by cost, stable: ties keep declaration order.
-	for i := 1; i < len(rep.order); i++ {
-		for j := i; j > 0 && checkCost(checks[rep.order[j]]) < checkCost(checks[rep.order[j-1]]); j-- {
-			rep.order[j], rep.order[j-1] = rep.order[j-1], rep.order[j]
-		}
-	}
-	return rep.order
-}
-
 // ValidateBatch runs every check against the batch, writing one
 // ColumnResult per check into rep (reusing its storage). Checks without a
 // vectorized path run row by row through a pooled RowView adapter.
@@ -155,9 +109,8 @@ func (v *Validator) ValidateBatch(b *ColumnBatch, rep *BatchReport) {
 		rep.Results = results
 	}
 	rep.Results = rep.Results[:len(v.checks)]
-	for _, idx := range rep.orderFor(v.checks) {
-		c := v.checks[idx]
-		out := &rep.Results[idx]
+	for i, c := range v.checks {
+		out := &rep.Results[i]
 		out.reset(c.Name(), c.Characteristic(), rows)
 		if bc, ok := c.(BatchCheck); ok {
 			bc.ApplyBatch(b, out)

@@ -336,23 +336,6 @@ func TestClassifyTextAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestBatchScheduleCostOrder pins the cost-ordered schedule: results stay
-// at declared indices while evaluation order sorts by estimated cost.
-func TestBatchScheduleCostOrder(t *testing.T) {
-	v := parityValidator(t)
-	rep := &BatchReport{}
-	order := rep.orderFor(v.Checks())
-	costs := make([]int, len(order))
-	for i, idx := range order {
-		costs[i] = checkCost(v.Checks()[idx])
-	}
-	for i := 1; i < len(costs); i++ {
-		if costs[i] < costs[i-1] {
-			t.Fatalf("schedule %v has costs %v — not ascending", order, costs)
-		}
-	}
-}
-
 // TestOCLCheckApplyBatchSharedDetails checks the vectorized OCLCheck fail
 // details are the shared slice (alloc-free) and byte-equal to the row path.
 func TestOCLCheckApplyBatchSharedDetails(t *testing.T) {

@@ -7,17 +7,19 @@
 // cross-record findings and decode errors, because both render through
 // dqbatch.RenderReport over the same engine.
 //
-// The serving-layer discipline comes from internal/webapp: a per-client
-// token bucket sheds hot submitters with 429, a concurrency limiter bounds
-// queued-plus-running jobs and sheds the excess with 503, and both export
-// their shed counters through internal/obs. Durability comes from the
-// staging directory: a job's input is staged and synced before its
-// manifest seals it, so a server restart re-admits interrupted jobs and
-// re-runs them from their staged input, and removes the files of uploads
-// that never got a job id. Validation is deterministic at any worker
-// count, so the resumed report equals an uninterrupted run's, except that
-// mean_score may differ in its last bits at more than one worker (shards
-// add float sums in scheduling order).
+// Admission has two valves: internal/webapp's per-client token bucket
+// sheds hot submitters with 429, and one admission count, kept under the
+// server's lock beside the job table and a FIFO queue, bounds jobs being
+// staged, queued or running to MaxJobs and sheds the excess with 503.
+// Cancelling a queued job takes it off the queue and gives its admission
+// back at once. Durability comes from the staging directory: a job's
+// input is staged and synced before its manifest seals it, so a server
+// restart re-admits every interrupted job and re-runs it from its staged
+// input, and removes the files of uploads that never got a job id.
+// Validation is deterministic at any worker count, so the resumed report
+// equals an uninterrupted run's, except that mean_score may differ in its
+// last bits at more than one worker (shards add float sums in scheduling
+// order).
 package dqserve
 
 import (
@@ -27,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,8 +60,8 @@ type Config struct {
 	// JobWorkers is the number of jobs validated concurrently; default 1.
 	// Each job additionally fans out over its own batch worker pool.
 	JobWorkers int
-	// MaxJobs bounds queued-plus-running jobs; submissions beyond it are
-	// shed with 503. Default 32.
+	// MaxJobs bounds the jobs being staged, queued or running; submissions
+	// beyond it are shed with 503. Default 32.
 	MaxJobs int
 	// RatePerSec/RateBurst apply the per-client token bucket to job
 	// submissions (429 beyond); RatePerSec 0 disables it.
@@ -89,19 +92,23 @@ type Server struct {
 	// rendered as the dq_score families on /metrics.
 	quality *obs.SeriesSet
 
-	// slots bounds queued+running jobs (the admission valve); rate is the
-	// per-client token bucket. Both are the webapp limiters, so their shed
-	// and in-flight metrics keep the serving-layer names.
-	slots *webapp.ConcurrencyLimiter
-	rate  *webapp.RateLimiter
+	// rate is the per-client token bucket; nil when RatePerSec is 0.
+	rate *webapp.RateLimiter
 
-	queue    chan *Job
-	quit     chan struct{}
+	quit     chan struct{} // closed by stop; ends the janitor
 	wg       sync.WaitGroup
 	draining atomic.Bool
 
+	// mu guards the job table, the queue and the admission count. Take it
+	// before a Job's mu.
 	mu   sync.Mutex
 	jobs map[string]*Job
+	// queue holds the jobs waiting for a worker, oldest first. Workers wait
+	// on ready until it is non-empty or the server stops.
+	queue []*Job
+	ready sync.Cond
+	// admitted counts the jobs being staged, queued or running.
+	admitted int
 
 	enfMu    sync.Mutex
 	enfCache map[string]*dqruntime.Enforcer
@@ -117,8 +124,8 @@ type Server struct {
 	running       *obs.Gauge
 
 	// beforeRun, when non-nil, runs on the worker goroutine after a job is
-	// dequeued and before the engine starts — the tests' synchronization
-	// point for holding the pool busy deterministically.
+	// marked running and before the engine starts — the tests'
+	// synchronization point for holding the pool busy deterministically.
 	beforeRun func(*Job)
 }
 
@@ -155,13 +162,11 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		reg:      reg,
 		quality:  obs.NewSeriesSet(time.Minute, 60),
-		slots:    webapp.NewConcurrencyLimiter(cfg.MaxJobs),
-		queue:    make(chan *Job, cfg.MaxJobs),
 		quit:     make(chan struct{}),
 		jobs:     make(map[string]*Job),
 		enfCache: make(map[string]*dqruntime.Enforcer),
 	}
-	s.slots.Instrument(reg)
+	s.ready.L = &s.mu
 	if cfg.RatePerSec > 0 {
 		s.rate = webapp.NewRateLimiter(cfg.RatePerSec, cfg.RateBurst)
 		s.rate.Instrument(reg)
@@ -228,7 +233,7 @@ func (s *Server) gcTerminal(cutoff time.Time) int {
 	var reap []*Job
 	for id, j := range s.jobs {
 		j.mu.Lock()
-		if j.terminal && !j.finished.IsZero() && j.finished.Before(cutoff) {
+		if terminal(j.state) && !j.finished.IsZero() && j.finished.Before(cutoff) {
 			reap = append(reap, j)
 			delete(s.jobs, id)
 		}
@@ -248,8 +253,7 @@ func (s *Server) gcTerminal(cutoff time.Time) int {
 // restart. Drain returns nil when every in-flight job completed within the
 // deadline.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
-	close(s.quit)
+	s.stop()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -285,12 +289,14 @@ func (s *Server) interrupt() {
 	}
 }
 
-// abort simulates a crash for the restart tests: it interrupts every job
-// and stops the workers.
-func (s *Server) abort() {
-	s.interrupt()
+// stop turns submissions away and tells the workers and the janitor to
+// exit. Queued jobs stay in the queue, staged for the next boot.
+func (s *Server) stop() {
+	s.mu.Lock()
+	s.draining.Store(true)
+	s.mu.Unlock()
+	s.ready.Broadcast()
 	close(s.quit)
-	s.wg.Wait()
 }
 
 // Job returns a job by id, nil when unknown.
@@ -364,63 +370,84 @@ func (s *Server) enforcer(path string, cache bool) (*dqruntime.Enforcer, error) 
 	return enf, nil
 }
 
-// enqueue registers the job and hands it to the worker pool. The queue
-// channel's capacity equals the slot limiter's, and every channel space is
-// matched by a held slot until the worker dequeues (even for jobs
-// cancelled while queued — see Server.dequeued), so a send after a
-// successful TryAcquire never blocks.
+// admit claims an admission for a new submission, false when MaxJobs jobs
+// are already being staged, queued or running.
+func (s *Server) admit() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.admitted >= s.cfg.MaxJobs {
+		return false
+	}
+	s.admitted++
+	return true
+}
+
+// release gives an admission back.
+func (s *Server) release() {
+	s.mu.Lock()
+	s.admitted--
+	s.mu.Unlock()
+}
+
+// enqueue registers an admitted job and puts it at the tail of the queue.
 func (s *Server) enqueue(j *Job) {
 	s.mu.Lock()
 	s.jobs[j.ID] = j
+	s.queue = append(s.queue, j)
+	s.queueDepth.Set(float64(len(s.queue)))
 	s.mu.Unlock()
-	j.mu.Lock()
-	j.inQueue = true
-	j.mu.Unlock()
-	s.queueDepth.Add(1)
-	s.queue <- j
+	s.ready.Signal()
 }
 
-// dequeued marks j out of the queue channel and reports whether it still
-// needs to run. A job cancelled while queued kept its admission slot so
-// freed capacity could never outrun the channel space its ghost occupied;
-// that slot is released here, once the ghost has actually left the
-// channel.
-func (s *Server) dequeued(j *Job) bool {
-	j.mu.Lock()
-	j.inQueue = false
-	if !j.terminal {
-		j.mu.Unlock()
-		return true
+// unqueue takes j off the queue and reports whether it was there. A job
+// it takes off never runs; any other job is running or terminal.
+func (s *Server) unqueue(j *Job) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := slices.Index(s.queue, j)
+	if i < 0 {
+		return false
 	}
-	release := j.slotHeld
-	j.slotHeld = false
-	j.mu.Unlock()
-	if release {
-		s.slots.Release()
-	}
-	return false
+	s.queue = slices.Delete(s.queue, i, i+1)
+	s.queueDepth.Set(float64(len(s.queue)))
+	return true
 }
 
-// worker executes queued jobs until the server drains. The quit check
-// comes first so a draining server leaves queued jobs staged for the next
-// boot instead of racing to start them.
+// next waits for the head of the queue and marks it running in the same
+// critical section that takes it off, so a cancel finds every job either
+// in the queue or running with a context to cancel. It returns a nil job
+// once the server stops, leaving the rest of the queue staged.
+func (s *Server) next() (*Job, context.Context, context.CancelFunc) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.queue) == 0 && !s.draining.Load() {
+		s.ready.Wait()
+	}
+	if s.draining.Load() {
+		return nil, nil, nil
+	}
+	j := s.queue[0]
+	s.queue = slices.Delete(s.queue, 0, 1)
+	s.queueDepth.Set(float64(len(s.queue)))
+	ctx, cancel := context.WithCancel(context.Background())
+	j.mu.Lock()
+	j.state = StateRunning
+	j.started = time.Now()
+	j.cancelRun = cancel
+	j.mu.Unlock()
+	return j, ctx, cancel
+}
+
+// worker runs jobs from the queue until the server stops.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		select {
-		case <-s.quit:
+		j, ctx, cancel := s.next()
+		if j == nil {
 			return
-		default:
 		}
-		select {
-		case <-s.quit:
-			return
-		case j := <-s.queue:
-			s.queueDepth.Add(-1)
-			if s.dequeued(j) {
-				s.runJob(j)
-			}
-		}
+		s.runJob(ctx, j)
+		cancel()
 	}
 }
 
@@ -429,7 +456,10 @@ func (s *Server) worker() {
 // never reached its rename) and every file of a job id with no manifest
 // (an upload that died before its client got the id). Then finished jobs
 // become servable again and interrupted ones are re-queued: a manifest is
-// written only after its input is staged, so that input is whole.
+// written only after its input is staged, so that input is whole. Every
+// interrupted job is re-admitted, even past MaxJobs, since its client
+// already holds its id; new submissions are shed until the backlog falls
+// below MaxJobs.
 func (s *Server) resumeScan() error {
 	entries, err := os.ReadDir(s.cfg.StagingDir)
 	if err != nil {
@@ -463,26 +493,20 @@ func (s *Server) resumeScan() error {
 		}
 		switch j.state {
 		case StateDone, StateFailed, StateCancelled:
-			// loadJob already marked it terminal; it is servable as-is.
+			// loadJob already closed Done; it is servable as-is.
 			s.mu.Lock()
 			s.jobs[j.ID] = j
 			s.mu.Unlock()
 		case StateQueued, StateRunning:
 			// Older servers persisted running; it means the same as queued.
-			if !s.slots.TryAcquire() {
-				s.mu.Lock()
-				s.jobs[j.ID] = j
-				s.mu.Unlock()
-				s.finishJob(j, StateFailed, nil, nil,
-					fmt.Errorf("job capacity exhausted while resuming after restart"))
-				continue
-			}
-			j.slotHeld = true
 			j.state = StateQueued
 			if err := saveManifest(s.cfg.StagingDir, j); err != nil {
 				obs.Logger("dqserve").Warn("persisting resumed job", "id", id, "err", err)
 			}
 			s.jobsResumed.Inc()
+			s.mu.Lock()
+			s.admitted++
+			s.mu.Unlock()
 			s.enqueue(j)
 		}
 	}

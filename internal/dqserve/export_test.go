@@ -6,14 +6,18 @@ import "time"
 // live in package dqserve_test (which may import internal/cli without a
 // cycle) and still saturate the pool and simulate crashes.
 
-// SetBeforeRun installs the worker-side hook that runs after a job is
-// dequeued and marked running, before the engine starts. Install before
-// Start.
+// SetBeforeRun installs the worker-side hook that runs after a worker takes
+// a job off the queue and marks it running, before the engine starts.
+// Install before Start.
 func (s *Server) SetBeforeRun(f func(*Job)) { s.beforeRun = f }
 
 // Abort simulates a SIGKILL: workers stop without any terminal state
 // reaching disk, leaving manifests saying queued for the restart tests.
-func (s *Server) Abort() { s.abort() }
+func (s *Server) Abort() {
+	s.stop()
+	s.interrupt()
+	s.wg.Wait()
+}
 
 // GCTerminal runs one retention sweep with the given cutoff and returns
 // how many terminal jobs it reaped.

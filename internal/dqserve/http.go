@@ -133,7 +133,7 @@ func recordFormat(r *http.Request) (string, error) {
 	return "ndjson", nil
 }
 
-// handleSubmit admits one job: rate limit, then the queued+running bound,
+// handleSubmit admits one job: rate limit, then the admission count,
 // then spill the body to the staging dir and sync it, persist the queued
 // manifest that seals the job, and enqueue. A crash before the manifest
 // leaves files the restart scan removes; the client never got the id.
@@ -160,10 +160,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The admission valve: beyond MaxJobs queued+running jobs the
-	// submission is shed immediately — before any staging I/O — so an
-	// overloaded server stays cheap to say no to.
-	if !s.slots.TryAcquire() {
+	// The admission valve: beyond MaxJobs jobs being staged, queued or
+	// running the submission is shed immediately — before any staging
+	// I/O — so an overloaded server stays cheap to say no to.
+	if !s.admit() {
 		s.shedQueue.Inc()
 		w.Header().Set("Retry-After", "1")
 		apiError(w, http.StatusServiceUnavailable, "job queue full, retry later")
@@ -172,7 +172,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	id, err := newJobID()
 	if err != nil {
-		s.slots.Release()
+		s.release()
 		apiError(w, http.StatusInternalServerError, "minting job id: %v", err)
 		return
 	}
@@ -184,14 +184,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Created:   time.Now(),
 		done:      make(chan struct{}),
 		state:     StateQueued,
-		slotHeld:  true,
 	}
 
 	if s.cfg.MaxBodyBytes > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	}
 	if err := s.stageSubmission(j, r); err != nil {
-		s.slots.Release()
+		s.release()
 		s.discardStaging(id)
 		var maxErr *http.MaxBytesError
 		var stErr storageError
@@ -210,7 +209,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := saveManifest(s.cfg.StagingDir, j); err != nil {
-		s.slots.Release()
+		s.release()
 		s.discardStaging(id)
 		apiError(w, http.StatusInternalServerError, "persisting job: %v", err)
 		return
@@ -340,13 +339,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	terminal := j.terminal
 	state := j.state
 	errMsg := j.errMsg
 	report := j.reportJSON
 	res := j.result
 	j.mu.Unlock()
-	if !terminal {
+	if !terminal(state) {
 		apiError(w, http.StatusConflict, "job is %s; report not ready", state)
 		return
 	}
@@ -365,47 +363,46 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Write(report)
 }
 
-// handleCancel cancels a job. A queued job is cancelled outright; a
-// running one has its context pulled and the handler waits for the engine
-// to drain and the partial report to land before answering. Cancelling a
-// finished job is a no-op that reports its state.
+// handleCancel cancels a job. A job still in the queue is taken off it and
+// cancelled outright, giving its admission back at once; a running one has
+// its context pulled and the handler waits for the engine to drain and the
+// partial report to land before answering. Cancelling a finished job is a
+// no-op that reports its state.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j := s.Job(r.PathValue("id"))
 	if j == nil {
 		apiError(w, http.StatusNotFound, "no such job")
 		return
 	}
+	if s.unqueue(j) {
+		s.finishJob(j, StateCancelled, nil, nil)
+		writeJSON(w, http.StatusOK, j.status())
+		return
+	}
 	j.mu.Lock()
-	switch j.state {
-	case StateQueued:
-		j.mu.Unlock()
-		s.finishJob(j, StateCancelled, nil, nil, nil)
-	case StateRunning:
-		cancel := j.cancelRun
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
+	running := j.state == StateRunning
+	cancel := j.cancelRun
+	j.mu.Unlock()
+	if running {
+		cancel()
 		select {
 		case <-j.done:
 		case <-r.Context().Done():
 			apiError(w, http.StatusGatewayTimeout, "cancellation still draining")
 			return
 		}
-	default:
-		j.mu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	jobs := len(s.jobs)
+	jobs, queued := len(s.jobs), len(s.queue)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"jobs":    jobs,
-		"queued":  len(s.queue),
+		"queued":  queued,
 		"running": int(s.running.Value()),
 	})
 }

@@ -30,6 +30,11 @@ const (
 	StateCancelled = "cancelled"
 )
 
+// terminal reports whether state is one a job never leaves.
+func terminal(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCancelled
+}
+
 // JobOptions are the per-job engine knobs, mirroring `dqwebre batch`
 // flags one for one so the served report can be byte-identical to the
 // CLI's. Durations travel as strings ("24h") and are validated at submit,
@@ -124,15 +129,9 @@ type Job struct {
 	result     *dqbatch.Result
 	reportJSON []byte
 	cancelRun  context.CancelFunc
-	slotHeld   bool
-	// inQueue is true while the job occupies a space in the queue channel.
-	// A job cancelled while queued keeps its admission slot until a worker
-	// drains its ghost, so freed capacity can never outrun channel space.
-	inQueue  bool
-	terminal bool
-	// crashed marks a job interrupted by abort() or a drain deadline: the
-	// runner must leave the on-disk state untouched, as a SIGKILL would, so
-	// the next boot resumes the job.
+	// crashed marks a job interrupted by a drain deadline (or the tests'
+	// Abort): the runner must leave the on-disk state untouched, as a
+	// SIGKILL would, so the next boot resumes the job.
 	crashed bool
 }
 
@@ -326,8 +325,7 @@ func loadJob(dir, id string) (*Job, error) {
 		finished:   m.Finished,
 	}
 	j.progress.Restore(m.RecordsRead, m.ByteOffset)
-	if m.State == StateDone || m.State == StateFailed || m.State == StateCancelled {
-		j.terminal = true
+	if terminal(m.State) {
 		close(j.done)
 	}
 	if report, err := os.ReadFile(stagingPath(dir, id, reportSuffix)); err == nil {
@@ -390,23 +388,13 @@ func stageTo(path string, r io.Reader) (int64, error) {
 	return n, nil
 }
 
-// runJob executes one dequeued job end to end: load the (cached)
-// enforcer, stream the staged input through the batch engine, and land
-// the job in a terminal state with its report rendered through the same
+// runJob executes one job that next marked running, under the context
+// whose cancel is the job's cancelRun: load the (cached) enforcer, stream
+// the staged input through the batch engine, and land the job in a
+// terminal state with its report rendered through the same
 // dqbatch.RenderReport path the CLI uses. The running state stays in
 // memory: until finishJob, the manifest on disk says queued.
-func (s *Server) runJob(j *Job) {
-	j.mu.Lock()
-	if j.state != StateQueued { // cancelled while queued
-		j.mu.Unlock()
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	j.state = StateRunning
-	j.started = time.Now()
-	j.cancelRun = cancel
-	j.mu.Unlock()
-	defer cancel()
+func (s *Server) runJob(ctx context.Context, j *Job) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
 
@@ -422,13 +410,13 @@ func (s *Server) runJob(j *Job) {
 	enf, err := s.enforcer(j.ModelPath, j.ModelRef != modelRefInline)
 	if err != nil {
 		span.Fail(err)
-		s.finishJob(j, StateFailed, nil, nil, fmt.Errorf("loading model: %w", err))
+		s.finishJob(j, StateFailed, nil, fmt.Errorf("loading model: %w", err))
 		return
 	}
 	cross, err := j.Opts.crossChecks()
 	if err != nil {
 		span.Fail(err)
-		s.finishJob(j, StateFailed, nil, nil, err)
+		s.finishJob(j, StateFailed, nil, err)
 		return
 	}
 	// Staged inputs are always regular files, so submissions and resumes
@@ -438,7 +426,7 @@ func (s *Server) runJob(j *Job) {
 	src, closeIn, err := dqbatch.OpenFileSource(j.InputPath, j.Format)
 	if err != nil {
 		span.Fail(err)
-		s.finishJob(j, StateFailed, nil, nil, fmt.Errorf("opening staged input: %w", err))
+		s.finishJob(j, StateFailed, nil, fmt.Errorf("opening staged input: %w", err))
 		return
 	}
 	defer closeIn()
@@ -471,56 +459,43 @@ func (s *Server) runJob(j *Job) {
 	span.SetAttr("records", int(res.Records))
 	switch {
 	case runErr == nil:
-		s.finishJob(j, StateDone, res, nil, nil)
+		s.finishJob(j, StateDone, res, nil)
 	case errors.Is(runErr, context.Canceled):
 		// The partial report is first-class: rendered and persisted exactly
 		// like the CLI's SIGINT partial report.
-		s.finishJob(j, StateCancelled, res, nil, runErr)
+		s.finishJob(j, StateCancelled, res, runErr)
 	default:
 		span.Fail(runErr)
-		s.finishJob(j, StateFailed, res, nil, runErr)
+		s.finishJob(j, StateFailed, res, runErr)
 	}
 }
 
-// finishJob lands j in a terminal state exactly once: renders and persists
-// the report (when a result exists) before the terminal manifest, so a
-// crash between the two leaves the job queued, not done without its
-// report; then it releases the admission slot and closes Done.
-func (s *Server) finishJob(j *Job, state string, res *dqbatch.Result, reportJSON []byte, cause error) {
+// finishJob lands j in a terminal state: renders and persists the report
+// (when a result exists) before the terminal manifest, so a crash between
+// the two leaves the job queued, not done without its report; then it
+// gives back the job's admission and closes Done. Each job is finished
+// once, by the worker that took it off the queue or by the cancel that
+// removed it from the queue.
+func (s *Server) finishJob(j *Job, state string, res *dqbatch.Result, cause error) {
 	j.mu.Lock()
-	if j.terminal {
-		j.mu.Unlock()
-		return
-	}
-	j.terminal = true
 	j.state = state
 	j.finished = time.Now()
 	if cause != nil && !errors.Is(cause, context.Canceled) {
 		j.errMsg = cause.Error()
 	}
+	var report []byte
 	if res != nil {
 		j.result = res
-		if reportJSON == nil {
-			var buf bytes.Buffer
-			if err := dqbatch.RenderReport(&buf, res, "json"); err == nil {
-				reportJSON = buf.Bytes()
-			}
+		var buf bytes.Buffer
+		if err := dqbatch.RenderReport(&buf, res, "json"); err == nil {
+			report = buf.Bytes()
 		}
-		j.reportJSON = reportJSON
-	}
-	var release bool
-	if j.slotHeld && !j.inQueue {
-		// A job still sitting in the queue channel keeps its slot: freeing
-		// it now would admit a replacement submission whose enqueue could
-		// block on the channel space the ghost still occupies. The worker
-		// releases the slot when it drains the ghost (Server.dequeued).
-		j.slotHeld = false
-		release = true
+		j.reportJSON = report
 	}
 	j.mu.Unlock()
 
-	if reportJSON != nil {
-		if err := writeFileAtomic(stagingPath(s.cfg.StagingDir, j.ID, reportSuffix), reportJSON); err != nil {
+	if report != nil {
+		if err := writeFileAtomic(stagingPath(s.cfg.StagingDir, j.ID, reportSuffix), report); err != nil {
 			obs.Logger("dqserve").Warn("persisting report", "id", j.ID, "err", err)
 		}
 	}
@@ -535,8 +510,6 @@ func (s *Server) finishJob(j *Job, state string, res *dqbatch.Result, reportJSON
 	case StateCancelled:
 		s.jobsCancelled.Inc()
 	}
-	if release {
-		s.slots.Release()
-	}
+	s.release()
 	close(j.done)
 }

@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -835,12 +836,11 @@ func TestTruncatedUploadRejected(t *testing.T) {
 	waitDone(t, s, acc.ID)
 }
 
-// TestCancelQueuedJobDoesNotWedgeSubmit reproduces the cancelled-ghost
-// overflow: cancelling queued jobs and resubmitting used to fill the
-// queue channel with cancelled ghosts until `s.queue <- j` blocked the
-// submit handler. A cancelled-but-queued job now keeps its admission slot
-// (followers shed with an immediate 503 instead of blocking) and the slot
-// frees only when a worker drains the ghost.
+// TestCancelQueuedJobDoesNotWedgeSubmit cancels queued jobs and resubmits
+// while the one worker is held, for more rounds than the queue holds. A
+// cancel takes the job off the queue and gives its admission back, so no
+// submission may block: each is admitted or, at worst, shed with an
+// immediate 503.
 func TestCancelQueuedJobDoesNotWedgeSubmit(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.MaxJobs = 2
@@ -860,8 +860,8 @@ func TestCancelQueuedJobDoesNotWedgeSubmit(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// The timeout is the regression detector: with the old behaviour the
-	// submit handler blocks forever on the ghost-filled channel.
+	// The timeout is the regression detector: a submit handler that blocks
+	// on a full queue never answers.
 	client := &http.Client{Timeout: 10 * time.Second}
 	post := func() (int, string) {
 		t.Helper()
@@ -898,9 +898,8 @@ func TestCancelQueuedJobDoesNotWedgeSubmit(t *testing.T) {
 	}
 	<-started // the worker is now held mid-job
 
-	// Repeatedly cancel whatever queues and resubmit: each round used to
-	// leave a ghost in the channel, overflowing its capacity (2) on the
-	// third round and wedging the handler.
+	// Repeatedly cancel whatever queues and resubmit: four rounds are more
+	// than the queue's capacity of two.
 	for round := 0; round < 4; round++ {
 		code, id := post()
 		switch code {
@@ -910,8 +909,8 @@ func TestCancelQueuedJobDoesNotWedgeSubmit(t *testing.T) {
 			}
 			cancel(id)
 		case http.StatusServiceUnavailable:
-			// A previous ghost still holds its slot — the admission valve
-			// says no instead of letting the enqueue block.
+			// The admission valve says no instead of letting the enqueue
+			// block.
 		default:
 			t.Fatalf("round %d: submit = %d", round, code)
 		}
@@ -921,8 +920,7 @@ func TestCancelQueuedJobDoesNotWedgeSubmit(t *testing.T) {
 	if j := waitDone(t, s, runID); j.State() != dqserve.StateDone {
 		t.Fatalf("running job state = %s", j.State())
 	}
-	// With the worker free the ghosts drain and their slots return: a new
-	// submission is admitted and completes.
+	// With the worker free a new submission is admitted and completes.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		code, id := post()
@@ -1128,5 +1126,246 @@ func TestDrainCompletesJobsAndLeaksNoGoroutines(t *testing.T) {
 				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// holdRuns installs a SetBeforeRun hook that holds each run for which
+// held() reports true until release is called, and records every job that
+// reached a worker in ran. started is closed when the first run reaches
+// the hook.
+func holdRuns(t *testing.T, s *dqserve.Server, held func() bool) (started <-chan struct{}, release func(), ran *sync.Map) {
+	t.Helper()
+	first := make(chan struct{})
+	gate := make(chan struct{})
+	var firstOnce, releaseOnce sync.Once
+	ran = new(sync.Map)
+	s.SetBeforeRun(func(j *dqserve.Job) {
+		ran.Store(j.ID, true)
+		firstOnce.Do(func() { close(first) })
+		if held() {
+			<-gate
+		}
+	})
+	release = func() { releaseOnce.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return first, release, ran
+}
+
+// cancelJob sends DELETE /v1/jobs/{id} through h and returns the status.
+func cancelJob(h http.Handler, id string) int {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+id, nil))
+	return rec.Code
+}
+
+// submitTo posts an NDJSON body through h and returns the status and, on
+// 202, the job id.
+func submitTo(t *testing.T, h http.Handler, body string) (int, string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusAccepted {
+		return rec.Code, ""
+	}
+	var acc struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil || acc.ID == "" {
+		t.Errorf("submit response not a job: %s", rec.Body)
+	}
+	return rec.Code, acc.ID
+}
+
+// TestCancelQueuedJobFreesAdmission cancels the only queued job while the
+// one worker is held on another. The cancelled job leaves the queue at
+// once: /healthz and dqserve_queue_depth count no queued job, and the
+// admission it held admits the next submission.
+func TestCancelQueuedJobFreesAdmission(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MaxJobs = 2
+	cfg.JobWorkers = 1
+	s, err := dqserve.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release, _ := holdRuns(t, s, func() bool { return true })
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	records := makeNDJSON(30)
+	code, runID := submit(t, ts, "", records)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit = %d", code)
+	}
+	<-started
+	code, queuedID := submit(t, ts, "", records)
+	if code != http.StatusAccepted {
+		t.Fatalf("second submit = %d", code)
+	}
+	if code := cancelJob(s.Handler(), queuedID); code != http.StatusOK {
+		t.Fatalf("cancel = %d", code)
+	}
+	if j := s.Job(queuedID); j.State() != dqserve.StateCancelled {
+		t.Fatalf("cancelled job state = %s", j.State())
+	}
+
+	_, body := get(t, ts, "/healthz")
+	var health struct {
+		Queued  int `json:"queued"`
+		Running int `json:"running"`
+	}
+	if err := json.Unmarshal(body, &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Queued != 0 || health.Running != 1 {
+		t.Fatalf("/healthz = %s, want 0 queued and 1 running", body)
+	}
+	if _, metrics := get(t, ts, "/metrics"); !strings.Contains(string(metrics), "\ndqserve_queue_depth 0\n") {
+		t.Fatalf("/metrics queue depth is not 0:\n%s", metrics)
+	}
+	code, nextID := submit(t, ts, "", records)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after cancelling the queued job = %d, want 202", code)
+	}
+
+	release()
+	for _, id := range []string{runID, nextID} {
+		if j := waitDone(t, s, id); j.State() != dqserve.StateDone {
+			t.Fatalf("job %s state = %s", id, j.State())
+		}
+	}
+}
+
+// TestRestartResumesBacklogPastMaxJobs restarts a server with MaxJobs 1
+// over three sealed queued jobs, left by a server that never started its
+// workers. Their clients hold their ids, so all three resume and complete.
+// Until the backlog falls below MaxJobs, new submissions are shed.
+func TestRestartResumesBacklogPastMaxJobs(t *testing.T) {
+	cfg := testConfig(t)
+	s1, err := dqserve.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := makeNDJSON(100)
+	var ids []string
+	for i := 0; i < 3; i++ {
+		code, id := submitTo(t, s1.Handler(), records)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d = %d", i, code)
+		}
+		ids = append(ids, id)
+	}
+	s1.Abort()
+
+	cfg.MaxJobs = 1
+	s2, err := dqserve.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := submitTo(t, s2.Handler(), records); code != http.StatusServiceUnavailable {
+		t.Fatalf("submit over a resumed backlog of 3 at MaxJobs 1 = %d, want 503", code)
+	}
+	s2.Start()
+	ts := httptest.NewServer(s2.Handler())
+	defer ts.Close()
+	for _, id := range ids {
+		if j := waitDone(t, s2, id); j.State() != dqserve.StateDone {
+			t.Fatalf("resumed job %s state = %s", id, j.State())
+		}
+	}
+	if _, metrics := get(t, ts, "/metrics"); !strings.Contains(string(metrics), `dqserve_jobs_total{state="resumed"} 3`) {
+		t.Fatalf("/metrics missing resumed count:\n%s", metrics)
+	}
+	code, id := submit(t, ts, "", records)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after the backlog ran = %d, want 202", code)
+	}
+	waitDone(t, s2, id)
+}
+
+// TestCancelRacesDequeue races cancels against workers starting jobs, with
+// submissions arriving concurrently; run it under -race. A cancel finds a
+// job either queued, and the job never runs, or running, and its partial
+// report lands. So every job ends terminal, none that reached a worker is
+// cancelled without a report, and no admission leaks: with the workers
+// held afterwards, MaxJobs fresh submissions are all admitted.
+func TestCancelRacesDequeue(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.MaxJobs = 4
+	cfg.JobWorkers = 2
+	s, err := dqserve.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hold atomic.Bool
+	_, release, ran := holdRuns(t, s, hold.Load)
+	s.Start()
+	h := s.Handler()
+	records := makeNDJSON(20)
+
+	var (
+		mu  sync.Mutex
+		ids []string
+		wg  sync.WaitGroup
+	)
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				code, id := submitTo(t, h, records)
+				if code == http.StatusServiceUnavailable {
+					runtime.Gosched()
+					continue
+				}
+				if code != http.StatusAccepted {
+					t.Errorf("submit = %d", code)
+					return
+				}
+				mu.Lock()
+				ids = append(ids, id)
+				mu.Unlock()
+				if (c+i)%3 == 0 {
+					runtime.Gosched()
+				}
+				if code := cancelJob(h, id); code != http.StatusOK {
+					t.Errorf("cancel %s = %d", id, code)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if len(ids) == 0 {
+		t.Fatal("no submission was admitted")
+	}
+	ends := make(map[string]int)
+	for _, id := range ids {
+		j := waitDone(t, s, id)
+		_, reached := ran.Load(id)
+		if reached && j.State() == dqserve.StateCancelled && j.Result() == nil {
+			t.Errorf("job %s reached a worker but was cancelled without a report", id)
+		}
+		ends[fmt.Sprintf("%s, ran=%v", j.State(), reached)]++
+	}
+	t.Logf("%d jobs by end state: %v", len(ids), ends)
+
+	hold.Store(true)
+	var fresh []string
+	for i := 0; i < cfg.MaxJobs; i++ {
+		code, id := submitTo(t, h, records)
+		if code != http.StatusAccepted {
+			t.Fatalf("fresh submit %d of %d = %d: an admission leaked", i+1, cfg.MaxJobs, code)
+		}
+		fresh = append(fresh, id)
+	}
+	if code, _ := submitTo(t, h, records); code != http.StatusServiceUnavailable {
+		t.Fatalf("submit past MaxJobs = %d, want 503", code)
+	}
+	release()
+	for _, id := range fresh {
+		if j := waitDone(t, s, id); j.State() != dqserve.StateDone {
+			t.Fatalf("fresh job %s state = %s", id, j.State())
+		}
 	}
 }

@@ -2,6 +2,7 @@ package easychair
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
@@ -101,4 +102,45 @@ func mustParse(t *testing.T, raw string) *url.URL {
 		t.Fatal(err)
 	}
 	return u
+}
+
+// TestCookielessRequestsKeepUsersLoggedIn fills a two-session cap with one
+// login, then sends cookie-less probes. Only a handler that stores a value
+// creates a session, so no probe gets a cookie or a session, and none can
+// evict the logged-in user.
+func TestCookielessRequestsKeepUsersLoggedIn(t *testing.T) {
+	app, err := NewApp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := app.Router.Sessions()
+	sessions.SetMaxSessions(2)
+	serve := func(req *http.Request) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		app.Router.ServeHTTP(rec, req)
+		return rec
+	}
+
+	login := httptest.NewRequest(http.MethodPost, "/login", strings.NewReader("user=ada&role=pc&level=2"))
+	login.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	rec := serve(login)
+	cookies := rec.Result().Cookies()
+	if rec.Code != http.StatusOK || len(cookies) != 1 {
+		t.Fatalf("login = %d with %d cookies", rec.Code, len(cookies))
+	}
+	for i := 0; i < 5; i++ {
+		for _, path := range []string{"/healthz", "/no-such-page"} {
+			if rec := serve(httptest.NewRequest(http.MethodGet, path, nil)); len(rec.Result().Cookies()) != 0 {
+				t.Fatalf("cookie-less GET %s #%d got Set-Cookie %v", path, i+1, rec.Result().Cookies())
+			}
+		}
+	}
+	if n := sessions.Len(); n != 1 {
+		t.Fatalf("sessions = %d after cookie-less probes, want 1", n)
+	}
+	home := httptest.NewRequest(http.MethodGet, "/", nil)
+	home.AddCookie(cookies[0])
+	if body := serve(home).Body.String(); !strings.Contains(body, "user=ada level=2") {
+		t.Fatalf("home page after probes = %q, want the user still logged in", body)
+	}
 }

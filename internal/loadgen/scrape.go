@@ -157,3 +157,31 @@ func (d ServerDelta) WriteReport(w io.Writer) {
 		d.SessionsCreated, d.SessionsActive)
 	fmt.Fprintf(w, "inflight:    %.0f still in flight at final scrape\n", d.Inflight)
 }
+
+// jobStates are the dqserve_jobs_total states a job-mode load report
+// cross-checks, in report order.
+var jobStates = []string{"submitted", "completed", "failed", "cancelled", "shed_queue", "shed_rate"}
+
+// JobDelta is the growth of dqserve_jobs_total across a job-mode run, by
+// state label: what the job server says it admitted, finished and shed.
+type JobDelta map[string]float64
+
+// DiffJobMetrics derives the run's dqserve_jobs_total deltas by state from
+// the before and after snapshots.
+func DiffJobMetrics(before, after MetricsSnapshot) JobDelta {
+	d := make(JobDelta, len(jobStates))
+	for _, st := range jobStates {
+		key := `dqserve_jobs_total{state="` + st + `"}`
+		d[st] = after[key] - before[key]
+	}
+	return d
+}
+
+// WriteReport renders the server-side section of a job-mode load report.
+func (d JobDelta) WriteReport(w io.Writer) {
+	parts := make([]string, len(jobStates))
+	for i, st := range jobStates {
+		parts[i] = fmt.Sprintf("%.0f %s", d[st], st)
+	}
+	fmt.Fprintf(w, "server:      %s (dqserve_jobs_total)\n", strings.Join(parts, ", "))
+}

@@ -33,9 +33,6 @@ func NewConcurrencyLimiter(max int) *ConcurrencyLimiter {
 	return &ConcurrencyLimiter{sem: make(chan struct{}, max)}
 }
 
-// Cap returns the configured concurrency bound.
-func (l *ConcurrencyLimiter) Cap() int { return cap(l.sem) }
-
 // Instrument registers the limiter's metrics in reg: the
 // http_inflight_requests gauge, the http_requests_shed_total{reason}
 // counter and an admitted counter.

@@ -111,17 +111,3 @@ func routeLabel(c *Context) string {
 	}
 	return c.R.URL.Path
 }
-
-// RequireLogin redirects to the given path unless the session carries a
-// "user" value.
-func RequireLogin(loginPath string) Middleware {
-	return func(next HandlerFunc) HandlerFunc {
-		return func(c *Context) {
-			if c.Session == nil || c.Session.Get("user") == "" {
-				c.Redirect(loginPath)
-				return
-			}
-			next(c)
-		}
-	}
-}

@@ -21,11 +21,12 @@ type Context struct {
 	// Params holds path parameters, e.g. {"id": "42"} for /reviews/:id.
 	Params map[string]string
 	// Pattern is the registered route pattern that matched, e.g.
-	// "/reviews/:id/edit"; "" for the NotFound handler. Middleware uses it
-	// as a bounded-cardinality route label.
+	// "/reviews/:id/edit". Middleware uses it as a bounded-cardinality
+	// route label.
 	Pattern string
-	// Session is the request's session; never nil when the router has a
-	// session manager.
+	// Session is the request's session, never nil. A request without a
+	// live session cookie gets an empty one, which becomes a session, and
+	// sets its cookie, only when the handler stores a value in it.
 	Session *Session
 }
 
@@ -49,11 +50,6 @@ func (c *Context) HTML(status int, html string) {
 	fmt.Fprint(c.W, html)
 }
 
-// Redirect sends a 303 See Other.
-func (c *Context) Redirect(location string) {
-	http.Redirect(c.W, c.R, location, http.StatusSeeOther)
-}
-
 // HandlerFunc handles one request.
 type HandlerFunc func(*Context)
 
@@ -69,21 +65,18 @@ type route struct {
 }
 
 // Router dispatches requests by method and path pattern. Patterns use
-// ":name" segments for parameters: "/reviews/:id/edit".
+// ":name" segments for parameters: "/reviews/:id/edit". Unmatched paths
+// get a plain 404, and a path matched under another method a 405; both
+// bypass the middleware.
 type Router struct {
 	routes   []route
 	mws      []Middleware
 	sessions *SessionManager
-	// NotFound handles unmatched paths; defaults to a plain 404.
-	NotFound HandlerFunc
 }
 
 // NewRouter creates an empty router with its own session manager.
 func NewRouter() *Router {
-	return &Router{
-		sessions: NewSessionManager("webapp_session"),
-		NotFound: func(c *Context) { c.Text(http.StatusNotFound, "not found\n") },
-	}
+	return &Router{sessions: NewSessionManager("webapp_session")}
 }
 
 // Sessions returns the router's session manager.
@@ -118,7 +111,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			continue
 		}
 		c := &Context{W: w, R: req, Params: params, Pattern: rt.pattern}
-		c.Session = r.sessions.Get(w, req)
+		c.Session = r.sessions.resolve(w, req)
 		h := rt.handler
 		for i := len(r.mws) - 1; i >= 0; i-- {
 			h = r.mws[i](h)
@@ -132,9 +125,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	c := &Context{W: w, R: req, Params: map[string]string{}}
-	c.Session = r.sessions.Get(w, req)
-	r.NotFound(c)
+	http.Error(w, "not found", http.StatusNotFound)
 }
 
 func splitPath(p string) []string {

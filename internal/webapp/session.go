@@ -12,12 +12,26 @@ import (
 
 // Session is a per-visitor key-value bag, safe for concurrent use.
 type Session struct {
-	// ID is the opaque session identifier stored in the cookie.
+	// ID is the opaque session identifier stored in the cookie; "" on a
+	// session the router resolved for a request without one, until a
+	// handler stores a value in it.
 	ID string
 
 	mu         sync.RWMutex
 	values     map[string]string
 	lastAccess time.Time
+
+	// register, on a session resolved for a request without one, adds the
+	// session to its manager and sets its cookie; the first Set runs it.
+	register   func()
+	registered sync.Once
+}
+
+// live runs register once, if the session has one.
+func (s *Session) live() {
+	if s.register != nil {
+		s.registered.Do(s.register)
+	}
 }
 
 // Get returns a session value, "" when unset.
@@ -27,8 +41,11 @@ func (s *Session) Get(key string) string {
 	return s.values[key]
 }
 
-// Set assigns a session value.
+// Set assigns a session value. On a session the router resolved for a
+// request without one, the first Set creates the session and sets its
+// cookie, so it must come before the response is written.
 func (s *Session) Set(key, value string) {
+	s.live()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.values[key] = value
@@ -139,13 +156,26 @@ func (m *SessionManager) Instrument(reg *obs.Registry) {
 // when absent, unknown or expired. Resolution counts as an access for TTL
 // purposes.
 func (m *SessionManager) Get(w http.ResponseWriter, r *http.Request) *Session {
+	s := m.resolve(w, r)
+	s.live()
+	return s
+}
+
+// resolve is Get without the creation: a request without a live session
+// gets an empty one that becomes a session, with its cookie set on w, only
+// when a handler stores a value. So probes, scrapes and anonymous reads
+// cost no session, no random id, no Set-Cookie and no eviction.
+func (m *SessionManager) resolve(w http.ResponseWriter, r *http.Request) *Session {
 	if c, err := r.Cookie(m.cookie); err == nil {
 		if s, ok := m.Lookup(c.Value); ok {
 			return s
 		}
 	}
-	s := m.create()
-	http.SetCookie(w, m.newCookie(s.ID))
+	s := &Session{values: make(map[string]string)}
+	s.register = func() {
+		m.add(s)
+		http.SetCookie(w, m.newCookie(s.ID))
+	}
 	return s
 }
 
@@ -166,11 +196,11 @@ func (m *SessionManager) newCookie(id string) *http.Cookie {
 	return c
 }
 
-// create inserts a fresh session, evicting the least recently accessed one
-// when the cap is reached.
-func (m *SessionManager) create() *Session {
-	now := m.now()
-	s := &Session{ID: newSessionID(), values: make(map[string]string), lastAccess: now}
+// add gives s a fresh id and inserts it, evicting the least recently
+// accessed session when the cap is reached.
+func (m *SessionManager) add(s *Session) {
+	s.ID = newSessionID()
+	s.lastAccess = m.now()
 	m.mu.Lock()
 	if m.maxSessions > 0 && len(m.sessions) >= m.maxSessions {
 		m.evictOldestLocked()
@@ -185,7 +215,6 @@ func (m *SessionManager) create() *Session {
 	if active != nil {
 		active.Set(float64(n))
 	}
-	return s
 }
 
 // evictOldestLocked removes the least recently accessed session. Callers

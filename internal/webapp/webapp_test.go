@@ -205,26 +205,6 @@ func TestMiddlewareOrderAndRecover(t *testing.T) {
 	resp.Body.Close()
 }
 
-func TestRequireLogin(t *testing.T) {
-	r := NewRouter()
-	protected := RequireLogin("/login")
-	r.GET("/private", protected(func(c *Context) { c.Text(200, "secret") }))
-	r.GET("/login", func(c *Context) { c.Text(200, "login page") })
-	srv := httptest.NewServer(r)
-	defer srv.Close()
-
-	client := &http.Client{
-		CheckRedirect: func(req *http.Request, via []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
-	}
-	resp, _ := client.Get(srv.URL + "/private")
-	if resp.StatusCode != http.StatusSeeOther || resp.Header.Get("Location") != "/login" {
-		t.Fatalf("redirect: %d %q", resp.StatusCode, resp.Header.Get("Location"))
-	}
-	resp.Body.Close()
-}
-
 func TestTableCRUD(t *testing.T) {
 	tab := NewTable()
 	id1 := tab.Insert(Row{"a": "1"})
