@@ -41,9 +41,9 @@ func sqlIdent(name string) string {
 }
 
 // SQLDDL generates the schema for every Content element of the model. Each
-// Content becomes a table with its attributes as TEXT columns (numeric-
-// looking score columns become INTEGER with CHECK constraints from the
-// DQConstraints); DQ_Metadata elements associated with the Content
+// Content becomes a table with its attributes as TEXT columns (columns
+// with a DQConstraint range become INTEGER with a CHECK on that range);
+// DQ_Metadata elements associated with the Content
 // contribute metadata columns; a dq_audit table is appended when any
 // traceability metadata (stored_by) is modeled.
 func SQLDDL(rm *dqwebre.RequirementsModel) (string, error) {
@@ -55,11 +55,10 @@ func SQLDDL(rm *dqwebre.RequirementsModel) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	constraints, err := rm.Model.AllInstancesOf(dqwebre.MetaDQConstraint)
+	ranges, err := modelRanges(rm)
 	if err != nil {
 		return "", err
 	}
-	ranges := fieldRanges(constraints)
 
 	var b strings.Builder
 	b.WriteString("-- Generated by dqwebre codegen from model " + rm.Name() + "\n")
@@ -131,32 +130,18 @@ CREATE TABLE dq_audit (
 	return b.String(), nil
 }
 
-// fieldRanges collects "field in [lo,hi]" payloads of all DQConstraints.
-func fieldRanges(constraints []*metamodel.Object) map[string][2]int64 {
-	out := map[string][2]int64{}
-	for _, con := range constraints {
-		for _, v := range con.GetList("constraintData") {
-			s := string(v.(metamodel.String))
-			field, rest, found := strings.Cut(s, " in [")
-			if !found || !strings.HasSuffix(rest, "]") {
-				continue
-			}
-			rest = strings.TrimSuffix(rest, "]")
-			loS, hiS, found := strings.Cut(rest, ",")
-			if !found {
-				continue
-			}
-			var lo, hi int64
-			if _, err := fmt.Sscanf(strings.TrimSpace(loS), "%d", &lo); err != nil {
-				continue
-			}
-			if _, err := fmt.Sscanf(strings.TrimSpace(hiS), "%d", &hi); err != nil {
-				continue
-			}
-			out[strings.TrimSpace(field)] = [2]int64{lo, hi}
-		}
+// modelRanges reads the field ranges of every DQConstraint through the
+// payload codec the enforcer uses, in model order: a field's last one wins.
+func modelRanges(rm *dqwebre.RequirementsModel) (map[string][2]int64, error) {
+	constraints, err := rm.Model.AllInstancesOf(dqwebre.MetaDQConstraint)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	var payloads []metamodel.Value
+	for _, con := range constraints {
+		payloads = append(payloads, con.GetList("constraintData")...)
+	}
+	return dqwebre.ReadConstraintData(payloads).Ranges, nil
 }
 
 // HTMLForm generates the data-entry form for the named InformationCase:
@@ -168,11 +153,10 @@ func HTMLForm(rm *dqwebre.RequirementsModel, informationCase string) (string, er
 	if !ok {
 		return "", fmt.Errorf("codegen: no InformationCase named %q", informationCase)
 	}
-	constraints, err := rm.Model.AllInstancesOf(dqwebre.MetaDQConstraint)
+	ranges, err := modelRanges(rm)
 	if err != nil {
 		return "", err
 	}
-	ranges := fieldRanges(constraints)
 
 	required := false
 	for _, inc := range ic.GetRefs("include") {

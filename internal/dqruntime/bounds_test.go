@@ -1,17 +1,19 @@
-// Table-driven edge-case tests for the DQSR constraint-payload parsers.
-// These live in the dqruntime package (not _test) because the helpers are
-// unexported plumbing of BuildFromDQSR.
+// Table-driven edge-case tests for the DQSR constraint payloads, as
+// BuildFromDQSR reads them: constraintPayloads collects them and the
+// dqwebre payload codec parses them. These live in the dqruntime package
+// (not _test) because constraintPayloads is unexported.
 package dqruntime
 
 import (
 	"fmt"
 	"testing"
 
+	"github.com/modeldriven/dqwebre/internal/dqwebre"
 	"github.com/modeldriven/dqwebre/internal/metamodel"
 )
 
 // boundsFixture is a minimal metamodel carrying just the shapes
-// boundsFromComponents reads: a requirement with realizedBy components
+// constraintPayloads reads: a requirement with realizedBy components
 // that have kind and attributes. Building it locally keeps these tests
 // independent of the real DQSR metamodel's registration.
 type boundsFixture struct {
@@ -99,13 +101,20 @@ func TestBoundsFromComponentsTable(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			req := f.requirement(t, tc.comps...)
-			lo, hi, found := boundsFromComponents(req)
+			d := dqwebre.ReadConstraintData(constraintPayloads(req))
+			lo, hi, found := d.Lower, d.Upper, d.HasBounds
 			if lo != tc.lower || hi != tc.upper || found != tc.found {
-				t.Fatalf("boundsFromComponents = (%d, %d, %v), want (%d, %d, %v)",
+				t.Fatalf("ReadConstraintData bounds = (%d, %d, %v), want (%d, %d, %v)",
 					lo, hi, found, tc.lower, tc.upper, tc.found)
 			}
 		})
 	}
+}
+
+// parseRange reads s through the payload codec and reports it as a range.
+func parseRange(s string) (field string, lo, hi int64, ok bool) {
+	p := dqwebre.ParsePayload(s)
+	return p.Field, p.Lo, p.Hi, p.Kind == dqwebre.FieldRange
 }
 
 func TestParseRangePayloadTable(t *testing.T) {
@@ -133,9 +142,9 @@ func TestParseRangePayloadTable(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(fmt.Sprintf("%q", tc.in), func(t *testing.T) {
-			field, lo, hi, ok := parseRangePayload(tc.in)
+			field, lo, hi, ok := parseRange(tc.in)
 			if field != tc.field || lo != tc.lo || hi != tc.hi || ok != tc.ok {
-				t.Fatalf("parseRangePayload(%q) = (%q, %d, %d, %v), want (%q, %d, %d, %v)",
+				t.Fatalf("parseRange(%q) = (%q, %d, %d, %v), want (%q, %d, %d, %v)",
 					tc.in, field, lo, hi, ok, tc.field, tc.lo, tc.hi, tc.ok)
 			}
 		})

@@ -288,9 +288,9 @@ func TestParseRangePayload(t *testing.T) {
 		{"x in [1,2", "", 0, 0, false},
 	}
 	for _, c := range cases {
-		field, lo, hi, ok := parseRangePayload(c.in)
+		field, lo, hi, ok := parseRange(c.in)
 		if ok != c.ok || field != c.field || lo != c.lo || hi != c.hi {
-			t.Errorf("parseRangePayload(%q) = (%q,%d,%d,%v), want (%q,%d,%d,%v)",
+			t.Errorf("parseRange(%q) = (%q,%d,%d,%v), want (%q,%d,%d,%v)",
 				c.in, field, lo, hi, ok, c.field, c.lo, c.hi, c.ok)
 		}
 	}

@@ -3,9 +3,9 @@ package dqruntime
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"strings"
 
+	"github.com/modeldriven/dqwebre/internal/dqwebre"
 	"github.com/modeldriven/dqwebre/internal/iso25012"
 	"github.com/modeldriven/dqwebre/internal/metamodel"
 	"github.com/modeldriven/dqwebre/internal/obs"
@@ -51,8 +51,8 @@ type RequirementSummary struct {
 // DQR2DQSR transformation). Validation-driven requirements become checks:
 //
 //	Completeness → CompletenessCheck over the requirement's fields
-//	Precision    → PrecisionCheck per numeric-looking field, with bounds
-//	               from the realizing constraint component
+//	Precision    → PrecisionCheck per ranged field, with its range, and per
+//	               other numeric-looking field, with the constraint bounds
 //	Accuracy     → AccuracyCheck (email pattern) for *email* fields
 //
 // Metadata-driven requirements (Traceability, Confidentiality) switch on
@@ -80,24 +80,23 @@ func BuildFromDQSR(m *uml.Model) (*Enforcer, error) {
 			Description: req.GetString("description"),
 		}
 		fields := stringList(req.GetList("fields"))
+		data := dqwebre.ReadConstraintData(constraintPayloads(req))
 		switch dim {
 		case iso25012.Completeness:
 			summary.Mechanism = "validator"
 			e.validator.Add(CompletenessCheck{Required: fields})
 		case iso25012.Precision:
 			summary.Mechanism = "validator"
-			lower, upper, found := boundsFromComponents(req)
-			if !found {
+			lower, upper := data.Lower, data.Upper
+			if !data.HasBounds {
 				lower, upper = 0, 10
 			}
-			perField := fieldBoundsFromComponents(req)
 			for _, f := range fields {
-				if !looksNumeric(f) {
-					continue
-				}
 				lo, hi := lower, upper
-				if fb, ok := perField[f]; ok {
-					lo, hi = fb[0], fb[1]
+				if r, ok := data.Ranges[f]; ok {
+					lo, hi = r[0], r[1]
+				} else if !looksNumeric(f) {
+					continue
 				}
 				e.validator.Add(PrecisionCheck{Field: f, Lower: lo, Upper: hi, Optional: true})
 			}
@@ -122,7 +121,7 @@ func BuildFromDQSR(m *uml.Model) (*Enforcer, error) {
 		// Constraint components may carry an explicit OCL predicate
 		// ("ocl=<expr>"); each becomes a compiled OCLCheck regardless of
 		// dimension, upgrading custom requirements to validator-enforced.
-		for _, expr := range oclFromComponents(req) {
+		for _, expr := range data.OCL {
 			chk, err := NewOCLCheck(dim, expr)
 			if err != nil {
 				return nil, fmt.Errorf("dqruntime: requirement %q: %w", summary.Title, err)
@@ -140,96 +139,16 @@ func BuildFromDQSR(m *uml.Model) (*Enforcer, error) {
 	return e, nil
 }
 
-// boundsFromComponents scans the requirement's realizing constraint
-// components for lower_bound= / upper_bound= attributes. Reversed bounds
-// (lower > upper) are treated as an authoring slip and swapped — a check
-// that can never pass helps nobody.
-func boundsFromComponents(req *metamodel.Object) (lower, upper int64, found bool) {
-	for _, comp := range req.GetRefs("realizedBy") {
-		if comp.GetString("kind") != "constraint" {
-			continue
-		}
-		for _, a := range stringList(comp.GetList("attributes")) {
-			if v, ok := strings.CutPrefix(a, "lower_bound="); ok {
-				if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-					lower, found = n, true
-				}
-			}
-			if v, ok := strings.CutPrefix(a, "upper_bound="); ok {
-				if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-					upper, found = n, true
-				}
-			}
-		}
-	}
-	if found && lower > upper {
-		lower, upper = upper, lower
-	}
-	return lower, upper, found
-}
-
-// oclFromComponents collects "ocl=" attribute payloads from the
+// constraintPayloads concatenates the attributes (the payloads) of the
 // requirement's realizing constraint components, in model order.
-func oclFromComponents(req *metamodel.Object) []string {
-	var out []string
+func constraintPayloads(req *metamodel.Object) []metamodel.Value {
+	var out []metamodel.Value
 	for _, comp := range req.GetRefs("realizedBy") {
-		if comp.GetString("kind") != "constraint" {
-			continue
-		}
-		for _, a := range stringList(comp.GetList("attributes")) {
-			if expr, ok := strings.CutPrefix(a, "ocl="); ok && strings.TrimSpace(expr) != "" {
-				out = append(out, expr)
-			}
+		if comp.GetString("kind") == "constraint" {
+			out = append(out, comp.GetList("attributes")...)
 		}
 	}
 	return out
-}
-
-// fieldBoundsFromComponents parses per-field range payloads of the form
-// "field in [lo,hi]" from the requirement's constraint components — the
-// shape the case study's DQConstraint carries ("overall_evaluation in
-// [-3,3]", "reviewer_confidence in [0,5]").
-func fieldBoundsFromComponents(req *metamodel.Object) map[string][2]int64 {
-	out := map[string][2]int64{}
-	for _, comp := range req.GetRefs("realizedBy") {
-		if comp.GetString("kind") != "constraint" {
-			continue
-		}
-		for _, a := range stringList(comp.GetList("attributes")) {
-			field, lo, hi, ok := parseRangePayload(a)
-			if ok {
-				out[field] = [2]int64{lo, hi}
-			}
-		}
-	}
-	return out
-}
-
-// parseRangePayload parses "field in [lo,hi]". A blank field name or a
-// non-numeric bound rejects the payload; reversed bounds are swapped.
-func parseRangePayload(s string) (field string, lo, hi int64, ok bool) {
-	field, rest, found := strings.Cut(s, " in [")
-	if !found || !strings.HasSuffix(rest, "]") {
-		return "", 0, 0, false
-	}
-	field = strings.TrimSpace(field)
-	if field == "" {
-		return "", 0, 0, false
-	}
-	rest = strings.TrimSuffix(rest, "]")
-	loStr, hiStr, found := strings.Cut(rest, ",")
-	if !found {
-		return "", 0, 0, false
-	}
-	lo, err1 := strconv.ParseInt(strings.TrimSpace(loStr), 10, 64)
-	hi, err2 := strconv.ParseInt(strings.TrimSpace(hiStr), 10, 64)
-	if err1 != nil || err2 != nil {
-		return "", 0, 0, false
-	}
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return field, lo, hi, true
 }
 
 // looksNumeric reports whether a field name suggests a numeric score; the

@@ -12,8 +12,8 @@ import (
 // OCLCheck evaluates an OCL boolean expression over a record, with the
 // record's fields bound as OCL variables. It is the generic realization of
 // DQSR constraint components that carry an explicit OCL predicate (an
-// "ocl=" attribute) instead of one of the fixed-shape payloads the other
-// checks parse. The expression is compiled once, at construction, through
+// "ocl=" attribute) instead of one of the fixed-shape bounds or ranges the
+// other checks take. The expression is compiled once, at construction, through
 // the shared program cache; Apply binds field values into a pooled frame,
 // so steady-state evaluation performs no per-record parsing or compilation.
 // ApplyBatch is the vectorized sibling: one reused frame sweeps a whole

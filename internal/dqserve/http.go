@@ -65,29 +65,19 @@ const maxContextBytes = 128
 func parseOptions(r *http.Request) (JobOptions, error) {
 	q := r.URL.Query()
 	var o JobOptions
-	var err error
-	intParam := func(name string) (int, error) {
-		v := q.Get(name)
-		if v == "" {
-			return 0, nil
+	ints := []struct {
+		name string
+		dst  *int
+	}{{"workers", &o.Workers}, {"exemplars", &o.Exemplars},
+		{"decode_errors", &o.DecodeErrors}, {"unique_max_exact", &o.UniqueMaxExact}}
+	for _, p := range ints {
+		if v := q.Get(p.name); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return o, fmt.Errorf("bad %s %q", p.name, v)
+			}
+			*p.dst = n
 		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, fmt.Errorf("bad %s %q", name, v)
-		}
-		return n, nil
-	}
-	if o.Workers, err = intParam("workers"); err != nil {
-		return o, err
-	}
-	if o.Exemplars, err = intParam("exemplars"); err != nil {
-		return o, err
-	}
-	if o.DecodeErrors, err = intParam("decode_errors"); err != nil {
-		return o, err
-	}
-	if o.UniqueMaxExact, err = intParam("unique_max_exact"); err != nil {
-		return o, err
 	}
 	// The context labels the server's quality series for as long as it
 	// runs, so a client may not make it arbitrarily long.
@@ -99,7 +89,7 @@ func parseOptions(r *http.Request) (JobOptions, error) {
 	o.Windows = splitList(q.Get("windows"))
 	o.MaxAge = q.Get("max_age")
 	o.MaxSkew = q.Get("max_skew")
-	if _, err := o.crossChecks(); err != nil {
+	if _, err := o.engineOptions(); err != nil {
 		return o, err
 	}
 	return o, nil

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -37,10 +38,10 @@ func terminal(state string) bool {
 
 // JobOptions are the per-job engine knobs, mirroring `dqwebre batch`
 // flags one for one so the served report can be byte-identical to the
-// CLI's. Durations travel as strings ("24h") and are validated at submit,
-// as is UniqueMaxExact, which a resident server bounds to
-// [0, dqruntime.DefaultMaxExact] where the CLI accepts any value; a
-// resumed job is checked again before it runs.
+// CLI's. Durations travel as strings ("24h"). engineOptions validates
+// them at submit and again before a resumed job runs; where the CLI
+// accepts any value, it bounds Workers to [0, max(64, NumCPU)] and
+// UniqueMaxExact to [0, dqruntime.DefaultMaxExact].
 type JobOptions struct {
 	Workers        int      `json:"workers,omitempty"`
 	Exemplars      int      `json:"exemplars,omitempty"`
@@ -54,13 +55,18 @@ type JobOptions struct {
 	MaxSkew        string   `json:"max_skew,omitempty"`
 }
 
-// crossChecks assembles the dataset-level stateful checks the options ask
-// for — the same construction cmdBatch performs from its flags.
-func (o *JobOptions) crossChecks() ([]dqruntime.StatefulCheck, error) {
-	// The exact uniqueness table grows with a job's distinct keys, so a
-	// client may lower its cap but never lift it.
+// engineOptions validates the options and builds the engine options they
+// ask for — the same construction cmdBatch performs from its flags. The
+// caller adds the server's registry, quality series and context label.
+func (o *JobOptions) engineOptions() (dqbatch.Options, error) {
+	// Each worker costs a goroutine, a chunk, a shard and per-check states
+	// before a record is read, and the exact uniqueness table grows with a
+	// job's distinct keys: a client may lower either cap but never lift it.
+	if limit := max(64, runtime.NumCPU()); o.Workers < 0 || o.Workers > limit {
+		return dqbatch.Options{}, fmt.Errorf("workers %d outside [0, %d]", o.Workers, limit)
+	}
 	if o.UniqueMaxExact < 0 || o.UniqueMaxExact > dqruntime.DefaultMaxExact {
-		return nil, fmt.Errorf("unique_max_exact %d outside [0, %d]", o.UniqueMaxExact, dqruntime.DefaultMaxExact)
+		return dqbatch.Options{}, fmt.Errorf("unique_max_exact %d outside [0, %d]", o.UniqueMaxExact, dqruntime.DefaultMaxExact)
 	}
 	var cross []dqruntime.StatefulCheck
 	if len(o.Unique) > 0 {
@@ -78,7 +84,7 @@ func (o *JobOptions) crossChecks() ([]dqruntime.StatefulCheck, error) {
 		for _, w := range windows {
 			d, err := time.ParseDuration(w)
 			if err != nil {
-				return nil, fmt.Errorf("bad windows entry %q: %w", w, err)
+				return dqbatch.Options{}, fmt.Errorf("bad windows entry %q: %w", w, err)
 			}
 			wins = append(wins, d)
 		}
@@ -86,12 +92,12 @@ func (o *JobOptions) crossChecks() ([]dqruntime.StatefulCheck, error) {
 		var err error
 		if o.MaxAge != "" {
 			if maxAge, err = time.ParseDuration(o.MaxAge); err != nil {
-				return nil, fmt.Errorf("bad max_age %q: %w", o.MaxAge, err)
+				return dqbatch.Options{}, fmt.Errorf("bad max_age %q: %w", o.MaxAge, err)
 			}
 		}
 		if o.MaxSkew != "" {
 			if maxSkew, err = time.ParseDuration(o.MaxSkew); err != nil {
-				return nil, fmt.Errorf("bad max_skew %q: %w", o.MaxSkew, err)
+				return dqbatch.Options{}, fmt.Errorf("bad max_skew %q: %w", o.MaxSkew, err)
 			}
 		}
 		cross = append(cross, dqruntime.TimelinessCheck{
@@ -101,7 +107,12 @@ func (o *JobOptions) crossChecks() ([]dqruntime.StatefulCheck, error) {
 			MaxSkew: maxSkew,
 		})
 	}
-	return cross, nil
+	return dqbatch.Options{
+		Workers:         o.Workers,
+		MaxExemplars:    o.Exemplars,
+		MaxDecodeErrors: o.DecodeErrors,
+		CrossRecord:     cross,
+	}, nil
 }
 
 // Job is one validation job: a staged input stream plus the model and
@@ -413,7 +424,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.finishJob(j, StateFailed, nil, fmt.Errorf("loading model: %w", err))
 		return
 	}
-	cross, err := j.Opts.crossChecks()
+	opts, err := j.Opts.engineOptions()
 	if err != nil {
 		span.Fail(err)
 		s.finishJob(j, StateFailed, nil, err)
@@ -432,20 +443,12 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	defer closeIn()
 	src = dqbatch.CountSource(src, &j.progress)
 
-	qualityCtx := j.Opts.Context
-	if qualityCtx == "" {
+	opts.Registry, opts.Quality, opts.Context = s.reg, s.quality, j.Opts.Context
+	if opts.Context == "" {
 		base := filepath.Base(j.ModelPath)
-		qualityCtx = strings.TrimSuffix(base, filepath.Ext(base))
+		opts.Context = strings.TrimSuffix(base, filepath.Ext(base))
 	}
-	res, runErr := dqbatch.Run(ctx, enf.Validator(), src, dqbatch.Options{
-		Workers:         j.Opts.Workers,
-		MaxExemplars:    j.Opts.Exemplars,
-		MaxDecodeErrors: j.Opts.DecodeErrors,
-		Registry:        s.reg,
-		Quality:         s.quality,
-		Context:         qualityCtx,
-		CrossRecord:     cross,
-	})
+	res, runErr := dqbatch.Run(ctx, enf.Validator(), src, opts)
 
 	j.mu.Lock()
 	crashed := j.crashed

@@ -999,6 +999,82 @@ func TestUniqueMaxExactBounded(t *testing.T) {
 	}
 }
 
+// maxJobWorkers mirrors the server's bound on a job's workers.
+func maxJobWorkers() int { return max(64, runtime.NumCPU()) }
+
+// TestWorkersBounded checks that a client cannot ask one job for an
+// unbounded number of workers, each of which costs a goroutine, a chunk,
+// a shard and per-check states before a record is read: workers below 0
+// or above max(64, NumCPU) is rejected with 400 before any staging I/O.
+func TestWorkersBounded(t *testing.T) {
+	cfg := testConfig(t)
+	s, ts := startServer(t, cfg)
+	records := makeNDJSON(50)
+	for _, bad := range []int{-1, maxJobWorkers() + 1} {
+		if code, _ := submit(t, ts, fmt.Sprintf("?unique=email_address&workers=%d", bad), records); code != http.StatusBadRequest {
+			t.Fatalf("workers=%d: submit = %d, want 400", bad, code)
+		}
+	}
+	entries, err := os.ReadDir(cfg.StagingDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("rejected submissions left staging files: %v", entries)
+	}
+	code, id := submit(t, ts, fmt.Sprintf("?unique=email_address&workers=%d", maxJobWorkers()), records)
+	if code != http.StatusAccepted {
+		t.Fatalf("workers=%d: submit = %d, want 202", maxJobWorkers(), code)
+	}
+	if j := waitDone(t, s, id); j.State() != dqserve.StateDone {
+		t.Fatalf("state = %s", j.State())
+	}
+}
+
+// TestResumeChecksWorkersBound restarts a server over a sealed queued
+// manifest whose workers exceed the bound (written by hand, as an older
+// server without the bound could have sealed it). The resumed job fails
+// with the bound's message instead of running.
+func TestResumeChecksWorkersBound(t *testing.T) {
+	cfg := testConfig(t)
+	s1, err := dqserve.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, id := submitTo(t, s1.Handler(), makeNDJSON(20))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	s1.Abort()
+
+	path := filepath.Join(cfg.StagingDir, id+".job")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["options"] = map[string]any{"workers": maxJobWorkers() + 1}
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts := startServer(t, cfg)
+	if j := waitDone(t, s2, id); j.State() != dqserve.StateFailed {
+		t.Fatalf("resumed job over the bound: state = %s, want failed", j.State())
+	}
+	_, body := get(t, ts, "/v1/jobs/"+id)
+	want := fmt.Sprintf("workers %d outside [0, %d]", maxJobWorkers()+1, maxJobWorkers())
+	if !strings.Contains(string(body), want) {
+		t.Fatalf("status %s lacks %q", body, want)
+	}
+}
+
 // TestContextLabelBounded checks that a client cannot grow the server's
 // quality telemetry with a long context label: one of more than 128 bytes
 // is rejected with 400 before any staging I/O, and one of 128 bytes labels

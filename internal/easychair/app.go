@@ -536,8 +536,8 @@ func (a *App) handleSpans(c *webapp.Context) {
 
 // handleNewReviewForm serves the review form generated from the model by
 // the codegen layer: required fields and score ranges come straight from
-// the captured DQ requirements, so the form and the server-side checks
-// cannot drift apart.
+// the captured DQ requirements, and the form's min/max and the enforcer's
+// bounds read each range through one payload codec, so they cannot drift.
 func (a *App) handleNewReviewForm(c *webapp.Context) {
 	if _, err := strconv.ParseInt(c.Param("id"), 10, 64); err != nil {
 		c.Text(http.StatusBadRequest, "bad paper id\n")

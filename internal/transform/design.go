@@ -3,8 +3,10 @@ package transform
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
+	"github.com/modeldriven/dqwebre/internal/dqwebre"
 	"github.com/modeldriven/dqwebre/internal/metamodel"
 	"github.com/modeldriven/dqwebre/internal/uml"
 )
@@ -19,7 +21,9 @@ import (
 //	                                operations
 //	ComponentSpec(validator)      → Class with one Boolean operation per
 //	                                check function
-//	ComponentSpec(constraint)     → Class with the bound attributes
+//	ComponentSpec(constraint)     → Class with one attribute per payload:
+//	                                bounds typed Integer, ranges Range,
+//	                                OCL predicates OCLExpression
 //	SoftwareRequirement           → Requirement traced to the classes
 //	                                realizing it
 //
@@ -132,15 +136,20 @@ func bindComponentClass(t *Trace, src, dst *metamodel.Object) error {
 			}
 		}
 	case KindConstraint:
+		// Bounds and predicates are named by their key; ranges and
+		// unrecognised payloads as written.
 		for _, v := range src.GetList("attributes") {
 			raw := string(v.(metamodel.String))
-			if attr, val, ok := strings.Cut(raw, "="); ok && !strings.Contains(raw, " in [") {
-				if err := addAttr(attr, "Integer = "+val); err != nil {
-					return err
-				}
-				continue
+			name, typ := raw, "String"
+			switch p := dqwebre.ParsePayload(raw); p.Kind {
+			case dqwebre.LowerBound, dqwebre.UpperBound:
+				name, typ = string(p.Kind), "Integer = "+strconv.FormatInt(p.Bound, 10)
+			case dqwebre.FieldRange:
+				typ = "Range"
+			case dqwebre.OCLPredicate:
+				name, typ = string(p.Kind), "OCLExpression = "+p.Expr
 			}
-			if err := addAttr(raw, "Range"); err != nil {
+			if err := addAttr(name, typ); err != nil {
 				return err
 			}
 		}

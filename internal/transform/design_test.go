@@ -149,3 +149,39 @@ func keys(m map[string]*metamodel.Object) []string {
 	}
 	return out
 }
+
+// TestDQSR2DesignTypesConstraintPayloads checks that the constraint class
+// types each payload by its codec kind, in model order: bounds Integer
+// with their value, ranges Range, and an "ocl=" predicate OCLExpression.
+func TestDQSR2DesignTypesConstraintPayloads(t *testing.T) {
+	e := easychair.MustBuildModel()
+	if err := e.ScoreConstraint.Append("constraintData", metamodel.String("ocl=overall_evaluation <> 0")); err != nil {
+		t.Fatal(err)
+	}
+	dqsr, _, err := RunDQR2DQSR(e.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design, _, err := RunDQSR2Design(dqsr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, ok := design.FindByName(uml.MetaClass, "EvaluationScoreRange")
+	if !ok {
+		t.Fatal("no EvaluationScoreRange class")
+	}
+	var got []string
+	for _, a := range cls.GetRefs("attributes") {
+		got = append(got, a.GetString("name")+" : "+a.GetString("type"))
+	}
+	want := []string{
+		"lower_bound : Integer = -3",
+		"upper_bound : Integer = 3",
+		"overall_evaluation in [-3,3] : Range",
+		"reviewer_confidence in [0,5] : Range",
+		"ocl : OCLExpression = overall_evaluation <> 0",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("constraint attributes:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -209,19 +209,15 @@ func DQR2DQSR() *Transformation {
 					if err := dst.SetString("kind", KindConstraint); err != nil {
 						return err
 					}
-					if src.IsSet("lower_bound") {
-						if err := dst.Append("attributes",
-							metamodel.String(fmt.Sprintf("lower_bound=%d", src.GetInt("lower_bound")))); err != nil {
-							return err
+					// The bounds, named after the attributes they carry, then
+					// the constraint data verbatim.
+					var payloads []metamodel.Value
+					for _, k := range [...]dqwebre.PayloadKind{dqwebre.LowerBound, dqwebre.UpperBound} {
+						if src.IsSet(string(k)) {
+							payloads = append(payloads, metamodel.String(dqwebre.FormatBound(k, src.GetInt(string(k)))))
 						}
 					}
-					if src.IsSet("upper_bound") {
-						if err := dst.Append("attributes",
-							metamodel.String(fmt.Sprintf("upper_bound=%d", src.GetInt("upper_bound")))); err != nil {
-							return err
-						}
-					}
-					for _, v := range src.GetList("constraintData") {
+					for _, v := range append(payloads, src.GetList("constraintData")...) {
 						if err := dst.Append("attributes", v); err != nil {
 							return err
 						}
@@ -274,7 +270,6 @@ func fieldsInScope(src *uml.Model, req *metamodel.Object) []string {
 func wireRealizations(t *Trace) error {
 	stores := t.TargetsOf("metadata2component")
 	validators := t.TargetsOf("validator2component")
-	constraints := t.TargetsOf("constraint2component")
 
 	// Constraints attach to the components of the validators they reference
 	// in the source model.
@@ -289,7 +284,6 @@ func wireRealizations(t *Trace) error {
 			}
 		}
 	}
-	_ = constraints
 
 	for _, req := range t.TargetsOf("requirement2software") {
 		dim := iso25012.Characteristic(req.GetString("dimension"))

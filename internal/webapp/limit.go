@@ -111,8 +111,9 @@ type RateLimiter struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 
-	// maxClients bounds the bucket map; stale buckets are pruned when it
-	// is exceeded.
+	// maxClients bounds the bucket map: a new client finding it full
+	// clears it. A forgotten client restarts with a full bucket, as an
+	// idle one would, and resets come at most once per maxClients clients.
 	maxClients int
 
 	// metrics; nil until Instrument.
@@ -161,15 +162,12 @@ func (l *RateLimiter) Allow(key string) bool {
 	b, ok := l.buckets[key]
 	if !ok {
 		if len(l.buckets) >= l.maxClients {
-			l.pruneLocked(now)
+			clear(l.buckets)
 		}
 		b = &bucket{tokens: l.burst, last: now}
 		l.buckets[key] = b
 	}
-	b.tokens += now.Sub(b.last).Seconds() * l.rate
-	if b.tokens > l.burst {
-		b.tokens = l.burst
-	}
+	b.tokens = min(l.burst, b.tokens+now.Sub(b.last).Seconds()*l.rate)
 	b.last = now
 	allowed := b.tokens >= 1
 	if allowed {
@@ -184,17 +182,6 @@ func (l *RateLimiter) Allow(key string) bool {
 		l.shed.Inc()
 	}
 	return allowed
-}
-
-// pruneLocked drops buckets that have been idle long enough to be full
-// again — forgetting them loses no information. Callers hold l.mu.
-func (l *RateLimiter) pruneLocked(now time.Time) {
-	idle := time.Duration(l.burst/l.rate*float64(time.Second)) + time.Second
-	for k, b := range l.buckets {
-		if now.Sub(b.last) > idle {
-			delete(l.buckets, k)
-		}
-	}
 }
 
 // Clients returns the number of tracked client buckets.

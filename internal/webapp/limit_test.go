@@ -226,6 +226,40 @@ func TestRateLimiterTokenBucket(t *testing.T) {
 	}
 }
 
+// TestRateLimiterClientMapBounded sends 20,000 distinct clients through
+// the limiter on a fixed clock, so none is idle: the bucket map still
+// never holds more than maxClients.
+func TestRateLimiterClientMapBounded(t *testing.T) {
+	rl := NewRateLimiter(1, 1)
+	now := time.Unix(1000, 0)
+	rl.now = func() time.Time { return now }
+	for i := 0; i < 20000; i++ {
+		rl.Allow(fmt.Sprintf("client-%d", i))
+		if n := rl.Clients(); n > rl.maxClients {
+			t.Fatalf("after %d clients the limiter tracks %d, more than %d", i+1, n, rl.maxClients)
+		}
+	}
+}
+
+// TestRateLimiterHotKeyOutlivesNewClients checks that a client that spent
+// its burst stays limited while fewer than maxClients other clients
+// arrive: the map is cleared only when a new client finds it full.
+func TestRateLimiterHotKeyOutlivesNewClients(t *testing.T) {
+	rl := NewRateLimiter(1, 2)
+	now := time.Unix(1000, 0)
+	rl.now = func() time.Time { return now }
+	for rl.Allow("hot") {
+	}
+	for i := 0; i < rl.maxClients-1; i++ {
+		if !rl.Allow(fmt.Sprintf("client-%d", i)) {
+			t.Fatalf("new client %d denied", i)
+		}
+	}
+	if rl.Allow("hot") {
+		t.Fatalf("hot client allowed again after %d other clients", rl.maxClients-1)
+	}
+}
+
 // TestRateLimiterMiddleware checks the 429 path end to end, including the
 // Retry-After hint and per-client keying by IP.
 func TestRateLimiterMiddleware(t *testing.T) {
