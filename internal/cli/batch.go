@@ -12,7 +12,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 
 	"github.com/modeldriven/dqwebre/internal/dqbatch"
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
@@ -38,16 +37,10 @@ func cmdBatch(args []string, out io.Writer) error {
 	report := fs.String("report", "text", "report format: text or json")
 	exemplars := fs.Int("exemplars", 3, "failure exemplars kept per characteristic (-1 = none)")
 	decodeErrs := fs.Int("decode-errors", 10, "decode errors reported with line numbers (-1 = none)")
-	unique := fs.String("unique", "", "comma-separated key fields that must be unique across the dataset")
-	uniqueMaxExact := fs.Int("unique-max-exact", 0,
-		"distinct keys tracked exactly before the uniqueness check degrades to a Bloom filter (0 = default, -1 = always exact)")
+	crossOpts := crossFlags(fs)
 	ref := fs.String("ref", "", "reference records file for the referential check (NDJSON or CSV)")
 	refKey := fs.String("ref-key", "", "comma-separated key fields in the reference file")
 	refField := fs.String("ref-field", "", "comma-separated foreign-key fields in the validated records (default: -ref-key)")
-	timeliness := fs.String("timeliness", "", "timestamp field for the dataset timeliness check")
-	windows := fs.String("windows", "24h,168h", "comma-separated freshness windows for -timeliness")
-	maxAge := fs.Duration("max-age", 0, "oldest acceptable age for -timeliness (0 = largest window)")
-	maxSkew := fs.Duration("max-skew", 0, "future-timestamp tolerance for -timeliness (0 = 5m)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the batch run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file when the batch finishes")
 	if err := fs.Parse(args); err != nil {
@@ -118,13 +111,7 @@ func cmdBatch(args []string, out io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var cross []dqruntime.StatefulCheck
-	if *unique != "" {
-		cross = append(cross, dqruntime.UniquenessCheck{
-			Fields:   splitFields(*unique),
-			MaxExact: *uniqueMaxExact,
-		})
-	}
+	var refs []dqruntime.StatefulCheck
 	if *ref != "" {
 		// First pass: stream the reference dataset into an exact key set.
 		refSrc, closeRef, err := openSource(*ref, "")
@@ -140,29 +127,16 @@ func cmdBatch(args []string, out io.Writer) error {
 		if fkFields == "" {
 			fkFields = *refKey
 		}
-		cross = append(cross, dqruntime.ReferentialCheck{
+		refs = append(refs, dqruntime.ReferentialCheck{
 			Fields:  splitFields(fkFields),
 			Ref:     keys,
 			RefName: filepath.Base(*ref),
 		})
 	}
-	if *timeliness != "" {
-		var wins []time.Duration
-		for _, w := range splitFields(*windows) {
-			d, err := time.ParseDuration(w)
-			if err != nil {
-				return fmt.Errorf("bad -windows entry %q: %w", w, err)
-			}
-			wins = append(wins, d)
-		}
-		cross = append(cross, dqruntime.TimelinessCheck{
-			Field:   *timeliness,
-			Windows: wins,
-			MaxAge:  *maxAge,
-			MaxSkew: *maxSkew,
-		})
+	cross, err := crossOpts().Checks(refs...)
+	if err != nil {
+		return err
 	}
-
 	res, runErr := dqbatch.Run(ctx, enf.Validator(), src, dqbatch.Options{
 		Workers:         *workers,
 		MaxExemplars:    *exemplars,
@@ -176,6 +150,29 @@ func cmdBatch(args []string, out io.Writer) error {
 		return err
 	}
 	return runErr
+}
+
+// crossFlags registers the uniqueness and timeliness flags on fs and
+// returns the options they hold once fs is parsed: the dqbatch
+// CrossOptions a dqserve job reads from its query, spelled as flags.
+func crossFlags(fs *flag.FlagSet) func() dqbatch.CrossOptions {
+	unique := fs.String("unique", "", "comma-separated key fields that must be unique across the dataset")
+	uniqueMaxExact := fs.Int("unique-max-exact", 0,
+		"distinct keys tracked exactly before the uniqueness check degrades to a Bloom filter (0 = default, -1 = always exact)")
+	timeliness := fs.String("timeliness", "", "timestamp field for the dataset timeliness check")
+	windows := fs.String("windows", "", "comma-separated freshness windows for -timeliness (empty = 24h,168h)")
+	maxAge := fs.String("max-age", "", "oldest acceptable age for -timeliness, a duration (empty = the largest window)")
+	maxSkew := fs.String("max-skew", "", "future-timestamp tolerance for -timeliness, a duration (empty = 5m)")
+	return func() dqbatch.CrossOptions {
+		return dqbatch.CrossOptions{
+			Unique:         splitFields(*unique),
+			UniqueMaxExact: *uniqueMaxExact,
+			Timeliness:     *timeliness,
+			Windows:        splitFields(*windows),
+			MaxAge:         *maxAge,
+			MaxSkew:        *maxSkew,
+		}
+	}
 }
 
 // LoadEnforcer loads a model file and assembles its runtime enforcer,

@@ -2,11 +2,17 @@ package cli
 
 import (
 	"encoding/json"
+	"flag"
+	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/modeldriven/dqwebre/internal/dqruntime"
+	"github.com/modeldriven/dqwebre/internal/dqserve"
 	"github.com/modeldriven/dqwebre/internal/easychair"
 	"github.com/modeldriven/dqwebre/internal/xmi"
 )
@@ -166,5 +172,57 @@ func TestCmdBatchCrossRecordChecks(t *testing.T) {
 	// -ref without -ref-key is a usage error.
 	if err := Run([]string{"batch", "-model", model, "-in", records, "-ref", ref}, &out); err == nil {
 		t.Fatal("-ref without -ref-key accepted")
+	}
+}
+
+// TestCrossFlagsMatchJobQuery: the same textual options, spelled as
+// `dqwebre batch` flags and as a dqserve job query, build equal
+// cross-record checks — an empty window list meaning the default windows
+// on both sides.
+func TestCrossFlagsMatchJobQuery(t *testing.T) {
+	cases := []struct {
+		flags []string
+		query string
+	}{
+		{nil, ""},
+		{[]string{"-unique", "email_address, paper_id", "-unique-max-exact", "64"},
+			"unique=email_address,paper_id&unique_max_exact=64"},
+		{[]string{"-timeliness", "submitted_at"}, "timeliness=submitted_at"},
+		{[]string{"-timeliness", "submitted_at", "-windows", ""}, "timeliness=submitted_at&windows="},
+		{[]string{"-timeliness", "ts", "-windows", "1h, 30m", "-max-age", "720h", "-max-skew", "1m"},
+			"timeliness=ts&windows=1h,30m&max_age=720h&max_skew=1m"},
+		{[]string{"-unique", "id", "-timeliness", "ts", "-max-skew", "-1s"}, "unique=id&timeliness=ts&max_skew=-1s"},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("batch", flag.ContinueOnError)
+		crossOpts := crossFlags(fs)
+		if err := fs.Parse(c.flags); err != nil {
+			t.Fatal(err)
+		}
+		fromFlags, err := crossOpts().Checks()
+		if err != nil {
+			t.Fatalf("%q: %v", c.flags, err)
+		}
+		q, err := url.ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jo, err := dqserve.ParseJobOptions(q)
+		if err != nil {
+			t.Fatalf("%q: %v", c.query, err)
+		}
+		fromQuery, err := jo.Checks()
+		if err != nil {
+			t.Fatalf("%q: %v", c.query, err)
+		}
+		if !reflect.DeepEqual(fromFlags, fromQuery) {
+			t.Errorf("flags %q build %+v, query %q builds %+v", c.flags, fromFlags, c.query, fromQuery)
+		}
+		for _, sc := range fromFlags {
+			if tc, ok := sc.(dqruntime.TimelinessCheck); ok && strings.HasPrefix(c.query, "timeliness=submitted_at") &&
+				!reflect.DeepEqual(tc.Windows, []time.Duration{24 * time.Hour, 168 * time.Hour}) {
+				t.Errorf("%q: windows %v, want the default 24h, 168h", c.flags, tc.Windows)
+			}
+		}
 	}
 }

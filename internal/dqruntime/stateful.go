@@ -1,9 +1,12 @@
 package dqruntime
 
 import (
+	"container/heap"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -107,25 +110,31 @@ func keyCols(fields []string, b *ColumnBatch, scratch []*Column) []*Column {
 	return scratch
 }
 
-// colKeyAt extracts row i's key from the resolved columns, mirroring KeyOf
-// on the row's record map (missing column or cell → "").
-func colKeyAt(cols []*Column, i int) string {
-	if len(cols) == 1 {
-		if cols[0] == nil {
-			return ""
-		}
-		return cols[0].Raw[i]
-	}
-	var sb strings.Builder
+// appendKey appends row i's multi-field key to buf, exactly as KeyOf
+// builds it from the row's record map (missing column or cell → "").
+func appendKey(buf []byte, cols []*Column, i int) []byte {
 	for ci, c := range cols {
 		if ci > 0 {
-			sb.WriteString(keySep)
+			buf = append(buf, keySep...)
 		}
 		if c != nil {
-			sb.WriteString(c.Raw[i])
+			buf = append(buf, c.Raw[i]...)
 		}
 	}
-	return sb.String()
+	return buf
+}
+
+// blankAt reports whether row i's key is blank: every key column is
+// absent or holds a missing or blank cell. The cell kinds were classified
+// with strings.TrimSpace at decode time, so no key is split or trimmed
+// here.
+func blankAt(cols []*Column, i int) bool {
+	for _, c := range cols {
+		if c != nil && c.Kinds[i] > CellBlank {
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -150,10 +159,9 @@ func newBloom(bitCount int) *bloomFilter {
 	return &bloomFilter{words: make([]uint64, words), m: uint64(words) * 64}
 }
 
-// fnv1a constants and hashes: the 64-bit key hash shared by the Bloom
-// filter and the uniqueness table, so a spilled table can re-insert its
-// keys into the filter from stored hashes alone, bit-identically to
-// inserting the key strings.
+// fnv1a constants and hashes: the Bloom filter's 64-bit key hash. It is a
+// function of the key bytes alone, so a filter's bits depend on the set
+// of keys inserted, never on the process or on which state saw them.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -190,20 +198,12 @@ func bloomStride(h1 uint64) uint64 {
 	return h2
 }
 
-// bloomHash derives the double-hashing pair from FNV-1a plus the splitmix64
-// stride.
-func bloomHash(key string) (h1, h2 uint64) {
-	h1 = fnv1aString(key)
-	return h1, bloomStride(h1)
-}
-
 func (b *bloomFilter) insert(key string) {
 	b.insertHashed(fnv1aString(key))
 }
 
 // insertHashed inserts a key by its FNV-1a hash — the same bits insert
-// sets for the key itself, which is what keeps a hash-only spill
-// deterministic.
+// sets for the key itself.
 func (b *bloomFilter) insertHashed(h1 uint64) {
 	h2 := bloomStride(h1)
 	for i := uint64(0); i < bloomHashCount; i++ {
@@ -259,7 +259,7 @@ type keyCount struct {
 // selection), so the reported counts and first ordinals are exact.
 type keyTally struct {
 	cap  int
-	keys map[string]keyCount
+	keys map[string]*keyCount
 	max  string // largest retained key, meaningful when len(keys) > 0
 }
 
@@ -267,24 +267,44 @@ func newKeyTally(cap int) *keyTally {
 	if cap < 0 {
 		cap = 0
 	}
-	return &keyTally{cap: cap, keys: make(map[string]keyCount, cap)}
+	return &keyTally{cap: cap, keys: make(map[string]*keyCount, cap)}
 }
 
-// add folds one observation of key at ordinal.
+// add folds count observations of key, the first at ordinal.
 func (t *keyTally) add(key string, ordinal, count int64) {
-	if t.cap == 0 {
+	if t.cap == 0 || t.bump(t.keys[key], ordinal, count) {
 		return
 	}
-	if kc, ok := t.keys[key]; ok {
-		kc.count += count
-		if ordinal < kc.first {
-			kc.first = ordinal
-		}
-		t.keys[key] = kc
+	t.insert(key, ordinal, count)
+}
+
+// addBytes is add for one observation of a key held as bytes: the key
+// becomes a string only when the tally keeps it.
+func (t *keyTally) addBytes(key []byte, ordinal int64) {
+	if t.cap == 0 || t.bump(t.keys[string(key)], ordinal, 1) {
 		return
 	}
+	if len(t.keys) < t.cap || string(key) < t.max {
+		t.insert(string(key), ordinal, 1)
+	}
+}
+
+// bump folds observations into a retained key's statistics; it reports
+// false when kc is nil, the key not being retained.
+func (t *keyTally) bump(kc *keyCount, ordinal, count int64) bool {
+	if kc == nil {
+		return false
+	}
+	kc.count += count
+	kc.first = min(kc.first, ordinal)
+	return true
+}
+
+// insert retains a key the tally does not hold, evicting the largest
+// retained key when full; a key not below that largest one is dropped.
+func (t *keyTally) insert(key string, ordinal, count int64) {
 	if len(t.keys) < t.cap {
-		t.keys[key] = keyCount{count: count, first: ordinal}
+		t.keys[key] = &keyCount{count: count, first: ordinal}
 		if len(t.keys) == 1 || key > t.max {
 			t.max = key
 		}
@@ -294,7 +314,7 @@ func (t *keyTally) add(key string, ordinal, count int64) {
 		return
 	}
 	delete(t.keys, t.max)
-	t.keys[key] = keyCount{count: count, first: ordinal}
+	t.keys[key] = &keyCount{count: count, first: ordinal}
 	t.max = ""
 	for k := range t.keys {
 		if k > t.max {
@@ -321,24 +341,39 @@ func (t *keyTally) sortedKeys() []string {
 }
 
 // ---------------------------------------------------------------------------
-// uniqTable: open-addressed key counting for the uniqueness check.
+// uniqTable: open-addressed key counting for the cross-record checks.
 
-// uniqEntry is one slot; count == 0 marks it empty, so hashes are stored
-// verbatim (no reserved hash value that would skew the Bloom spill).
+// tableSeed seeds every uniqTable's hash. States merge tables by stored
+// hash, so all tables of a process share it; no finding depends on where
+// a key lands in a table, so the seed may differ between processes.
+var tableSeed = maphash.MakeSeed()
+
+func tableHash(key string) uint64 { return maphash.String(tableSeed, key) }
+
+func tableHashBytes(key []byte) uint64 { return maphash.Bytes(tableSeed, key) }
+
+// uniqEntry is one distinct key: its hash, its count and the end of its
+// bytes in the table's arena (they start where the previous entry's end).
 type uniqEntry struct {
 	hash  uint64
 	count int64
-	key   string
+	end   int
 }
 
-// uniqTable counts key occurrences with open addressing and linear
-// probing. Compared to a map[string]int64 it probes by a precomputed
-// 64-bit hash, which lets callers look keys up from a byte slice and only
-// materialize the string on first insertion — the hot path of a
-// high-duplication dataset allocates nothing.
+// uniqTable counts key occurrences. Its entries are dense, in insertion
+// order, with every key's bytes copied into one arena, and an
+// open-addressed index of 8-byte slots with linear probing finds them. A
+// slot holds the high half of its key's hash beside the entry's position,
+// so a probe reads an entry only when that half matches: a new key
+// touches nothing but the index. Nothing in the table is a pointer, so
+// the garbage collector never scans it. Probing by a precomputed hash
+// lets callers look keys up from a byte slice; the hot path of a
+// high-duplication dataset allocates nothing. The hash is the runtime's
+// own string hash (hash/maphash).
 type uniqTable struct {
-	entries []uniqEntry
-	n       int // occupied slots (distinct keys)
+	slots   []uint64    // 0 = empty, else hash>>32<<32 | entry position+1
+	entries []uniqEntry // one per distinct key
+	arena   []byte      // the keys' bytes, in entry order
 }
 
 // init sizes the table for about hint distinct keys.
@@ -347,80 +382,108 @@ func (t *uniqTable) init(hint int) {
 	for size*3/4 < hint && size < 1<<62 {
 		size <<= 1
 	}
-	t.entries = make([]uniqEntry, size)
-	t.n = 0
+	t.rehash(size)
+}
+
+// len returns the number of distinct keys.
+func (t *uniqTable) len() int { return len(t.entries) }
+
+// key returns entry i's key bytes.
+func (t *uniqTable) key(i int) []byte {
+	start := 0
+	if i > 0 {
+		start = t.entries[i-1].end
+	}
+	return t.arena[start:t.entries[i].end]
 }
 
 // growTo widens the table to hold about hint keys in one rehash, skipping
 // the intermediate doublings; a no-op when already large enough.
 func (t *uniqTable) growTo(hint int) {
-	size := len(t.entries)
+	size := len(t.slots)
 	for size*3/4 < hint {
 		size <<= 1
 	}
-	if size > len(t.entries) {
+	if size > len(t.slots) {
 		t.rehash(size)
 	}
 }
 
-// find probes for (h, key): found means entries[idx] holds it; otherwise
-// idx is the empty slot where an insert of the key belongs.
-func (t *uniqTable) find(h uint64, key string) (idx int, found bool) {
-	mask := len(t.entries) - 1
-	i := int(h) & mask
-	for {
-		e := &t.entries[i]
-		if e.count == 0 {
+// find probes for (h, key): found means entries[at] holds it; otherwise
+// at is the empty slot where an insert of the key belongs.
+func (t *uniqTable) find(h uint64, key string) (at int, found bool) {
+	mask := len(t.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
 			return i, false
 		}
-		if e.hash == h && e.key == key {
-			return i, true
+		if e := int(uint32(s)) - 1; s>>32 == h>>32 && t.entries[e].hash == h && string(t.key(e)) == key {
+			return e, true
 		}
-		i = (i + 1) & mask
 	}
 }
 
-// findBytes is find for a key held as bytes; the e.key == string(key)
-// comparison does not allocate.
-func (t *uniqTable) findBytes(h uint64, key []byte) (idx int, found bool) {
-	mask := len(t.entries) - 1
-	i := int(h) & mask
-	for {
-		e := &t.entries[i]
-		if e.count == 0 {
+// findBytes is find for a key held as bytes.
+func (t *uniqTable) findBytes(h uint64, key []byte) (at int, found bool) {
+	mask := len(t.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
 			return i, false
 		}
-		if e.hash == h && e.key == string(key) {
-			return i, true
+		if e := int(uint32(s)) - 1; s>>32 == h>>32 && t.entries[e].hash == h && string(t.key(e)) == string(key) {
+			return e, true
 		}
-		i = (i + 1) & mask
 	}
 }
 
-// insertAt fills the empty slot find returned and keeps the load factor
-// under 3/4.
-func (t *uniqTable) insertAt(idx int, h uint64, key string, count int64) {
-	t.entries[idx] = uniqEntry{hash: h, count: count, key: key}
-	t.n++
-	if t.n >= len(t.entries)*3/4 {
-		t.rehash(len(t.entries) * 2)
+// insertAt copies key into the arena as a new entry, points the empty
+// slot find returned at it and keeps the load factor under 3/4.
+func (t *uniqTable) insertAt(slot int, h uint64, key string, count int64) {
+	t.arena = append(t.arena, key...)
+	t.link(slot, h, count)
+}
+
+// insertBytesAt is insertAt for a key held as bytes.
+func (t *uniqTable) insertBytesAt(slot int, h uint64, key []byte, count int64) {
+	t.arena = append(t.arena, key...)
+	t.link(slot, h, count)
+}
+
+// link adds the entry whose key bytes end the arena.
+func (t *uniqTable) link(slot int, h uint64, count int64) {
+	if len(t.entries) == math.MaxUint32 {
+		panic("dqruntime: more distinct keys than a uniqTable slot can index")
+	}
+	t.entries = append(t.entries, uniqEntry{hash: h, count: count, end: len(t.arena)})
+	t.slots[slot] = h>>32<<32 | uint64(len(t.entries))
+	if len(t.entries) >= len(t.slots)*3/4 {
+		t.rehash(len(t.slots) * 2)
 	}
 }
 
+// rehash rebuilds the index at size slots from the dense entries, and
+// gives the entries and the arena room for every key that fits before the
+// next rehash (at the mean key length so far), so the table's storage
+// grows in the index's doublings, not in append's smaller steps.
 func (t *uniqTable) rehash(size int) {
-	old := t.entries
-	t.entries = make([]uniqEntry, size)
+	fit := size * 3 / 4
+	meanKey := 16
+	if n := len(t.entries); n > 0 {
+		meanKey = (len(t.arena) + n - 1) / n
+	}
+	t.entries = slices.Grow(t.entries, fit-len(t.entries))
+	t.arena = slices.Grow(t.arena, max(0, fit*meanKey-len(t.arena)))
+	t.slots = make([]uint64, size)
 	mask := size - 1
-	for i := range old {
-		e := &old[i]
-		if e.count == 0 {
-			continue
-		}
-		j := int(e.hash) & mask
-		for t.entries[j].count != 0 {
+	for i := range t.entries {
+		h := t.entries[i].hash
+		j := int(h) & mask
+		for t.slots[j] != 0 {
 			j = (j + 1) & mask
 		}
-		t.entries[j] = *e
+		t.slots[j] = h>>32<<32 | uint64(i+1)
 	}
 }
 
@@ -496,9 +559,9 @@ func (c UniquenessCheck) NewStates(n, maxDetails int) []CheckState {
 }
 
 // uniquenessState is one worker's accumulator: an exact key-count table
-// until maxExact distinct keys, a Bloom filter afterwards. Keys are hashed
-// (FNV-1a 64) out of a reused scratch buffer and the key string is only
-// materialized the first time it is inserted — repeat observations of a
+// until maxExact distinct keys, a Bloom filter afterwards. Multi-field
+// keys are built in a reused scratch buffer, and a key's bytes are copied
+// into the table the first time it is seen — repeat observations of a
 // key allocate nothing.
 type uniquenessState struct {
 	check      UniquenessCheck
@@ -514,67 +577,65 @@ type uniquenessState struct {
 	keyBuf     []byte    // multi-field key scratch
 }
 
-// addString folds one observation of a key already held as a string (a
-// single-field key is the cell's raw value — stored as-is on first
-// insertion, since cell strings are immutable).
+// addString folds one observation of a key already held as a string: a
+// single-field key is the cell's raw value.
 func (s *uniquenessState) addString(key string) {
-	s.records++
-	h := fnv1aString(key)
 	if s.spilled {
-		s.bloom.insertHashed(h)
+		s.bloom.insert(key)
 		return
 	}
+	h := tableHash(key)
 	idx, found := s.table.find(h, key)
 	if found {
 		s.table.entries[idx].count++
 		return
 	}
-	if s.table.n >= s.maxExact {
+	if s.table.len() >= s.maxExact {
 		s.spill()
-		s.bloom.insertHashed(h)
+		s.bloom.insert(key)
 		return
 	}
 	s.table.insertAt(idx, h, key, 1)
 }
 
-// addBytes folds one observation of a key built in the scratch buffer; the
-// string is materialized only when the key is new.
+// addBytes folds one observation of a key built in the scratch buffer.
 func (s *uniquenessState) addBytes(key []byte) {
-	s.records++
-	h := fnv1aBytes(key)
 	if s.spilled {
-		s.bloom.insertHashed(h)
+		s.bloom.insertHashed(fnv1aBytes(key))
 		return
 	}
+	h := tableHashBytes(key)
 	idx, found := s.table.findBytes(h, key)
 	if found {
 		s.table.entries[idx].count++
 		return
 	}
-	if s.table.n >= s.maxExact {
+	if s.table.len() >= s.maxExact {
 		s.spill()
-		s.bloom.insertHashed(h)
+		s.bloom.insertHashed(fnv1aBytes(key))
 		return
 	}
-	s.table.insertAt(idx, h, string(key), 1)
+	s.table.insertBytesAt(idx, h, key, 1)
 }
 
-// spill converts the exact set to Bloom form by stored hash (identical
-// bits to inserting the key strings). Insertion order is irrelevant
-// (inserts are idempotent), so a spill at any point yields the same bits
-// as inserting the stream directly.
+// spill converts the exact set to Bloom form, hashing each stored key
+// with the filter's own hash. Insertion order is irrelevant (inserts are
+// idempotent), so a spill at any point yields the same bits as inserting
+// the stream directly.
 func (s *uniquenessState) spill() {
 	if s.bloom == nil {
 		s.bloom = newBloom(s.bloomBits)
 	}
-	for i := range s.table.entries {
-		if e := &s.table.entries[i]; e.count != 0 {
-			s.bloom.insertHashed(e.hash)
-		}
-	}
-	s.table.entries = nil
-	s.table.n = 0
+	s.bloom.insertTable(&s.table)
+	s.table = uniqTable{}
 	s.spilled = true
+}
+
+// insertTable inserts every key a table holds.
+func (b *bloomFilter) insertTable(t *uniqTable) {
+	for i := range t.entries {
+		b.insertHashed(fnv1aBytes(t.key(i)))
+	}
 }
 
 // maybePrime sizes the table from the first chunk's cardinality: when most
@@ -585,7 +646,7 @@ func (s *uniquenessState) maybePrime() {
 		return
 	}
 	s.primed = true
-	if int64(s.table.n)*2 >= s.records {
+	if int64(s.table.len())*2 >= s.records {
 		target := s.maxExact
 		if target > 1<<14 {
 			target = 1 << 14
@@ -594,38 +655,24 @@ func (s *uniquenessState) maybePrime() {
 	}
 }
 
-// appendKeyPart extends the scratch buffer with one multi-field key part.
-func (s *uniquenessState) appendKeyPart(i int, part string) {
-	if i > 0 {
-		s.keyBuf = append(s.keyBuf, keySep...)
-	}
-	s.keyBuf = append(s.keyBuf, part...)
-}
-
 // ObserveBatch folds every row's key, extracted column-wise.
 func (s *uniquenessState) ObserveBatch(_ int64, b *ColumnBatch) {
 	s.cols = keyCols(s.check.Fields, b, s.cols)
 	rows := b.Rows()
-	if len(s.cols) == 1 {
-		c := s.cols[0]
+	s.records += int64(rows)
+	switch {
+	case len(s.cols) != 1:
 		for i := 0; i < rows; i++ {
-			if c == nil {
-				s.addString("")
-			} else {
-				s.addString(c.Raw[i])
-			}
-		}
-	} else {
-		for i := 0; i < rows; i++ {
-			s.keyBuf = s.keyBuf[:0]
-			for ci, c := range s.cols {
-				part := ""
-				if c != nil {
-					part = c.Raw[i]
-				}
-				s.appendKeyPart(ci, part)
-			}
+			s.keyBuf = appendKey(s.keyBuf[:0], s.cols, i)
 			s.addBytes(s.keyBuf)
+		}
+	case s.cols[0] == nil:
+		for i := 0; i < rows; i++ {
+			s.addString("")
+		}
+	default:
+		for _, key := range s.cols[0].Raw[:rows] {
+			s.addString(key)
 		}
 	}
 	s.maybePrime()
@@ -633,22 +680,20 @@ func (s *uniquenessState) ObserveBatch(_ int64, b *ColumnBatch) {
 
 // Merge folds other into s. Two exact states merge their tables (the
 // approximate decision is deferred to Finding, where the merged
-// cardinality is known); once either side spilled, both degrade to the
-// unioned filter.
+// cardinality is known), growing s once to hold both; once either side
+// spilled, both degrade to the unioned filter.
 func (s *uniquenessState) Merge(other CheckState) {
 	o := other.(*uniquenessState)
 	s.records += o.records
 	if !s.spilled && !o.spilled {
+		s.table.growTo(s.table.len() + o.table.len() + 1)
 		for i := range o.table.entries {
-			e := &o.table.entries[i]
-			if e.count == 0 {
-				continue
-			}
-			idx, found := s.table.find(e.hash, e.key)
+			e, key := &o.table.entries[i], o.table.key(i)
+			idx, found := s.table.findBytes(e.hash, key)
 			if found {
 				s.table.entries[idx].count += e.count
 			} else {
-				s.table.insertAt(idx, e.hash, e.key, e.count)
+				s.table.insertBytesAt(idx, e.hash, key, e.count)
 			}
 		}
 		return
@@ -659,11 +704,7 @@ func (s *uniquenessState) Merge(other CheckState) {
 	if o.spilled {
 		s.bloom.union(o.bloom)
 	} else {
-		for i := range o.table.entries {
-			if e := &o.table.entries[i]; e.count != 0 {
-				s.bloom.insertHashed(e.hash)
-			}
-		}
+		s.bloom.insertTable(&o.table)
 	}
 }
 
@@ -674,7 +715,7 @@ func (s *uniquenessState) Merge(other CheckState) {
 // the same side.)
 func (s *uniquenessState) Finding() CrossFinding {
 	f := CrossFinding{Check: s.check.Name(), Characteristic: s.check.Characteristic(), Records: s.records}
-	if !s.spilled && s.table.n > s.maxExact {
+	if !s.spilled && s.table.len() > s.maxExact {
 		s.spill()
 	}
 	if s.spilled {
@@ -688,22 +729,12 @@ func (s *uniquenessState) Finding() CrossFinding {
 			"~%d distinct keys over %d fields (Bloom estimate, %d bits, exact set capped at %d)",
 			distinct, len(s.check.Fields), s.bloom.m, s.maxExact)}
 	} else {
-		f.Violations = s.records - int64(s.table.n)
-		var dup []uniqEntry
-		for i := range s.table.entries {
-			if e := &s.table.entries[i]; e.count > 1 {
-				dup = append(dup, *e)
-			}
-		}
-		sort.Slice(dup, func(i, j int) bool { return dup[i].key < dup[j].key })
-		shown := dup
-		if len(shown) > s.maxDetails {
-			shown = shown[:s.maxDetails]
-		}
+		f.Violations = s.records - int64(s.table.len())
+		shown, dups := smallestDuplicates(&s.table, s.maxDetails)
 		for _, e := range shown {
 			f.Details = append(f.Details, fmt.Sprintf("key %q appears %d times", displayKey(e.key), e.count))
 		}
-		if extra := len(dup) - len(shown); extra > 0 {
+		if extra := dups - len(shown); extra > 0 {
 			f.Details = append(f.Details, fmt.Sprintf("... and %d more duplicated keys", extra))
 		}
 	}
@@ -713,6 +744,49 @@ func (s *uniquenessState) Finding() CrossFinding {
 	}
 	f.Passed = f.Violations == 0
 	return f
+}
+
+// smallestDuplicates returns the k smallest keys counted more than once,
+// in ascending order, and how many keys were counted more than once. One
+// pass keeps the k smallest so far in a max-heap, so the cost is linear
+// in the table, not a sort of every duplicated key.
+func smallestDuplicates(t *uniqTable, k int) (shown []dupKey, dups int) {
+	var top dupHeap
+	for i := range t.entries {
+		if t.entries[i].count < 2 {
+			continue
+		}
+		dups++
+		switch key := t.key(i); {
+		case len(top) < k:
+			heap.Push(&top, dupKey{string(key), t.entries[i].count})
+		case k > 0 && string(key) < top[0].key:
+			top[0] = dupKey{string(key), t.entries[i].count}
+			heap.Fix(&top, 0)
+		}
+	}
+	sort.Slice(top, func(i, j int) bool { return top[i].key < top[j].key })
+	return top, dups
+}
+
+// dupKey is a duplicated key and its count.
+type dupKey struct {
+	key   string
+	count int64
+}
+
+// dupHeap is a max-heap of duplicated keys.
+type dupHeap []dupKey
+
+func (h dupHeap) Len() int           { return len(h) }
+func (h dupHeap) Less(i, j int) bool { return h[i].key > h[j].key }
+func (h dupHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *dupHeap) Push(x any)        { *h = append(*h, x.(dupKey)) }
+func (h *dupHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }
 
 // ---------------------------------------------------------------------------
@@ -740,11 +814,19 @@ func (ReferentialCheck) Name() string { return "check_referential" }
 // Characteristic returns Consistency.
 func (ReferentialCheck) Characteristic() iso25012.Characteristic { return iso25012.Consistency }
 
-// NewStates mints n per-worker states sharing the reference set.
+// NewStates indexes the reference set once, in a read-only open-addressed
+// table, and mints n states sharing it.
 func (c ReferentialCheck) NewStates(n, maxDetails int) []CheckState {
+	refs := &uniqTable{}
+	refs.init(len(c.Ref) + 1)
+	for k := range c.Ref {
+		h := tableHash(k)
+		idx, _ := refs.find(h, k)
+		refs.insertAt(idx, h, k, 1)
+	}
 	out := make([]CheckState, n)
 	for i := range out {
-		out[i] = &referentialState{check: c, missing: newKeyTally(maxDetails)}
+		out[i] = &referentialState{check: c, refs: refs, missing: newKeyTally(maxDetails)}
 	}
 	return out
 }
@@ -753,42 +835,41 @@ func (c ReferentialCheck) NewStates(n, maxDetails int) []CheckState {
 // plus a bounded tally of the smallest missing keys.
 type referentialState struct {
 	check   ReferentialCheck
+	refs    *uniqTable // the reference set, shared read-only
 	records int64
 	blanks  int64
 	misses  int64
 	missing *keyTally
 	cols    []*Column // ObserveBatch scratch
+	keyBuf  []byte    // multi-field key scratch
 }
 
-// blankKey reports a key whose every part trims to the empty string.
-func blankKey(key string) bool {
-	for _, part := range strings.Split(key, keySep) {
-		if strings.TrimSpace(part) != "" {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *referentialState) add(ordinal int64, key string) {
-	s.records++
-	if blankKey(key) {
-		s.blanks++
-		return
-	}
-	if _, ok := s.check.Ref[key]; ok {
-		return
-	}
-	s.misses++
-	s.missing.add(key, ordinal, 1)
-}
-
-// ObserveBatch folds every row's foreign key, extracted column-wise.
+// ObserveBatch folds every row's foreign key, extracted column-wise: a
+// single-field key is probed by its cell, a multi-field key is built in
+// the scratch buffer and becomes a string only if the missing-key tally
+// keeps it.
 func (s *referentialState) ObserveBatch(base int64, b *ColumnBatch) {
 	s.cols = keyCols(s.check.Fields, b, s.cols)
 	rows := b.Rows()
+	s.records += int64(rows)
 	for i := 0; i < rows; i++ {
-		s.add(base+int64(i), colKeyAt(s.cols, i))
+		if blankAt(s.cols, i) {
+			s.blanks++
+			continue
+		}
+		if len(s.cols) == 1 {
+			key := s.cols[0].Raw[i]
+			if _, found := s.refs.find(tableHash(key), key); !found {
+				s.misses++
+				s.missing.add(key, base+int64(i), 1)
+			}
+			continue
+		}
+		s.keyBuf = appendKey(s.keyBuf[:0], s.cols, i)
+		if _, found := s.refs.findBytes(tableHashBytes(s.keyBuf), s.keyBuf); !found {
+			s.misses++
+			s.missing.addBytes(s.keyBuf, base+int64(i))
+		}
 	}
 }
 
@@ -897,12 +978,14 @@ func (c TimelinessCheck) NewStates(n, _ int) []CheckState {
 	out := make([]CheckState, n)
 	for i := range out {
 		out[i] = &timelinessState{
-			check:   c,
-			asOf:    asOf,
-			windows: windows,
-			maxAge:  maxAge,
-			maxSkew: maxSkew,
-			within:  make([]int64, len(windows)),
+			check:    c,
+			asOf:     asOf,
+			asOfSec:  asOf.Unix(),
+			asOfNsec: int64(asOf.Nanosecond()),
+			windows:  windows,
+			maxAge:   maxAge,
+			maxSkew:  maxSkew,
+			within:   make([]int64, len(windows)),
 		}
 	}
 	return out
@@ -912,11 +995,13 @@ func (c TimelinessCheck) NewStates(n, _ int) []CheckState {
 // and window, plus the age extrema — no floating-point state, so merges
 // are exact in any order.
 type timelinessState struct {
-	check   TimelinessCheck
-	asOf    time.Time
-	windows []time.Duration
-	maxAge  time.Duration
-	maxSkew time.Duration
+	check    TimelinessCheck
+	asOf     time.Time
+	asOfSec  int64 // asOf as Unix seconds and nanoseconds
+	asOfNsec int64
+	windows  []time.Duration
+	maxAge   time.Duration
+	maxSkew  time.Duration
 
 	records   int64
 	blanks    int64
@@ -927,31 +1012,25 @@ type timelinessState struct {
 	minAge    time.Duration
 	maxSeen   time.Duration
 	hasAge    bool
-
-	// parse memo: consecutive equal values skip the time.Parse.
-	lastVal  string
-	haveLast bool
-	lastTS   time.Time
-	lastBad  bool
 }
 
-func (s *timelinessState) add(raw string) {
-	s.records++
-	trimmed := strings.TrimSpace(raw)
-	if trimmed == "" {
-		s.blanks++
-		return
+// ageOf is asOf.Sub(time.Parse(time.RFC3339, v)), reporting false where
+// time.Parse fails. The difference is taken in whole seconds and
+// nanoseconds; only a timestamp more than 292 years from asOf, whose age
+// Sub clamps to the Duration range, goes through time.Time.
+func (s *timelinessState) ageOf(v string) (time.Duration, bool) {
+	sec, nsec, ok := parseTimestamp(v)
+	if !ok {
+		return 0, false
 	}
-	if !s.haveLast || trimmed != s.lastVal {
-		ts, err := time.Parse(time.RFC3339, trimmed)
-		s.lastVal, s.haveLast = trimmed, true
-		s.lastTS, s.lastBad = ts, err != nil
+	const maxSec = math.MaxInt64/int64(time.Second) - 1
+	if d := s.asOfSec - sec; -maxSec < d && d < maxSec {
+		return time.Duration(d)*time.Second + time.Duration(s.asOfNsec-nsec), true
 	}
-	if s.lastBad {
-		s.malformed++
-		return
-	}
-	age := s.asOf.Sub(s.lastTS)
+	return s.asOf.Sub(time.Unix(sec, nsec)), true
+}
+
+func (s *timelinessState) observeAge(age time.Duration) {
 	if !s.hasAge || age < s.minAge {
 		s.minAge = age
 	}
@@ -973,18 +1052,137 @@ func (s *timelinessState) add(raw string) {
 	}
 }
 
-// ObserveBatch folds the timestamp column.
+// ObserveBatch folds the timestamp column. A missing or blank cell (its
+// kind says so) counts as blank; any other is trimmed and parsed.
 func (s *timelinessState) ObserveBatch(_ int64, b *ColumnBatch) {
 	rows := b.Rows()
+	s.records += int64(rows)
 	col := b.Col(s.check.Field)
 	if col == nil {
-		s.records += int64(rows)
 		s.blanks += int64(rows)
 		return
 	}
-	for i := 0; i < rows; i++ {
-		s.add(col.Raw[i])
+	for i, kind := range col.Kinds[:rows] {
+		if kind <= CellBlank {
+			s.blanks++
+			continue
+		}
+		age, ok := s.ageOf(col.Trim(i))
+		if !ok {
+			s.malformed++
+			continue
+		}
+		s.observeAge(age)
 	}
+}
+
+// parseTimestamp is time.Parse(time.RFC3339, v) as Unix seconds and
+// nanoseconds: parseRFC3339 reads the fixed-width shape, and time.Parse
+// decides whatever that rejects — it also accepts, for one, a one-digit
+// hour ("T7:23:11Z") and a comma before the fraction ("11,5Z").
+// FuzzParseTimestamp holds both to time.Parse.
+func parseTimestamp(v string) (sec, nsec int64, ok bool) {
+	if sec, nsec, ok = parseRFC3339(v); ok {
+		return sec, nsec, true
+	}
+	t, err := time.Parse(time.RFC3339, v)
+	if err != nil {
+		return 0, 0, false
+	}
+	return t.Unix(), int64(t.Nanosecond()), true
+}
+
+// parseRFC3339 reads exactly the shape time.Parse's own RFC 3339 fast
+// path accepts — YYYY-MM-DDTHH:MM:SS, optionally '.' and one or more
+// digits (the first nine are the nanoseconds), then Z or ±HH:MM, with
+// every field in range (day within its month, zone hour at most 23) —
+// straight into Unix seconds and nanoseconds, building no time.Time. It
+// reports false for anything else.
+func parseRFC3339(v string) (sec, nsec int64, ok bool) {
+	if len(v) < len("2006-01-02T15:04:05Z") ||
+		v[4] != '-' || v[7] != '-' || v[10] != 'T' || v[13] != ':' || v[16] != ':' {
+		return 0, 0, false
+	}
+	century, ok1 := num2(v, 0)
+	yy, ok2 := num2(v, 2)
+	month, ok3 := num2(v, 5)
+	day, ok4 := num2(v, 8)
+	hour, ok5 := num2(v, 11)
+	minute, ok6 := num2(v, 14)
+	second, ok7 := num2(v, 17)
+	year := century*100 + yy
+	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) ||
+		month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+		hour > 23 || minute > 59 || second > 59 {
+		return 0, 0, false
+	}
+	rest := v[19:]
+	if len(rest) >= 2 && rest[0] == '.' && isDigit(rest[1]) {
+		n := 1
+		for ; n < len(rest) && isDigit(rest[n]); n++ {
+			if n <= 9 {
+				nsec = nsec*10 + int64(rest[n]-'0')
+			}
+		}
+		for d := n - 1; d < 9; d++ {
+			nsec *= 10
+		}
+		rest = rest[n:]
+	}
+	var offset int64
+	switch {
+	case rest == "Z":
+	case len(rest) == len("+07:00") && (rest[0] == '+' || rest[0] == '-') && rest[3] == ':':
+		zh, okh := num2(rest, 1)
+		zm, okm := num2(rest, 4)
+		if !okh || !okm || zh > 23 || zm > 59 {
+			return 0, 0, false
+		}
+		offset = int64(zh*60+zm) * 60
+		if rest[0] == '-' {
+			offset = -offset
+		}
+	default:
+		return 0, 0, false
+	}
+	sec = daysSinceEpoch(year, month, day)*86400 + int64(hour*3600+minute*60+second) - offset
+	return sec, nsec, true
+}
+
+// num2 reads the two decimal digits at v[i:i+2].
+func num2(v string, i int) (int, bool) {
+	hi, lo := v[i]-'0', v[i+1]-'0'
+	return int(hi)*10 + int(lo), hi <= 9 && lo <= 9
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// daysIn returns the length of month in year, proleptic Gregorian.
+func daysIn(month, year int) int {
+	if month == 2 {
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	}
+	return 30 + (month+month/8)%2
+}
+
+// daysSinceEpoch counts the days from 1970-01-01 to a proleptic Gregorian
+// date in years 0 through 9999: Hinnant's days_from_civil over a year
+// that starts in March and is shifted up one 400-year cycle, so all of
+// its arithmetic is unsigned.
+func daysSinceEpoch(year, month, day int) int64 {
+	y, m := uint64(year)+400, uint64(month)
+	if m <= 2 {
+		y--
+		m += 12
+	}
+	era := y / 400
+	yoe := y - era*400
+	doy := (153*(m-3)+2)/5 + uint64(day) - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return int64(era*146097+doe) - 719468 - 146097
 }
 
 // Merge folds other into s.

@@ -8,6 +8,7 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -59,11 +60,12 @@ func apiError(w http.ResponseWriter, status int, format string, args ...any) {
 // maxContextBytes bounds a job's quality context label.
 const maxContextBytes = 128
 
-// parseOptions builds JobOptions from the submit query parameters,
-// validating everything that can fail later so a bad job is rejected at
-// the door, not at run time.
-func parseOptions(r *http.Request) (JobOptions, error) {
-	q := r.URL.Query()
+// ParseJobOptions builds JobOptions from a submit request's query
+// parameters — workers, exemplars, decode_errors, unique_max_exact,
+// context, the comma-separated unique and windows lists, timeliness,
+// max_age and max_skew — validating everything that can fail later so a
+// bad job is rejected at the door, not at run time.
+func ParseJobOptions(q url.Values) (JobOptions, error) {
 	var o JobOptions
 	ints := []struct {
 		name string
@@ -139,7 +141,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusTooManyRequests, "rate limit exceeded, retry later")
 		return
 	}
-	opts, err := parseOptions(r)
+	opts, err := ParseJobOptions(r.URL.Query())
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return

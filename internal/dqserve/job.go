@@ -38,21 +38,18 @@ func terminal(state string) bool {
 
 // JobOptions are the per-job engine knobs, mirroring `dqwebre batch`
 // flags one for one so the served report can be byte-identical to the
-// CLI's. Durations travel as strings ("24h"). engineOptions validates
+// CLI's; the cross-record checks' options are the CLI's own
+// dqbatch.CrossOptions, so both front ends build those checks in one
+// place. Durations travel as strings ("24h"). engineOptions validates
 // them at submit and again before a resumed job runs; where the CLI
 // accepts any value, it bounds Workers to [0, max(64, NumCPU)] and
 // UniqueMaxExact to [0, dqruntime.DefaultMaxExact].
 type JobOptions struct {
-	Workers        int      `json:"workers,omitempty"`
-	Exemplars      int      `json:"exemplars,omitempty"`
-	DecodeErrors   int      `json:"decode_errors,omitempty"`
-	Context        string   `json:"context,omitempty"`
-	Unique         []string `json:"unique,omitempty"`
-	UniqueMaxExact int      `json:"unique_max_exact,omitempty"`
-	Timeliness     string   `json:"timeliness,omitempty"`
-	Windows        []string `json:"windows,omitempty"`
-	MaxAge         string   `json:"max_age,omitempty"`
-	MaxSkew        string   `json:"max_skew,omitempty"`
+	Workers      int    `json:"workers,omitempty"`
+	Exemplars    int    `json:"exemplars,omitempty"`
+	DecodeErrors int    `json:"decode_errors,omitempty"`
+	Context      string `json:"context,omitempty"`
+	dqbatch.CrossOptions
 }
 
 // engineOptions validates the options and builds the engine options they
@@ -68,44 +65,9 @@ func (o *JobOptions) engineOptions() (dqbatch.Options, error) {
 	if o.UniqueMaxExact < 0 || o.UniqueMaxExact > dqruntime.DefaultMaxExact {
 		return dqbatch.Options{}, fmt.Errorf("unique_max_exact %d outside [0, %d]", o.UniqueMaxExact, dqruntime.DefaultMaxExact)
 	}
-	var cross []dqruntime.StatefulCheck
-	if len(o.Unique) > 0 {
-		cross = append(cross, dqruntime.UniquenessCheck{
-			Fields:   o.Unique,
-			MaxExact: o.UniqueMaxExact,
-		})
-	}
-	if o.Timeliness != "" {
-		windows := o.Windows
-		if len(windows) == 0 {
-			windows = []string{"24h", "168h"}
-		}
-		var wins []time.Duration
-		for _, w := range windows {
-			d, err := time.ParseDuration(w)
-			if err != nil {
-				return dqbatch.Options{}, fmt.Errorf("bad windows entry %q: %w", w, err)
-			}
-			wins = append(wins, d)
-		}
-		var maxAge, maxSkew time.Duration
-		var err error
-		if o.MaxAge != "" {
-			if maxAge, err = time.ParseDuration(o.MaxAge); err != nil {
-				return dqbatch.Options{}, fmt.Errorf("bad max_age %q: %w", o.MaxAge, err)
-			}
-		}
-		if o.MaxSkew != "" {
-			if maxSkew, err = time.ParseDuration(o.MaxSkew); err != nil {
-				return dqbatch.Options{}, fmt.Errorf("bad max_skew %q: %w", o.MaxSkew, err)
-			}
-		}
-		cross = append(cross, dqruntime.TimelinessCheck{
-			Field:   o.Timeliness,
-			Windows: wins,
-			MaxAge:  maxAge,
-			MaxSkew: maxSkew,
-		})
+	cross, err := o.Checks()
+	if err != nil {
+		return dqbatch.Options{}, err
 	}
 	return dqbatch.Options{
 		Workers:         o.Workers,

@@ -8,7 +8,9 @@
 #     pairs BenchmarkDecode{Bufio,Mmap} and BenchmarkBatchFile{Bufio,Mmap},
 #     the CSV file run BenchmarkBatchFileCSV, BenchmarkDecodeMmapShuffled
 #     (keys in a random order per record), and the uniqueness
-#     key-materialization pair BenchmarkBatchUniquenessKeys{Baseline,Hashed})
+#     key-materialization pair BenchmarkBatchUniquenessKeys{Baseline,Hashed},
+#     and the per-check BenchmarkCrossObserve{Unique,Ref,Timeliness}: one
+#     cross-record check's state folding 100k prebuilt rows, in ns/record)
 #     → BENCH_batch.json: records/sec, allocs, stride-sampled p50/p99
 #     latency, plus the vectorized-vs-row, parallel-8-vs-parallel-1,
 #     uniqueness-vs-parallel, mmap-vs-bufio, CSV-file-vs-NDJSON-file,
@@ -40,12 +42,12 @@ oclraw="$(mktemp)"
 obsraw="$(mktemp)"
 trap 'rm -f "$raw" "$oclraw" "$obsraw"' EXIT
 
-go test -run '^$' -bench 'Benchmark(Batch(Sequential|Parallel[0-9]+|Vectorized|Uniqueness(Bloom)?[0-9]+|File(Bufio|Mmap|CSV)|UniquenessKeys(Baseline|Hashed))|Decode(Bufio|Mmap|MmapShuffled))$' \
+go test -run '^$' -bench 'Benchmark(Batch(Sequential|Parallel[0-9]+|Vectorized|Uniqueness(Bloom)?[0-9]+|File(Bufio|Mmap|CSV)|UniquenessKeys(Baseline|Hashed))|Decode(Bufio|Mmap|MmapShuffled)|CrossObserve(Unique|Ref|Timeliness))$' \
 	-benchmem -benchtime "$benchtime" -count 1 ./internal/dqbatch/ | tee "$raw"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v nproc="$nproc" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
-/^Benchmark(Batch|Decode)/ {
+/^Benchmark(Batch|Decode|CrossObserve)/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)  # strip the -GOMAXPROCS suffix
 	line = "    {\"name\": \"" name "\", \"iterations\": " $2
