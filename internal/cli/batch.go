@@ -63,9 +63,9 @@ func cmdBatch(args []string, out io.Writer) error {
 		return fmt.Errorf("-ref and -ref-key go together")
 	}
 
-	// Profiling hooks: where batch time goes (ingest vs eval) is exactly
-	// what the zero-copy work needs to verify, so the command can capture
-	// it directly instead of requiring a test-harness run.
+	// Profiling hooks: where batch time goes (ingest vs eval) can be
+	// captured by the command directly instead of requiring a test-harness
+	// run.
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -208,8 +208,8 @@ func splitFields(s string) []string {
 
 // openSource opens the record stream, picking the decoder from -format or
 // the file extension (.csv → CSV, anything else → NDJSON). File paths go
-// through dqbatch.OpenFileSource, which memory-maps regular files where
-// the platform allows; stdin stays on the streaming decoders.
+// through dqbatch.OpenFileSource, stdin straight to the same streaming
+// sources, so a file and stdin of the same bytes report alike.
 func openSource(path, format string) (dqbatch.Source, func() error, error) {
 	if format != "" && format != "ndjson" && format != "csv" {
 		return nil, nil, fmt.Errorf("unknown record format %q (ndjson or csv)", format)

@@ -1,9 +1,8 @@
-// Benchmarks for the zero-copy ingest path: decode-only mmap-vs-bufio,
-// end-to-end engine runs over a real file through both NDJSON sources and
-// the CSV source, and the uniqueness key handling before/after the
-// hashed-table rewrite. scripts/bench.sh parses them into BENCH_batch.json
-// speedup keys (mmap_vs_bufio, file_mmap_vs_bufio, file_csv_vs_mmap,
-// uniqueness_key_allocs_reduction).
+// Benchmarks for ingest: decode-only runs in fixed and shuffled key
+// order, end-to-end engine runs over a real NDJSON and CSV file, and the
+// uniqueness key handling before/after the hashed-table rewrite.
+// scripts/bench.sh parses them into BENCH_batch.json ratio keys
+// (file_csv_vs_ndjson, uniqueness_key_allocs_reduction).
 package dqbatch
 
 import (
@@ -49,15 +48,15 @@ func benchNDJSONDocOrder(recs []dqruntime.Record, rng *rand.Rand, extra ...strin
 }
 
 // benchDecode drains the benchmark document on one goroutine through
-// nextSpanBatch — decoding only, no validation — so the mmap/bufio pair
+// nextSpanBatch — cutting and decoding only, no validation — so it
 // isolates the ingest cost.
-func benchDecode(b *testing.B, mk func() Source) {
+func benchDecode(b *testing.B, doc string) {
 	var batch dqruntime.ColumnBatch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := mk()
-		var buf []byte // a streaming source's span storage lives as long as the source
+		src := NewNDJSONSource(strings.NewReader(doc))
+		var buf []byte // span storage lives as long as the source
 		rows := 0
 		for {
 			batch.Reset()
@@ -80,27 +79,17 @@ func benchDecode(b *testing.B, mk func() Source) {
 	reportThroughput(b, int64(b.N)*benchRecords)
 }
 
-// BenchmarkDecodeBufio is the scanner + encoding/json decode baseline.
-func BenchmarkDecodeBufio(b *testing.B) {
-	doc := string(benchNDJSONDoc(benchDataset()))
-	benchDecode(b, func() Source { return NewNDJSONSource(strings.NewReader(doc)) })
+// BenchmarkDecode cuts records with the scanner and decodes them through
+// the fast flat-JSON parser.
+func BenchmarkDecode(b *testing.B) {
+	benchDecode(b, string(benchNDJSONDoc(benchDataset())))
 }
 
-// BenchmarkDecodeMmap slices records out of an in-memory mapping through
-// the fast flat-JSON parser — compare with BenchmarkDecodeBufio for the
-// zero-copy ingest speedup.
-func BenchmarkDecodeMmap(b *testing.B) {
-	doc := benchNDJSONDoc(benchDataset())
-	benchDecode(b, func() Source { return NewMmapNDJSONSource(doc) })
-}
-
-// BenchmarkDecodeMmapShuffled is BenchmarkDecodeMmap with each record's
-// keys in a random order, so the decoder's predicted field order mostly
-// misses: set next to BenchmarkDecodeMmap, it prices the miss path
-// against the hit path.
-func BenchmarkDecodeMmapShuffled(b *testing.B) {
-	doc := benchNDJSONDocOrder(benchDataset(), rand.New(rand.NewSource(1)))
-	benchDecode(b, func() Source { return NewMmapNDJSONSource(doc) })
+// BenchmarkDecodeShuffled is BenchmarkDecode with each record's keys in a
+// random order, so the decoder's predicted field order mostly misses: set
+// next to BenchmarkDecode, it prices the miss path against the hit path.
+func BenchmarkDecodeShuffled(b *testing.B) {
+	benchDecode(b, string(benchNDJSONDocOrder(benchDataset(), rand.New(rand.NewSource(1)))))
 }
 
 // benchCSVDoc serializes records as CSV under a header of the
@@ -122,9 +111,8 @@ func benchCSVDoc(recs []dqruntime.Record) []byte {
 }
 
 // benchFile runs the full engine over doc written to a real on-disk file
-// named name, through the given opener — the end-to-end number the
-// zero-copy work moves.
-func benchFile(b *testing.B, name string, doc []byte, open func(path string) (Source, func() error, error)) {
+// named name, opened through OpenFileSource as `dqwebre batch -in` does.
+func benchFile(b *testing.B, name string, doc []byte) {
 	v := benchValidator(b)
 	path := filepath.Join(b.TempDir(), name)
 	if err := os.WriteFile(path, doc, 0o644); err != nil {
@@ -134,7 +122,7 @@ func benchFile(b *testing.B, name string, doc []byte, open func(path string) (So
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src, closer, err := open(path)
+		src, closer, err := OpenFileSource(path, "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,34 +141,17 @@ func benchFile(b *testing.B, name string, doc []byte, open func(path string) (So
 	reportThroughput(b, int64(b.N)*benchRecords)
 }
 
-// BenchmarkBatchFileBufio reads the file through os.Open + the scanner
-// source: the pre-mmap ingest path.
-func BenchmarkBatchFileBufio(b *testing.B) {
-	benchFile(b, "bench.ndjson", benchNDJSONDoc(benchDataset()), func(path string) (Source, func() error, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return NewNDJSONSource(f), f.Close, nil
-	})
+// BenchmarkBatchFile runs the engine over an NDJSON file: the scanner
+// cutting spans on the producer, the flat-JSON decoder in the pool.
+func BenchmarkBatchFile(b *testing.B) {
+	benchFile(b, "bench.ndjson", benchNDJSONDoc(benchDataset()))
 }
 
-// BenchmarkBatchFileMmap reads the same file through OpenFileSource — the
-// mmap source plus the pipelined decode stage when the platform allows.
-func BenchmarkBatchFileMmap(b *testing.B) {
-	benchFile(b, "bench.ndjson", benchNDJSONDoc(benchDataset()), func(path string) (Source, func() error, error) {
-		return OpenFileSource(path, "ndjson")
-	})
-}
-
-// BenchmarkBatchFileCSV reads the same records as a CSV file through
-// OpenFileSource: the CSV cutter on the producer, csv.Reader per span in
-// the decode pool. Set next to BenchmarkBatchFileMmap, it prices CSV
-// ingest against NDJSON's.
+// BenchmarkBatchFileCSV reads the same records as a CSV file: the CSV
+// cutter on the producer, csv.Reader per span in the decode pool. Set
+// next to BenchmarkBatchFile, it prices CSV ingest against NDJSON's.
 func BenchmarkBatchFileCSV(b *testing.B) {
-	benchFile(b, "bench.csv", benchCSVDoc(benchDataset()), func(path string) (Source, func() error, error) {
-		return OpenFileSource(path, "csv")
-	})
+	benchFile(b, "bench.csv", benchCSVDoc(benchDataset()))
 }
 
 // benchKeyRecords is a high-duplication two-field key dataset: repeat

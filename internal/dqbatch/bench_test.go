@@ -7,6 +7,7 @@
 package dqbatch
 
 import (
+	"bytes"
 	"context"
 	"sort"
 	"strconv"
@@ -198,15 +199,15 @@ func benchParallel(b *testing.B, workers int) {
 }
 
 // benchRun runs the full engine over an in-memory NDJSON document through
-// MmapNDJSONSource, the source `dqwebre batch -in file` reads with, checks
-// every result and returns the last.
+// NDJSONSource, the source `dqwebre batch` reads files and stdin with,
+// checks every result and returns the last.
 func benchRun(b *testing.B, doc []byte, opts Options) *Result {
 	v := benchValidator(b)
 	opts.Registry = obs.NewRegistry()
 	var last *Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), v, NewMmapNDJSONSource(doc), opts)
+		res, err := Run(context.Background(), v, NewNDJSONSource(bytes.NewReader(doc)), opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -118,8 +118,8 @@ type Result struct {
 // sequence number (the sequencer restores input order from it), base the
 // 1-based ordinal of the first row, and bads buffers the chunk's
 // malformed-line diagnostics until the sequencer replays them in line
-// order. buf is the chunk's own span storage for streaming sources, so
-// raw bytes in flight are bounded by the free list too.
+// order. buf is the chunk's own span storage, so raw bytes in flight are
+// bounded by the free list too.
 type colChunk struct {
 	idx   int64
 	base  int64
@@ -200,7 +200,7 @@ func capOr(n, def int) int {
 // scheduling. Run honors ctx: on cancellation the producer stops, the
 // chunks already in flight finish, and the partial Result — every record
 // read so far — comes back with ctx's error. Every stage has exited
-// before Run returns, so the caller may release the source (unmap a file)
+// before Run returns, so the caller may release the source (close a file)
 // at once. Memory is bounded by the chunk free list, never by input size.
 func Run(ctx context.Context, v Validating, src Source, opts Options) (*Result, error) {
 	workers := positiveOr(opts.Workers, runtime.GOMAXPROCS(0))

@@ -1,6 +1,7 @@
 package dqbatch_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -61,7 +62,7 @@ func recordSource(t testing.TB, recs []dqruntime.Record) Source {
 		}
 		doc = append(append(doc, line...), '\n')
 	}
-	return NewMmapNDJSONSource(doc)
+	return NewNDJSONSource(bytes.NewReader(doc))
 }
 
 func TestRunOverRecords(t *testing.T) {

@@ -1,9 +1,8 @@
-// Golden parity for the zero-copy ingest path: the memory-mapped NDJSON
-// source (fast flat-JSON parser, pipelined decode) must produce reports
-// byte-identical to the bufio source on the same bytes — JSON and text, at
-// 1 and 8 workers — and OpenFileSource must route every input shape to the
-// right implementation (regular files to mmap, pipes and empty files to
-// the portable fallback).
+// Golden parity for NDJSON ingest: the same bytes read whole or a byte
+// or a few bytes per Read, decoded in input order or by a pool, must
+// produce byte-identical reports — JSON and text, at 1 and 8 workers —
+// and OpenFileSource must route every file to the streaming source of its
+// format.
 package dqbatch
 
 import (
@@ -15,7 +14,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -27,8 +25,8 @@ import (
 // trickyNDJSON extends the parity fixture with every shape that makes the
 // fast flat-JSON parser bail to the canonical slow path: escapes, unicode,
 // exotic numbers, duplicate keys, invalid UTF-8, structural junk. The
-// mmap-vs-bufio comparison over it pins that the bail-out heuristics never
-// change a decode outcome or an error text.
+// parity runs over it pin that neither the bail-out heuristics nor the
+// read and decode schedule change a decode outcome or an error text.
 func trickyNDJSON() string {
 	var b strings.Builder
 	b.WriteString(parityNDJSON())
@@ -72,45 +70,6 @@ func trickyNDJSON() string {
 	return b.String()
 }
 
-// runPair runs the same options over two sources and asserts byte-identical
-// reports.
-func runPair(t *testing.T, opts Options, mkA, mkB func() Source) (a, b *Result) {
-	t.Helper()
-	v := parityValidator(t)
-	opts.Registry = obs.NewRegistry()
-	a, err := Run(context.Background(), v, mkA(), opts)
-	if err != nil {
-		t.Fatalf("source A: %v", err)
-	}
-	b, err = Run(context.Background(), v, mkB(), opts)
-	if err != nil {
-		t.Fatalf("source B: %v", err)
-	}
-	normalize(a)
-	normalize(b)
-	assertIdenticalReports(t, a, b)
-	return a, b
-}
-
-func TestMmapBufioGoldenParity(t *testing.T) {
-	doc := trickyNDJSON()
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			opts := Options{Workers: workers, ChunkSize: 64,
-				CrossRecord: []dqruntime.StatefulCheck{
-					UniquenessCheckForTest(),
-				}}
-			bufio, mm := runPair(t, opts,
-				func() Source { return NewNDJSONSource(strings.NewReader(doc)) },
-				func() Source { return NewMmapNDJSONSource([]byte(doc)) })
-			if bufio.Records == 0 || bufio.Malformed == 0 || bufio.Failed == 0 {
-				t.Fatalf("degenerate fixture: %+v", bufio)
-			}
-			_ = mm
-		})
-	}
-}
-
 // UniquenessCheckForTest keys the parity runs' cross-record state on two
 // fields, so the multi-field scratch-buffer path runs under -race in the
 // pipelined engine.
@@ -119,7 +78,7 @@ func UniquenessCheckForTest() dqruntime.StatefulCheck {
 }
 
 // TestPipelinedSequentialParity pins the decode pool against its
-// sequential oracle on the same mmap source: a pool of three decoding
+// sequential oracle on the same bytes: a pool of three decoding
 // spans concurrently, with the sequencer's ordinal/diagnostic replay, must
 // not change a byte of the report a single in-order decoder produces.
 func TestPipelinedSequentialParity(t *testing.T) {
@@ -129,12 +88,12 @@ func TestPipelinedSequentialParity(t *testing.T) {
 			v := parityValidator(t)
 			opts := Options{Workers: workers, ChunkSize: 64, Registry: obs.NewRegistry()}
 			opts.DecodeWorkers = 1
-			seq, err := Run(context.Background(), v, NewMmapNDJSONSource([]byte(doc)), opts)
+			seq, err := Run(context.Background(), v, NewNDJSONSource(strings.NewReader(doc)), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts.DecodeWorkers = 3
-			pipe, err := Run(context.Background(), v, NewMmapNDJSONSource([]byte(doc)), opts)
+			pipe, err := Run(context.Background(), v, NewNDJSONSource(strings.NewReader(doc)), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,16 +104,16 @@ func TestPipelinedSequentialParity(t *testing.T) {
 	}
 }
 
-// TestStreamSpanEdgeParity pins the streaming span producer against the
-// mmap cutter on the same bytes, at 1 and 8 workers, with NDJSONSource
-// fed through readers that return one byte, or half the bytes asked for,
-// per Read. The documents outgrow the scanner's initial 64 KiB buffer and
-// carry CRLF and blank lines and a final line without a newline. A line
-// of exactly maxLineBytes decodes; one byte more is a hard error at that
-// line, as is a failing reader, and both keep the report of the prefix
-// before the error. The megabyte lines go through HalfReader only:
-// bufio.Scanner re-searches its whole buffer after every Read, which is
-// quadratic at one byte per Read.
+// TestStreamSpanEdgeParity pins the span cutter's Read boundaries: at 1
+// and 8 workers, NDJSONSource fed through readers that return one byte,
+// or half the bytes asked for, per Read must report what it reports over
+// one whole strings.Reader of the same bytes. The documents outgrow the
+// scanner's initial 64 KiB buffer and carry CRLF and blank lines and a
+// final line without a newline. A line of exactly maxLineBytes decodes;
+// one byte more is a hard error at that line, as is a failing reader, and
+// both keep the report of the prefix before the error. The megabyte lines
+// go through HalfReader only: bufio.Scanner re-searches its whole buffer
+// after every Read, which is quadratic at one byte per Read.
 func TestStreamSpanEdgeParity(t *testing.T) {
 	head := trickyNDJSON() + "\n\n" + `{"a": "crlf", "b": "y"}` + "\r\n"
 	tail := `{"a": "last", "b": "no newline"}`
@@ -168,8 +127,8 @@ func TestStreamSpanEdgeParity(t *testing.T) {
 	cases := []struct {
 		name, doc string
 		readers   []string
-		// ref is the document the mmap reference run reads (doc when
-		// empty); fail is the error both sources must stop with.
+		// ref is the document the whole-reader reference run reads (doc
+		// when empty); fail is the error both runs over doc must stop with.
 		ref  string
 		fail error
 	}{
@@ -194,7 +153,7 @@ func TestStreamSpanEdgeParity(t *testing.T) {
 					if ref == "" {
 						ref = tc.doc
 					}
-					want, err := run(NewMmapNDJSONSource([]byte(ref)), workers)
+					want, err := run(NewNDJSONSource(strings.NewReader(ref)), workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -210,9 +169,9 @@ func TestStreamSpanEdgeParity(t *testing.T) {
 						t.Fatalf("err = %v, want %v at %s", err, tc.fail, errLine)
 					}
 					if tc.fail == bufio.ErrTooLong {
-						// The mmap cutter stops at the same line, same text.
-						if _, mmErr := run(NewMmapNDJSONSource([]byte(tc.doc)), workers); mmErr == nil || mmErr.Error() != err.Error() {
-							t.Fatalf("mmap error %v, stream error %v", mmErr, err)
+						// A whole reader stops at the same line, same text.
+						if _, wholeErr := run(NewNDJSONSource(strings.NewReader(tc.doc)), workers); wholeErr == nil || wholeErr.Error() != err.Error() {
+							t.Fatalf("whole-reader error %v, %s error %v", wholeErr, rd, err)
 						}
 					}
 					assertIdenticalReports(t, want, got)
@@ -222,13 +181,14 @@ func TestStreamSpanEdgeParity(t *testing.T) {
 	}
 }
 
-// FuzzSpanReport holds the two NDJSON ingest paths to one report on any
-// bytes: the streamed source decoding in input order (DecodeWorkers 1, the
-// sequential oracle) and the mapped source decoding in a pool of three
-// must render byte-identical JSON and text reports and stop with the same
-// error text, at any chunk size from 1 to 64 and any eval worker count
-// from 1 to 8. parityValidator scores only 0, ½ and 1, whose sums are
-// exact in any order, so the worker count cannot change a mean.
+// FuzzSpanReport holds NDJSON ingest to one report on any bytes: the
+// same document read one byte per Read (stdin through a pipe) and decoded
+// in input order (DecodeWorkers 1, the sequential oracle), and read from
+// one whole reader and decoded in a pool of three, must render
+// byte-identical JSON and text reports and stop with the same error text,
+// at any chunk size from 1 to 64 and any eval worker count from 1 to 8.
+// parityValidator scores only 0, ½ and 1, whose sums are exact in any
+// order, so the worker count cannot change a mean.
 func FuzzSpanReport(f *testing.F) {
 	for i, line := range trickyLines() {
 		f.Add(line, uint8(i), uint8(i/3))
@@ -246,20 +206,20 @@ func FuzzSpanReport(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte, chunk, workers uint8) {
 		opts := Options{Workers: 1 + int(workers%8), ChunkSize: 1 + int(chunk%64),
 			CrossRecord: []dqruntime.StatefulCheck{UniquenessCheckForTest()}}
-		run := func(src Source, decoders int) (*Result, string) {
+		run := func(r io.Reader, decoders int) (*Result, string) {
 			opts.DecodeWorkers = decoders
 			opts.Registry = obs.NewRegistry()
-			res, err := Run(context.Background(), v, src, opts)
+			res, err := Run(context.Background(), v, NewNDJSONSource(r), opts)
 			normalize(res)
 			if err != nil {
 				return res, err.Error()
 			}
 			return res, ""
 		}
-		want, wantErr := run(NewNDJSONSource(strings.NewReader(string(doc))), 1)
-		got, gotErr := run(NewMmapNDJSONSource(doc), 3)
+		want, wantErr := run(iotest.OneByteReader(bytes.NewReader(doc)), 1)
+		got, gotErr := run(bytes.NewReader(doc), 3)
 		if wantErr != gotErr {
-			t.Fatalf("terminal errors diverged: stream %q, mmap %q", wantErr, gotErr)
+			t.Fatalf("terminal errors diverged: one-byte %q, whole %q", wantErr, gotErr)
 		}
 		assertIdenticalReports(t, want, got)
 	})
@@ -268,12 +228,11 @@ func FuzzSpanReport(f *testing.F) {
 // FuzzCSVReport holds CSV ingest to one report on any bytes: the same
 // document read one byte per Read (stdin through a pipe) and decoded in
 // input order (DecodeWorkers 1, the sequential oracle), and read from one
-// in-memory reader (OpenFileSource's reader over a mapping) and decoded
-// in a pool of three, must render byte-identical JSON and text reports —
-// decode-error lines and exemplar ordinals included — and stop with the
-// same error text, at any chunk size from 1 to 64 and any worker count
-// from 1 to 8. parityValidator scores only 0, ½ and 1, whose sums are
-// exact in any order.
+// whole reader and decoded in a pool of three, must render byte-identical
+// JSON and text reports — decode-error lines and exemplar ordinals
+// included — and stop with the same error text, at any chunk size from 1
+// to 64 and any worker count from 1 to 8. parityValidator scores only 0,
+// ½ and 1, whose sums are exact in any order.
 func FuzzCSVReport(f *testing.F) {
 	for i, doc := range []string{
 		parityCSV(),
@@ -306,53 +265,12 @@ func FuzzCSVReport(f *testing.F) {
 	})
 }
 
-// TestMmapSourceRowPath drains both sources one line at a time through
-// NextBatchForTest and compares record for record, diagnostic for
-// diagnostic and byte offset for byte offset — CRLF lines included, since
-// both offsets are exact.
-func TestMmapSourceRowPath(t *testing.T) {
-	doc := trickyNDJSON()
-	bufio := NewNDJSONSource(strings.NewReader(doc))
-	mm := NewMmapNDJSONSource([]byte(doc))
-	type read struct {
-		rec  dqruntime.Record
-		bads []string
-		err  error
-	}
-	next := func(src Source) (r read) {
-		var batch dqruntime.ColumnBatch
-		n, err := NextBatchForTest(src, &batch, 1, func(line int64, err error) {
-			r.bads = append(r.bads, fmt.Sprintf("line %d: %v", line, err))
-		})
-		if n > 0 {
-			r.rec = batch.RowView(0, dqruntime.Record{})
-		}
-		r.err = err
-		return r
-	}
-	for i := 0; ; i++ {
-		a, b := next(bufio), next(mm)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("record %d diverged:\nbufio: %+v\nmmap:  %+v", i, a, b)
-		}
-		if bufio.ByteOffset() != mm.ByteOffset() {
-			t.Fatalf("record %d: offsets diverged: bufio %d, mmap %d", i, bufio.ByteOffset(), mm.ByteOffset())
-		}
-		if a.err == io.EOF {
-			return
-		}
-		if a.err != nil {
-			t.Fatalf("record %d: %v", i, a.err)
-		}
-	}
-}
-
-// TestMmapTooLongLine pins the bounded-memory contract on the zero-copy
-// path: a line over maxLineBytes is a hard error naming the right line,
-// on a one-goroutine read and on NextSpan alike.
+// TestMmapTooLongLine pins NDJSONSource's bounded-memory contract: a line
+// over maxLineBytes is a hard error naming the right line, on a
+// one-goroutine read and on NextSpan alike.
 func TestMmapTooLongLine(t *testing.T) {
 	doc := "{\"a\": \"ok\"}\n{\"a\": \"" + strings.Repeat("x", maxLineBytes) + "\"}\n"
-	src := NewMmapNDJSONSource([]byte(doc))
+	src := NewNDJSONSource(strings.NewReader(doc))
 	var batch dqruntime.ColumnBatch
 	n, err := NextBatchForTest(src, &batch, 16, func(int64, error) {})
 	if n != 1 || err != nil {
@@ -367,13 +285,14 @@ func TestMmapTooLongLine(t *testing.T) {
 		t.Fatalf("oversized line error names wrong line: %v", err)
 	}
 
-	src = NewMmapNDJSONSource([]byte(doc))
+	src = NewNDJSONSource(strings.NewReader(doc))
 	sp, err := src.NextSpan(16)
-	if err != nil || sp.FirstLine != 1 {
+	if err != nil || sp.FirstLine != 1 || string(sp.Data) != "{\"a\": \"ok\"}\n" {
 		t.Fatalf("NextSpan before oversized line: %+v, %v", sp, err)
 	}
-	if _, err = src.NextSpan(16); err == nil {
-		t.Fatal("NextSpan swallowed the oversized line")
+	_, err = src.NextSpan(16)
+	if err == nil || !strings.Contains(err.Error(), "token too long") || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("NextSpan oversized line error = %v, want token too long at line 2", err)
 	}
 }
 
@@ -406,19 +325,15 @@ func TestOpenFileSourceRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closer()
-	if mmapAvailable {
-		if _, ok := src.(*MmapNDJSONSource); !ok {
-			t.Fatalf("regular NDJSON file routed to %T, want *MmapNDJSONSource", src)
-		}
-	} else if _, ok := src.(*NDJSONSource); !ok {
-		t.Fatalf("no-mmap platform routed to %T, want *NDJSONSource", src)
+	if _, ok := src.(*NDJSONSource); !ok {
+		t.Fatalf("regular NDJSON file routed to %T, want *NDJSONSource", src)
 	}
 	rec, err := firstRecord(src)
 	if err != nil || rec["a"] != "1" {
-		t.Fatalf("mmap-backed read: %v, %v", rec, err)
+		t.Fatalf("NDJSON file read: %v, %v", rec, err)
 	}
 
-	// Extension picks CSV; the mapped bytes feed the CSV decoder.
+	// Extension picks CSV.
 	csvPath := filepath.Join(dir, "records.csv")
 	if err := os.WriteFile(csvPath, []byte("a,b\n1,2\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -436,7 +351,6 @@ func TestOpenFileSourceRouting(t *testing.T) {
 		t.Fatalf("CSV read: %v, %v", rec, err)
 	}
 
-	// Zero-length input cannot be mapped and must fall back.
 	empty := filepath.Join(dir, "empty.ndjson")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -447,7 +361,7 @@ func TestOpenFileSourceRouting(t *testing.T) {
 	}
 	defer emptyClose()
 	if _, ok := emptySrc.(*NDJSONSource); !ok {
-		t.Fatalf("empty file routed to %T, want *NDJSONSource fallback", emptySrc)
+		t.Fatalf("empty file routed to %T, want *NDJSONSource", emptySrc)
 	}
 	if _, err := firstRecord(emptySrc); err != io.EOF {
 		t.Fatalf("empty file read = %v, want io.EOF", err)
@@ -458,38 +372,14 @@ func TestOpenFileSourceRouting(t *testing.T) {
 	}
 }
 
-// TestFileSourcePipeFallsBack routes a non-regular file (a pipe — the
-// stdin shape) to the streaming decoder: pipes cannot be mapped.
-func TestFileSourcePipeFallsBack(t *testing.T) {
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		w.WriteString(`{"a": "piped"}` + "\n")
-		w.Close()
-	}()
-	src, closer, err := fileSource(r, "ndjson")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer()
-	if _, ok := src.(*NDJSONSource); !ok {
-		t.Fatalf("pipe routed to %T, want *NDJSONSource fallback", src)
-	}
-	rec, err := firstRecord(src)
-	if err != nil || rec["a"] != "piped" {
-		t.Fatalf("pipe read: %v, %v", rec, err)
-	}
-}
-
 // TestCountSourcePreservesSpans pins that the progress wrapper passes
 // spans through and still counts decoded records.
 func TestCountSourcePreservesSpans(t *testing.T) {
 	doc := `{"a": "1"}` + "\n" + `{"a": "2"}` + "\n"
 	var p Progress
-	src := CountSource(NewMmapNDJSONSource([]byte(doc)), &p)
-	sp, err := src.CutSpan(nil, 16)
+	src := CountSource(NewNDJSONSource(strings.NewReader(doc)), &p)
+	var buf []byte
+	sp, err := src.CutSpan(&buf, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +399,7 @@ func TestCountSourcePreservesSpans(t *testing.T) {
 // first lines are correct, and decode agrees with NextBatchForTest.
 func TestSpanCoverage(t *testing.T) {
 	doc := trickyNDJSON()
-	src := NewMmapNDJSONSource([]byte(doc))
+	src := NewNDJSONSource(strings.NewReader(doc))
 	var total int
 	var lastEnd int64
 	line := int64(0)
@@ -536,7 +426,7 @@ func TestSpanCoverage(t *testing.T) {
 		t.Fatalf("spans covered %d bytes of %d", lastEnd, len(doc))
 	}
 
-	other := NewMmapNDJSONSource([]byte(doc))
+	other := NewNDJSONSource(strings.NewReader(doc))
 	var n int
 	for {
 		var batch dqruntime.ColumnBatch

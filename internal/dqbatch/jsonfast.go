@@ -12,8 +12,8 @@ import (
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 )
 
-// NDJSON decoding: every NDJSON read path — streamed or memory-mapped,
-// engine, NextBatch or BuildKeySet — decodes through decodeNDJSONSpan.
+// NDJSON decoding: every NDJSON read path — engine, NextBatch or
+// BuildKeySet — decodes through decodeNDJSONSpan.
 // Its fast path parses the common record shape — a flat JSON object of
 // unescaped strings, numbers and booleans — straight out of the span
 // bytes, skipping encoding/json's reflection and intermediate

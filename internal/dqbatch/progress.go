@@ -7,9 +7,9 @@ import (
 )
 
 // Offsetter is a source that knows its record-aligned input byte offset.
-// NDJSONSource, MmapNDJSONSource and CSVSource implement it, with exact
-// offsets; the offset advances only on whole consumed records, so it
-// always names a record boundary.
+// NDJSONSource and CSVSource implement it, with exact offsets; the offset
+// advances only on whole consumed records, so it always names a record
+// boundary.
 type Offsetter interface {
 	ByteOffset() int64
 }

@@ -6,6 +6,7 @@
 package dqbatch_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -179,7 +180,7 @@ func TestRunDecodePoolNoDeadlock(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		done := make(chan error, 1)
 		go func() {
-			res, err := Run(context.Background(), v, NewMmapNDJSONSource(doc), Options{
+			res, err := Run(context.Background(), v, NewNDJSONSource(bytes.NewReader(doc)), Options{
 				Workers: 1, DecodeWorkers: 3, ChunkSize: 1, Registry: obs.NewRegistry(),
 			})
 			if err == nil && res.Records != 400 {

@@ -26,10 +26,8 @@ import (
 type Source interface {
 	// CutSpan consumes up to maxLines whole records as one span; io.EOF
 	// ends the stream and any other error aborts the batch. A span never
-	// comes back empty alongside a nil error. A source that reads a stream
-	// copies the records into *buf (reusing its capacity), so the caller
-	// owns the span's bytes; a source over a read-only mapping returns a
-	// slice of it and leaves buf alone.
+	// comes back empty alongside a nil error. The records are copied into
+	// *buf (reusing its capacity), so the caller owns the span's bytes.
 	CutSpan(buf *[]byte, maxLines int) (Span, error)
 	// DecodeSpan decodes one span into dst, reporting malformed records
 	// through bad, with the 1-based input line where they start, in line
@@ -77,8 +75,8 @@ func NewNDJSONSource(r io.Reader) *NDJSONSource {
 
 // scanRawLines is bufio.ScanLines without its CR stripping: a token is one
 // whole input line including its LF (the final line may lack one), so a
-// streamed span holds the same bytes MmapNDJSONSource slices out of a
-// mapping, and only the span decoder strips a line's trailing CR.
+// span holds the input's bytes exactly, and only the span decoder strips
+// a line's trailing CR.
 func scanRawLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
 	if i := bytes.IndexByte(data, '\n'); i >= 0 {
 		return i + 1, data[:i+1], nil
@@ -117,6 +115,15 @@ func (s *NDJSONSource) CutSpan(buf *[]byte, maxLines int) (Span, error) {
 		return Span{}, fmt.Errorf("dqbatch: reading line %d: %w", first, err)
 	}
 	return Span{}, io.EOF
+}
+
+// NextSpan is CutSpan into fresh storage, so the spans a caller collects
+// stay valid across later cuts: the span is cut into the source's own
+// buffer and copied out at its size.
+func (s *NDJSONSource) NextSpan(maxLines int) (Span, error) {
+	sp, err := s.CutSpan(&s.buf, maxLines)
+	sp.Data = bytes.Clone(sp.Data)
+	return sp, err
 }
 
 // DecodeSpan decodes one span through the shared NDJSON decoder.

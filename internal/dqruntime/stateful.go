@@ -341,7 +341,7 @@ func (t *keyTally) sortedKeys() []string {
 }
 
 // ---------------------------------------------------------------------------
-// uniqTable: open-addressed key counting for the cross-record checks.
+// uniqTable: open-addressed key counting for the uniqueness check.
 
 // tableSeed seeds every uniqTable's hash. States merge tables by stored
 // hash, so all tables of a process share it; no finding depends on where
@@ -814,19 +814,11 @@ func (ReferentialCheck) Name() string { return "check_referential" }
 // Characteristic returns Consistency.
 func (ReferentialCheck) Characteristic() iso25012.Characteristic { return iso25012.Consistency }
 
-// NewStates indexes the reference set once, in a read-only open-addressed
-// table, and mints n states sharing it.
+// NewStates mints n states, each probing Ref, shared read-only.
 func (c ReferentialCheck) NewStates(n, maxDetails int) []CheckState {
-	refs := &uniqTable{}
-	refs.init(len(c.Ref) + 1)
-	for k := range c.Ref {
-		h := tableHash(k)
-		idx, _ := refs.find(h, k)
-		refs.insertAt(idx, h, k, 1)
-	}
 	out := make([]CheckState, n)
 	for i := range out {
-		out[i] = &referentialState{check: c, refs: refs, missing: newKeyTally(maxDetails)}
+		out[i] = &referentialState{check: c, missing: newKeyTally(maxDetails)}
 	}
 	return out
 }
@@ -835,7 +827,6 @@ func (c ReferentialCheck) NewStates(n, maxDetails int) []CheckState {
 // plus a bounded tally of the smallest missing keys.
 type referentialState struct {
 	check   ReferentialCheck
-	refs    *uniqTable // the reference set, shared read-only
 	records int64
 	blanks  int64
 	misses  int64
@@ -846,8 +837,8 @@ type referentialState struct {
 
 // ObserveBatch folds every row's foreign key, extracted column-wise: a
 // single-field key is probed by its cell, a multi-field key is built in
-// the scratch buffer and becomes a string only if the missing-key tally
-// keeps it.
+// the scratch buffer — Ref[string(keyBuf)] does not allocate — and
+// becomes a string only if the missing-key tally keeps it.
 func (s *referentialState) ObserveBatch(base int64, b *ColumnBatch) {
 	s.cols = keyCols(s.check.Fields, b, s.cols)
 	rows := b.Rows()
@@ -859,14 +850,14 @@ func (s *referentialState) ObserveBatch(base int64, b *ColumnBatch) {
 		}
 		if len(s.cols) == 1 {
 			key := s.cols[0].Raw[i]
-			if _, found := s.refs.find(tableHash(key), key); !found {
+			if _, found := s.check.Ref[key]; !found {
 				s.misses++
 				s.missing.add(key, base+int64(i), 1)
 			}
 			continue
 		}
 		s.keyBuf = appendKey(s.keyBuf[:0], s.cols, i)
-		if _, found := s.refs.findBytes(tableHashBytes(s.keyBuf), s.keyBuf); !found {
+		if _, found := s.check.Ref[string(s.keyBuf)]; !found {
 			s.misses++
 			s.missing.addBytes(s.keyBuf, base+int64(i))
 		}
@@ -992,8 +983,9 @@ func (c TimelinessCheck) NewStates(n, _ int) []CheckState {
 }
 
 // timelinessState is one worker's accumulator: integer counts per outcome
-// and window, plus the age extrema — no floating-point state, so merges
-// are exact in any order.
+// and window, plus the earliest and latest event times, whose ages are
+// the skew extrema — no floating-point state, so merges are exact in any
+// order.
 type timelinessState struct {
 	check    TimelinessCheck
 	asOf     time.Time
@@ -1009,36 +1001,77 @@ type timelinessState struct {
 	stale     int64
 	future    int64
 	within    []int64
-	minAge    time.Duration
-	maxSeen   time.Duration
+	earliest  instant
+	latest    instant
 	hasAge    bool
 }
 
+// instant is an event time as Unix seconds and nanoseconds in [0, 1e9),
+// as parseTimestamp returns it. The age of an instant is exact in these
+// integers at any distance from the clock, where a time.Duration ends at
+// ±292 years.
+type instant struct{ sec, nsec int64 }
+
+func (t instant) before(u instant) bool { return t.sec < u.sec || t.sec == u.sec && t.nsec < u.nsec }
+
+// durationSecs bounds the whole seconds of an age that converts to a
+// time.Duration without overflow.
+const durationSecs = math.MaxInt64/int64(time.Second) - 1
+
+// age is asOf.Sub(time.Unix(sec, nsec)). The difference is taken in whole
+// seconds and nanoseconds; only an event more than 292 years from asOf,
+// whose age Sub clamps to the Duration range, goes through time.Time.
+func (s *timelinessState) age(sec, nsec int64) time.Duration {
+	if d := s.asOfSec - sec; -durationSecs < d && d < durationSecs {
+		return time.Duration(d)*time.Second + time.Duration(s.asOfNsec-nsec)
+	}
+	return s.asOf.Sub(time.Unix(sec, nsec))
+}
+
 // ageOf is asOf.Sub(time.Parse(time.RFC3339, v)), reporting false where
-// time.Parse fails. The difference is taken in whole seconds and
-// nanoseconds; only a timestamp more than 292 years from asOf, whose age
-// Sub clamps to the Duration range, goes through time.Time.
+// time.Parse fails: the parse and the age arithmetic ObserveBatch runs,
+// composed as FuzzParseTimestamp checks them.
 func (s *timelinessState) ageOf(v string) (time.Duration, bool) {
 	sec, nsec, ok := parseTimestamp(v)
 	if !ok {
 		return 0, false
 	}
-	const maxSec = math.MaxInt64/int64(time.Second) - 1
-	if d := s.asOfSec - sec; -maxSec < d && d < maxSec {
-		return time.Duration(d)*time.Second + time.Duration(s.asOfNsec-nsec), true
-	}
-	return s.asOf.Sub(time.Unix(sec, nsec)), true
+	return s.age(sec, nsec), true
 }
 
-func (s *timelinessState) observeAge(age time.Duration) {
-	if !s.hasAge || age < s.minAge {
-		s.minAge = age
+// skew renders the age of t in time.Duration's String form: byte for byte
+// what Duration.String prints for an age within its range, and the same
+// h/m/s form beyond it.
+func (s *timelinessState) skew(t instant) string {
+	sec, nsec := s.asOfSec-t.sec, s.asOfNsec-t.nsec
+	if -durationSecs < sec && sec < durationSecs {
+		return (time.Duration(sec)*time.Second + time.Duration(nsec)).String()
 	}
-	if !s.hasAge || age > s.maxSeen {
-		s.maxSeen = age
+	sign := ""
+	if sec < 0 {
+		sign, sec, nsec = "-", -sec, -nsec
+	}
+	if nsec < 0 {
+		sec, nsec = sec-1, nsec+int64(time.Second)
+	}
+	out := fmt.Sprintf("%s%dh%dm%d", sign, sec/3600, sec/60%60, sec%60)
+	if nsec > 0 {
+		out += strings.TrimRight(fmt.Sprintf(".%09d", nsec), "0")
+	}
+	return out + "s"
+}
+
+// observe folds one event time: the earliest and latest so far, and its
+// age's outcome and windows.
+func (s *timelinessState) observe(t instant) {
+	if !s.hasAge || t.before(s.earliest) {
+		s.earliest = t
+	}
+	if !s.hasAge || s.latest.before(t) {
+		s.latest = t
 	}
 	s.hasAge = true
-	switch {
+	switch age := s.age(t.sec, t.nsec); {
 	case age < -s.maxSkew:
 		s.future++
 	case age > s.maxAge:
@@ -1067,12 +1100,12 @@ func (s *timelinessState) ObserveBatch(_ int64, b *ColumnBatch) {
 			s.blanks++
 			continue
 		}
-		age, ok := s.ageOf(col.Trim(i))
+		sec, nsec, ok := parseTimestamp(col.Trim(i))
 		if !ok {
 			s.malformed++
 			continue
 		}
-		s.observeAge(age)
+		s.observe(instant{sec, nsec})
 	}
 }
 
@@ -1197,11 +1230,11 @@ func (s *timelinessState) Merge(other CheckState) {
 		s.within[i] += o.within[i]
 	}
 	if o.hasAge {
-		if !s.hasAge || o.minAge < s.minAge {
-			s.minAge = o.minAge
+		if !s.hasAge || o.earliest.before(s.earliest) {
+			s.earliest = o.earliest
 		}
-		if !s.hasAge || o.maxSeen > s.maxSeen {
-			s.maxSeen = o.maxSeen
+		if !s.hasAge || s.latest.before(o.latest) {
+			s.latest = o.latest
 		}
 		s.hasAge = true
 	}
@@ -1227,7 +1260,7 @@ func (s *timelinessState) Finding() CrossFinding {
 		f.Details = append(f.Details, fmt.Sprintf("within %s: %.1f%% (%d/%d)", w, pct, s.within[i], denom))
 	}
 	if s.hasAge {
-		f.Details = append(f.Details, fmt.Sprintf("event-time skew min %s, max %s", s.minAge, s.maxSeen))
+		f.Details = append(f.Details, fmt.Sprintf("event-time skew min %s, max %s", s.skew(s.latest), s.skew(s.earliest)))
 	}
 	if s.stale > 0 {
 		f.Details = append(f.Details, fmt.Sprintf("%d records older than %s", s.stale, s.maxAge))

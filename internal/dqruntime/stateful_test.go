@@ -2,6 +2,7 @@ package dqruntime
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -362,6 +363,42 @@ func TestTimelinessCheck(t *testing.T) {
 	fo := observeAll(opt.NewStates(2, 5), recs)
 	if fo.Violations != 3 || fo.Records != 7 {
 		t.Fatalf("optional finding = %+v", fo)
+	}
+}
+
+// TestTimelinessSkewBeyondDuration pins the skew detail on both sides of
+// time.Duration's ±292-year range. Records dated 0000-01-01 and
+// 9999-12-31, in two states merged, count as stale and future-dated and
+// print their exact ages, not the range's clamped ends. An age within the
+// range prints byte for byte what Duration.String prints, at the range's
+// ends too, where skew formats the integers itself.
+func TestTimelinessSkewBeyondDuration(t *testing.T) {
+	asOf := time.Date(2026, 8, 8, 12, 0, 0, 750_000_000, time.UTC)
+	c := TimelinessCheck{Field: "ts", Windows: []time.Duration{24 * time.Hour}, Now: func() time.Time { return asOf }}
+	f := observeAll(c.NewStates(2, 5), []Record{{"ts": "0000-01-01T00:00:00Z"}, {"ts": "9999-12-31T23:59:59.5Z"}})
+	want := []string{
+		"within 24h0m0s: 0.0% (0/2)",
+		"event-time skew min -69893363h59m58.75s, max 17764836h0m0.75s",
+		"1 records older than 24h0m0s",
+		"1 records future-dated beyond 5m0s",
+	}
+	if f.Violations != 2 || !reflect.DeepEqual(f.Details, want) {
+		t.Fatalf("finding = %+v", f)
+	}
+
+	st := c.NewStates(1, 0)[0].(*timelinessState)
+	for _, d := range []time.Duration{math.MaxInt64, math.MinInt64, math.MaxInt64 - time.Second, math.MinInt64 + time.Second,
+		time.Hour, -time.Hour, 90*time.Minute + 500*time.Millisecond, 1500 * time.Microsecond, -3, 0} {
+		// ev is asOf - d as an instant.
+		ev := instant{st.asOfSec - int64(d/time.Second), st.asOfNsec - int64(d%time.Second)}
+		if ev.nsec < 0 {
+			ev.sec, ev.nsec = ev.sec-1, ev.nsec+int64(time.Second)
+		} else if ev.nsec >= int64(time.Second) {
+			ev.sec, ev.nsec = ev.sec+1, ev.nsec-int64(time.Second)
+		}
+		if got := st.skew(ev); got != d.String() {
+			t.Errorf("skew of age %d ns = %q, Duration.String gives %q", int64(d), got, d.String())
+		}
 	}
 }
 

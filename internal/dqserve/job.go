@@ -392,10 +392,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.finishJob(j, StateFailed, nil, err)
 		return
 	}
-	// Staged inputs are always regular files, so submissions and resumes
-	// alike pick up the memory-mapped fast path (and its exact byte-offset
-	// progress) from the shared constructor; non-mmap platforms fall back
-	// to the streaming decoders inside OpenFileSource.
+	// Staged inputs are regular files, read by the shared constructor
+	// through the streaming sources the CLI uses, so submissions and
+	// resumes alike report exact byte-offset progress.
 	src, closeIn, err := dqbatch.OpenFileSource(j.InputPath, j.Format)
 	if err != nil {
 		span.Fail(err)
