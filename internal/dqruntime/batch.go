@@ -2,7 +2,6 @@ package dqruntime
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/modeldriven/dqwebre/internal/iso25012"
 )
@@ -253,8 +252,8 @@ func (c AccuracyCheck) ApplyBatch(b *ColumnBatch, out *ColumnResult) {
 	}
 }
 
-// ApplyBatch parses timestamps with a consecutive-value memo; the age
-// comparison still reads the clock per row, like the row path.
+// ApplyBatch judges each filled cell as Apply does, reading the clock per
+// row like the row path.
 func (c CurrentnessCheck) ApplyBatch(b *ColumnBatch, out *ColumnResult) {
 	rows := b.Rows()
 	var blankDetail []string
@@ -273,41 +272,11 @@ func (c CurrentnessCheck) ApplyBatch(b *ColumnBatch, out *ColumnResult) {
 		}
 		return
 	}
-	now := time.Now
-	if c.Now != nil {
-		now = c.Now
-	}
-	var lastVal string
-	var haveLast bool
-	var lastTS time.Time
-	var lastErr bool
-	var lastErrDetail []string
 	for r, k := range col.Kinds {
 		if !filledCell(k) {
 			blank(r)
-			continue
-		}
-		s := col.Trim(r)
-		if !haveLast || s != lastVal {
-			lastVal, haveLast = s, true
-			ts, err := time.Parse(time.RFC3339, s)
-			lastTS, lastErr = ts, err != nil
-			lastErrDetail = nil
-		}
-		if lastErr {
-			if lastErrDetail == nil {
-				lastErrDetail = []string{fmt.Sprintf("%s=%q is not an RFC3339 timestamp", c.Field, s)}
-			}
-			out.Fail(r, 0, lastErrDetail)
-			continue
-		}
-		age := now().Sub(lastTS)
-		if skew := c.skew(); age < -skew {
-			out.Fail(r, 0, []string{fmt.Sprintf("%s is %s in the future, tolerance %s", c.Field, -age, skew)})
-			continue
-		}
-		if age > c.MaxAge {
-			out.Fail(r, 0, []string{fmt.Sprintf("%s is %s old, limit %s", c.Field, age, c.MaxAge)})
+		} else if details := c.judge(col.Trim(r)); details != nil {
+			out.Fail(r, 0, details)
 		}
 	}
 }

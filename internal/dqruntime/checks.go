@@ -207,8 +207,17 @@ func (c ConsistencyCheck) Apply(r Record) CheckResult {
 }
 
 // DefaultMaxSkew is how far ahead of the clock a timestamp may sit before
-// CurrentnessCheck rejects it as future-dated.
+// CurrentnessCheck and TimelinessCheck count it as future-dated.
 const DefaultMaxSkew = 5 * time.Minute
+
+// resolveSkew returns the future tolerance a MaxSkew field sets: 0 means
+// DefaultMaxSkew, negative means none.
+func resolveSkew(maxSkew time.Duration) time.Duration {
+	if maxSkew == 0 {
+		return DefaultMaxSkew
+	}
+	return max(maxSkew, 0)
+}
 
 // CurrentnessCheck verifies a timestamp field is recent enough, realizing
 // the Currentness characteristic ("of the right age"). Timestamps ahead
@@ -229,17 +238,6 @@ type CurrentnessCheck struct {
 	Optional bool
 }
 
-// skew resolves the effective future tolerance.
-func (c CurrentnessCheck) skew() time.Duration {
-	if c.MaxSkew == 0 {
-		return DefaultMaxSkew
-	}
-	if c.MaxSkew < 0 {
-		return 0
-	}
-	return c.MaxSkew
-}
-
 // Name returns "check_currentness".
 func (CurrentnessCheck) Name() string { return "check_currentness" }
 
@@ -258,26 +256,31 @@ func (c CurrentnessCheck) Apply(r Record) CheckResult {
 		res.Details = []string{c.Field + " is blank"}
 		return res
 	}
-	ts, err := time.Parse(time.RFC3339, raw)
-	if err != nil {
-		res.Details = []string{fmt.Sprintf("%s=%q is not an RFC3339 timestamp", c.Field, raw)}
-		return res
+	if res.Details = c.judge(raw); res.Details == nil {
+		res.Passed, res.Score = true, 1
+	}
+	return res
+}
+
+// judge returns why the non-blank timestamp raw fails, or nil when it
+// passes. It reads the clock once per call.
+func (c CurrentnessCheck) judge(raw string) []string {
+	sec, nsec, ok := parseTimestamp(raw)
+	if !ok {
+		return []string{fmt.Sprintf("%s=%q is not an RFC3339 timestamp", c.Field, raw)}
 	}
 	now := time.Now
 	if c.Now != nil {
 		now = c.Now
 	}
-	age := now().Sub(ts)
-	if skew := c.skew(); age < -skew {
-		res.Details = []string{fmt.Sprintf("%s is %s in the future, tolerance %s", c.Field, -age, skew)}
-		return res
+	age := now().Sub(time.Unix(sec, nsec))
+	if skew := resolveSkew(c.MaxSkew); age < -skew {
+		return []string{fmt.Sprintf("%s is %s in the future, tolerance %s", c.Field, -age, skew)}
 	}
 	if age > c.MaxAge {
-		res.Details = []string{fmt.Sprintf("%s is %s old, limit %s", c.Field, age, c.MaxAge)}
-		return res
+		return []string{fmt.Sprintf("%s is %s old, limit %s", c.Field, age, c.MaxAge)}
 	}
-	res.Passed, res.Score = true, 1
-	return res
+	return nil
 }
 
 // Validator executes a set of checks over records — the runtime counterpart

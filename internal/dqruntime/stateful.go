@@ -912,10 +912,6 @@ func (s *referentialState) Finding() CrossFinding {
 // ---------------------------------------------------------------------------
 // TimelinessCheck
 
-// DefaultTimelinessSkew tolerates event times slightly ahead of the
-// evaluation clock before they count as future-dated.
-const DefaultTimelinessSkew = 5 * time.Minute
-
 // TimelinessCheck measures the dataset's freshness — the Currentness
 // characteristic over the whole stream rather than one record: the
 // fraction of records inside each freshness window, the min/max
@@ -932,7 +928,7 @@ type TimelinessCheck struct {
 	// the largest window.
 	MaxAge time.Duration
 	// MaxSkew tolerates event times this far in the future; beyond it the
-	// record violates. 0 means DefaultTimelinessSkew, negative means none.
+	// record violates. 0 means DefaultMaxSkew, negative means none.
 	MaxSkew time.Duration
 	// Now supplies the evaluation clock; time.Now when nil.
 	Now func() time.Time
@@ -960,12 +956,7 @@ func (c TimelinessCheck) NewStates(n, _ int) []CheckState {
 	if maxAge == 0 && len(windows) > 0 {
 		maxAge = windows[len(windows)-1]
 	}
-	maxSkew := c.MaxSkew
-	if maxSkew == 0 {
-		maxSkew = DefaultTimelinessSkew
-	} else if maxSkew < 0 {
-		maxSkew = 0
-	}
+	maxSkew := resolveSkew(c.MaxSkew)
 	out := make([]CheckState, n)
 	for i := range out {
 		out[i] = &timelinessState{

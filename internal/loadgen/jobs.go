@@ -7,10 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 )
 
@@ -33,7 +30,8 @@ type JobConfig struct {
 	PollEvery time.Duration
 	// Timeout is the per-request timeout; default 10s.
 	Timeout time.Duration
-	// Client overrides the HTTP client (tests); nil builds one.
+	// Client overrides the HTTP client (tests); nil builds one, whose
+	// connections RunJobs closes before it returns.
 	Client *http.Client
 }
 
@@ -52,32 +50,17 @@ type JobResult struct {
 	Elapsed time.Duration
 }
 
-// percentile returns the p-th percentile of sorted durations.
-func percentile(lat []time.Duration, p float64) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	idx := int(p/100*float64(len(lat))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(lat) {
-		idx = len(lat) - 1
-	}
-	return lat[idx]
-}
-
 // RunJobs fires the configured job submissions and follows each to a
 // terminal state. Like Run, it errors only on unusable configuration;
 // shed submissions and transport failures are counted in the result.
 func RunJobs(ctx context.Context, cfg JobConfig) (*JobResult, error) {
-	if strings.TrimSpace(cfg.URL) == "" {
-		return nil, fmt.Errorf("loadgen: target URL is required")
+	base, err := baseURL(cfg.URL)
+	if err != nil {
+		return nil, err
 	}
 	if len(cfg.Body) == 0 {
 		return nil, fmt.Errorf("loadgen: job body is required")
 	}
-	base := strings.TrimSuffix(cfg.URL, "/")
 	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = 16
@@ -86,51 +69,24 @@ func RunJobs(ctx context.Context, cfg JobConfig) (*JobResult, error) {
 	if workers <= 0 {
 		workers = 4
 	}
-	if workers > jobs {
-		workers = jobs
-	}
 	poll := cfg.PollEvery
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: timeout}
-	}
+	client, closeIdle := newClient(cfg.Client, cfg.Timeout, workers)
+	defer closeIdle()
 
 	submitURL := base + "/v1/jobs"
 	if cfg.Model != "" {
 		submitURL += "?model=" + cfg.Model
 	}
 
-	type shard struct {
-		JobResult
-	}
-	shards := make([]shard, workers)
-	var next atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(s *shard) {
-			defer wg.Done()
-			for {
-				if int(next.Add(1)) > jobs || ctx.Err() != nil {
-					return
-				}
-				s.runOne(ctx, client, submitURL, base, cfg.Body, poll)
-			}
-		}(&shards[w])
-	}
-	wg.Wait()
+	shards, elapsed := closedLoop(ctx, workers, jobs, func(s *JobResult, _ int) {
+		s.runOne(ctx, client, submitURL, base, cfg.Body, poll)
+	})
 
-	res := &JobResult{Elapsed: time.Since(start)}
-	for i := range shards {
-		s := &shards[i]
+	res := &JobResult{Elapsed: elapsed}
+	for _, s := range shards {
 		res.Submitted += s.Submitted
 		res.Done += s.Done
 		res.Failed += s.Failed
@@ -140,8 +96,8 @@ func RunJobs(ctx context.Context, cfg JobConfig) (*JobResult, error) {
 		res.SubmitLatencies = append(res.SubmitLatencies, s.SubmitLatencies...)
 		res.CompleteLatencies = append(res.CompleteLatencies, s.CompleteLatencies...)
 	}
-	sort.Slice(res.SubmitLatencies, func(i, j int) bool { return res.SubmitLatencies[i] < res.SubmitLatencies[j] })
-	sort.Slice(res.CompleteLatencies, func(i, j int) bool { return res.CompleteLatencies[i] < res.CompleteLatencies[j] })
+	slices.Sort(res.SubmitLatencies)
+	slices.Sort(res.CompleteLatencies)
 	return res, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -97,6 +98,48 @@ func TestRunJobsAgainstStubServer(t *testing.T) {
 	for _, want := range []string{"5 submitted", "5 done", "shed:        3", "submit:", "complete:"} {
 		if !strings.Contains(report.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, report.String())
+		}
+	}
+}
+
+// TestRunJobsClosesItsConnections pins that RunJobs, like Run, leaves no
+// connection of its own client open: one left idle would hold up the
+// target server's graceful shutdown.
+func TestRunJobsClosesItsConnections(t *testing.T) {
+	stub := &stubJobServer{capacity: 8, polls: map[string]int{}, bodies: map[string]int{}}
+	var mu sync.Mutex
+	open := map[net.Conn]bool{}
+	srv := httptest.NewUnstartedServer(stub.handler())
+	srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch s {
+		case http.StateNew:
+			open[c] = true
+		case http.StateClosed, http.StateHijacked:
+			delete(open, c)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	res, err := RunJobs(context.Background(), JobConfig{
+		URL: srv.URL, Body: []byte(`{"a":"1"}` + "\n"), Jobs: 8, Concurrency: 3, PollEvery: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != 8 {
+		t.Fatalf("done = %d, want 8", res.Done)
+	}
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		mu.Lock()
+		n := len(open)
+		mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open after RunJobs returned", n)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,28 +63,31 @@ func (r *Result) Throughput() float64 {
 
 // Percentile returns the p-th latency percentile (0 < p <= 100); 0 when no
 // latencies were recorded.
-func (r *Result) Percentile(p float64) time.Duration {
-	if len(r.Latencies) == 0 {
+func (r *Result) Percentile(p float64) time.Duration { return percentile(r.Latencies, p) }
+
+// percentile returns the p-th percentile of sorted durations.
+func percentile(lat []time.Duration, p float64) time.Duration {
+	if len(lat) == 0 {
 		return 0
 	}
-	idx := int(p/100*float64(len(r.Latencies))+0.5) - 1
+	idx := int(p/100*float64(len(lat))+0.5) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(r.Latencies) {
-		idx = len(r.Latencies) - 1
+	if idx >= len(lat) {
+		idx = len(lat) - 1
 	}
-	return r.Latencies[idx]
+	return lat[idx]
 }
 
 // Run fires the configured load and aggregates the outcome. It returns an
 // error only for unusable configuration; transport failures are counted in
 // the result, since shedding servers legitimately reset connections.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if strings.TrimSpace(cfg.URL) == "" {
-		return nil, fmt.Errorf("loadgen: target URL is required")
+	base, err := baseURL(cfg.URL)
+	if err != nil {
+		return nil, err
 	}
-	base := strings.TrimSuffix(cfg.URL, "/")
 	paths := cfg.Paths
 	if len(paths) == 0 {
 		paths = []string{"/"}
@@ -97,24 +100,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if budget <= 0 && cfg.Duration <= 0 {
 		budget = 2048
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{
-			Timeout: timeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        workers * 2,
-				MaxIdleConnsPerHost: workers * 2,
-			},
-		}
-		// Close what the run leaves behind: a connection dialed but never
-		// used stays StateNew on the server, and http.Server.Shutdown waits
-		// up to 5s for it (Go issue 22682).
-		defer client.CloseIdleConnections()
-	}
+	client, closeIdle := newClient(cfg.Client, cfg.Timeout, workers)
+	defer closeIdle()
 
 	if cfg.Duration > 0 {
 		var cancel context.CancelFunc
@@ -122,72 +109,110 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		defer cancel()
 	}
 
-	var next atomic.Int64 // request sequence; also round-robins paths
-	type shard struct {
-		total, errors, shed int
-		status              map[int]int
-		lat                 []time.Duration
+	shards, elapsed := closedLoop(ctx, workers, budget, func(s *Result, seq int) {
+		path := paths[seq%len(paths)]
+		if !strings.HasPrefix(path, "/") {
+			path = "/" + path
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+		if err != nil {
+			s.Errors++
+			return
+		}
+		t0 := time.Now()
+		resp, err := client.Do(req)
+		if err != nil {
+			if ctx.Err() == nil {
+				s.Errors++
+			}
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		s.Total++
+		if s.Status == nil {
+			s.Status = make(map[int]int)
+		}
+		s.Status[resp.StatusCode]++
+		if resp.StatusCode == http.StatusTooManyRequests ||
+			resp.StatusCode == http.StatusServiceUnavailable {
+			s.Shed++
+		}
+		s.Latencies = append(s.Latencies, time.Since(t0))
+	})
+
+	res := &Result{Status: make(map[int]int), Elapsed: elapsed}
+	for _, s := range shards {
+		res.Total += s.Total
+		res.Errors += s.Errors
+		res.Shed += s.Shed
+		for code, n := range s.Status {
+			res.Status[code] += n
+		}
+		res.Latencies = append(res.Latencies, s.Latencies...)
 	}
-	shards := make([]shard, workers)
+	slices.Sort(res.Latencies)
+	return res, nil
+}
+
+// baseURL checks that a target URL is set and trims its trailing slash.
+func baseURL(url string) (string, error) {
+	if strings.TrimSpace(url) == "" {
+		return "", fmt.Errorf("loadgen: target URL is required")
+	}
+	return strings.TrimSuffix(url, "/"), nil
+}
+
+// newClient returns c, or when c is nil a client with the given
+// per-request timeout (default 10s) that keeps up to two idle connections
+// per worker. closeIdle closes the connections of a client it built: a
+// connection dialed but never used stays StateNew on the server, and
+// http.Server.Shutdown waits up to 5s for it (Go issue 22682).
+func newClient(c *http.Client, timeout time.Duration, workers int) (client *http.Client, closeIdle func()) {
+	if c != nil {
+		return c, func() {}
+	}
+	if timeout <= 0 {
+		timeout = 10 * time.Second
+	}
+	c = &http.Client{
+		Timeout: timeout,
+		Transport: &http.Transport{
+			MaxIdleConns:        workers * 2,
+			MaxIdleConnsPerHost: workers * 2,
+		},
+	}
+	return c, c.CloseIdleConnections
+}
+
+// closedLoop runs up to workers goroutines, each calling do with its own
+// S and the next number of one shared sequence (1, 2, ...) as soon as its
+// previous call returns, until budget calls have started (budget <= 0:
+// no limit) or ctx ends. It returns the workers' states and the elapsed
+// time.
+func closedLoop[S any](ctx context.Context, workers, budget int, do func(s *S, seq int)) ([]S, time.Duration) {
+	if budget > 0 && workers > budget {
+		workers = budget
+	}
+	shards := make([]S, workers)
+	var next atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range shards {
 		wg.Add(1)
-		go func(s *shard) {
+		go func(s *S) {
 			defer wg.Done()
-			s.status = make(map[int]int)
 			for {
-				seq := next.Add(1)
-				if budget > 0 && int(seq) > budget {
+				seq := int(next.Add(1))
+				if budget > 0 && seq > budget || ctx.Err() != nil {
 					return
 				}
-				if ctx.Err() != nil {
-					return
-				}
-				path := paths[int(seq)%len(paths)]
-				if !strings.HasPrefix(path, "/") {
-					path = "/" + path
-				}
-				req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-				if err != nil {
-					s.errors++
-					continue
-				}
-				t0 := time.Now()
-				resp, err := client.Do(req)
-				if err != nil {
-					if ctx.Err() != nil {
-						return
-					}
-					s.errors++
-					continue
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				s.total++
-				s.status[resp.StatusCode]++
-				if resp.StatusCode == http.StatusTooManyRequests ||
-					resp.StatusCode == http.StatusServiceUnavailable {
-					s.shed++
-				}
-				s.lat = append(s.lat, time.Since(t0))
+				do(s, seq)
 			}
 		}(&shards[w])
 	}
 	wg.Wait()
-
-	res := &Result{Status: make(map[int]int), Elapsed: time.Since(start)}
-	for i := range shards {
-		res.Total += shards[i].total
-		res.Errors += shards[i].errors
-		res.Shed += shards[i].shed
-		for code, n := range shards[i].status {
-			res.Status[code] += n
-		}
-		res.Latencies = append(res.Latencies, shards[i].lat...)
-	}
-	sort.Slice(res.Latencies, func(i, j int) bool { return res.Latencies[i] < res.Latencies[j] })
-	return res, nil
+	return shards, time.Since(start)
 }
 
 // WriteReport renders the human-readable run report.
@@ -206,7 +231,7 @@ func (r *Result) WriteReport(w io.Writer) {
 	for code := range r.Status {
 		codes = append(codes, code)
 	}
-	sort.Ints(codes)
+	slices.Sort(codes)
 	for _, code := range codes {
 		fmt.Fprintf(w, "status %d:  %d\n", code, r.Status[code])
 	}
