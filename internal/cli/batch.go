@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 
 	"github.com/modeldriven/dqwebre/internal/dqbatch"
@@ -118,7 +117,7 @@ func cmdBatch(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		keys, err := dqbatch.BuildKeySet(ctx, refSrc, splitFields(*refKey))
+		keys, err := dqbatch.BuildKeySet(ctx, refSrc, dqbatch.SplitList(*refKey))
 		closeRef()
 		if err != nil {
 			return fmt.Errorf("building reference key set from %s: %w", *ref, err)
@@ -128,7 +127,7 @@ func cmdBatch(args []string, out io.Writer) error {
 			fkFields = *refKey
 		}
 		refs = append(refs, dqruntime.ReferentialCheck{
-			Fields:  splitFields(fkFields),
+			Fields:  dqbatch.SplitList(fkFields),
 			Ref:     keys,
 			RefName: filepath.Base(*ref),
 		})
@@ -165,10 +164,10 @@ func crossFlags(fs *flag.FlagSet) func() dqbatch.CrossOptions {
 	maxSkew := fs.String("max-skew", "", "future-timestamp tolerance for -timeliness, a duration (empty = 5m)")
 	return func() dqbatch.CrossOptions {
 		return dqbatch.CrossOptions{
-			Unique:         splitFields(*unique),
+			Unique:         dqbatch.SplitList(*unique),
 			UniqueMaxExact: *uniqueMaxExact,
 			Timeliness:     *timeliness,
-			Windows:        splitFields(*windows),
+			Windows:        dqbatch.SplitList(*windows),
 			MaxAge:         *maxAge,
 			MaxSkew:        *maxSkew,
 		}
@@ -192,18 +191,6 @@ func LoadEnforcer(path string) (*dqruntime.Enforcer, error) {
 		m = dqsr
 	}
 	return dqruntime.BuildFromDQSR(m)
-}
-
-// splitFields splits a comma-separated field list, trimming whitespace and
-// dropping empty entries.
-func splitFields(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // openSource opens the record stream, picking the decoder from -format or

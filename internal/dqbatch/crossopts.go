@@ -2,6 +2,7 @@ package dqbatch
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
@@ -70,6 +71,19 @@ func (o CrossOptions) Checks(refs ...dqruntime.StatefulCheck) ([]dqruntime.State
 		MaxAge:  maxAge,
 		MaxSkew: maxSkew,
 	}), nil
+}
+
+// SplitList splits a comma-separated list, trimming whitespace and
+// dropping empty entries. Both front ends fill CrossOptions' lists with
+// it, so a flag and a query parameter of the same text split alike.
+func SplitList(s string) []string {
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // optionalDuration parses a duration option, "" meaning 0.

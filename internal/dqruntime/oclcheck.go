@@ -44,16 +44,15 @@ type oclBatchScratch struct {
 }
 
 // NewOCLCheck compiles expr and derives the record fields it reads from the
-// expression's free variables. Every field is bound on every evaluation
-// (absent ones as null), so the program compiles under AssumeBound and
-// benefits from cost-ordered conjunctions.
+// expression's free variables. Every field gets a frame slot and is bound
+// on every evaluation, absent ones as null.
 func NewOCLCheck(ch iso25012.Characteristic, expr string) (*OCLCheck, error) {
 	parsed, err := ocl.Parse(expr)
 	if err != nil {
 		return nil, fmt.Errorf("dqruntime: OCL check %q: %w", expr, err)
 	}
 	fields := ocl.FreeVars(parsed)
-	prog, err := ocl.CompileString(expr, ocl.CompileOptions{Vars: fields, AssumeBound: true})
+	prog, err := ocl.CompileString(expr, ocl.CompileOptions{Vars: fields})
 	if err != nil {
 		return nil, fmt.Errorf("dqruntime: OCL check %q: %w", expr, err)
 	}

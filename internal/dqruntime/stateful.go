@@ -536,10 +536,9 @@ func (c UniquenessCheck) NewStates(n, maxDetails int) []CheckState {
 	if bloomBits == 0 {
 		bloomBits = DefaultBloomBits
 	}
-	// Start the exact tables small; maybePrime widens them after the first
-	// chunk when the observed cardinality says the run will need it, so
-	// tiny datasets don't pay and large high-cardinality ones skip the
-	// intermediate rehashes.
+	// Start the exact tables small, so tiny datasets don't pay; a table
+	// doubles as its keys arrive, and rehash grows its entries and arena
+	// in the same steps.
 	hint := maxExact
 	if hint > 256 {
 		hint = 256
@@ -572,7 +571,6 @@ type uniquenessState struct {
 	table      uniqTable
 	spilled    bool
 	bloom      *bloomFilter
-	primed     bool
 	cols       []*Column // ObserveBatch scratch
 	keyBuf     []byte    // multi-field key scratch
 }
@@ -638,23 +636,6 @@ func (b *bloomFilter) insertTable(t *uniqTable) {
 	}
 }
 
-// maybePrime sizes the table from the first chunk's cardinality: when most
-// keys so far are distinct, the run is high-cardinality and the table
-// jumps straight to a large capacity instead of doubling its way there.
-func (s *uniquenessState) maybePrime() {
-	if s.primed || s.spilled {
-		return
-	}
-	s.primed = true
-	if int64(s.table.len())*2 >= s.records {
-		target := s.maxExact
-		if target > 1<<14 {
-			target = 1 << 14
-		}
-		s.table.growTo(target)
-	}
-}
-
 // ObserveBatch folds every row's key, extracted column-wise.
 func (s *uniquenessState) ObserveBatch(_ int64, b *ColumnBatch) {
 	s.cols = keyCols(s.check.Fields, b, s.cols)
@@ -675,7 +656,6 @@ func (s *uniquenessState) ObserveBatch(_ int64, b *ColumnBatch) {
 			s.addString(key)
 		}
 	}
-	s.maybePrime()
 }
 
 // Merge folds other into s. Two exact states merge their tables (the

@@ -86,27 +86,15 @@ func ParseJobOptions(q url.Values) (JobOptions, error) {
 	if o.Context = q.Get("context"); len(o.Context) > maxContextBytes {
 		return o, fmt.Errorf("context is %d bytes, longer than %d", len(o.Context), maxContextBytes)
 	}
-	o.Unique = splitList(q.Get("unique"))
+	o.Unique = dqbatch.SplitList(q.Get("unique"))
 	o.Timeliness = q.Get("timeliness")
-	o.Windows = splitList(q.Get("windows"))
+	o.Windows = dqbatch.SplitList(q.Get("windows"))
 	o.MaxAge = q.Get("max_age")
 	o.MaxSkew = q.Get("max_skew")
 	if _, err := o.engineOptions(); err != nil {
 		return o, err
 	}
 	return o, nil
-}
-
-// splitList splits a comma-separated list, trimming whitespace and
-// dropping empties.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // recordFormat picks the job's record format: explicit param first, then

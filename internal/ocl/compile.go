@@ -40,15 +40,6 @@ type CompileOptions struct {
 	// "self", which is always declared). Declared variables get fixed frame
 	// slots; undeclared names fall back to Env.Vars lookups at run time.
 	Vars []string
-	// AssumeBound promises that every declared variable is bound before
-	// each evaluation (as OCLCheck and EvalBatch callers do). The compiler
-	// then treats declared variable reads as total — they cannot fall into
-	// the type-name error path — which unlocks cost-ordered conjunction
-	// reordering over them. Evaluating an AssumeBound program with a
-	// declared variable unbound is a contract violation: results stay
-	// correct for the values supplied, but errors may surface in a
-	// different order than the interpreter's.
-	AssumeBound bool
 }
 
 // Program is a compiled OCL expression, safe for concurrent use: all
@@ -59,7 +50,6 @@ type Program struct {
 	nslots  int
 	externs []string
 	extSlot map[string]int
-	ncse    int
 	// spare is a one-item frame cache in front of pool. sync.Pool
 	// deliberately drops items at random when the race detector is on,
 	// which would make "zero allocations in steady state" unprovable
@@ -78,14 +68,6 @@ type Frame struct {
 	env   *Env
 	slots []any
 	bound []bool
-	// gen is the evaluation generation: every Eval* entry point bumps it,
-	// invalidating the CSE cache below in O(1). It is monotonic over the
-	// frame's pooled lifetime — never reset — so a recycled frame can never
-	// see a stale cache hit.
-	gen    uint64
-	cseGen []uint64
-	cseVal []any
-	cseErr []error
 }
 
 // binding is a compile-time scope entry for a let/iterator variable.
@@ -102,17 +84,11 @@ type binding struct {
 }
 
 type compiler struct {
-	meta        *metamodel.Package
-	externs     []string
-	extSlot     map[string]int
-	scope       []binding
-	nslots      int
-	assumeBound bool
-	// cseCand holds the cacheable subexpression keys from analyzeCSE;
-	// cseIdx assigns each key its cache slot on first cacheable compile.
-	cseCand map[string]bool
-	cseIdx  map[string]int
-	ncse    int
+	meta    *metamodel.Package
+	externs []string
+	extSlot map[string]int
+	scope   []binding
+	nslots  int
 }
 
 // Compile lowers a parsed expression with default options: no compile-time
@@ -128,10 +104,8 @@ func Compile(expr Expr) (*Program, error) {
 // CompileWith lowers a parsed expression with explicit options.
 func CompileWith(expr Expr, opts CompileOptions) (*Program, error) {
 	c := &compiler{
-		meta:        opts.Meta,
-		extSlot:     make(map[string]int),
-		assumeBound: opts.AssumeBound,
-		cseCand:     analyzeCSE(expr),
+		meta:    opts.Meta,
+		extSlot: make(map[string]int),
 	}
 	// "self" always occupies slot 0 so EvalSelf is valid for every Program;
 	// remaining declared variables get slots in sorted order.
@@ -152,20 +126,13 @@ func CompileWith(expr Expr, opts CompileOptions) (*Program, error) {
 		nslots:  c.nslots,
 		externs: c.externs,
 		extSlot: c.extSlot,
-		ncse:    c.ncse,
 	}
 	p.pool.New = func() any {
-		fr := &Frame{
+		return &Frame{
 			prog:  p,
 			slots: make([]any, p.nslots),
 			bound: make([]bool, len(p.externs)),
 		}
-		if p.ncse > 0 {
-			fr.cseGen = make([]uint64, p.ncse)
-			fr.cseVal = make([]any, p.ncse)
-			fr.cseErr = make([]error, p.ncse)
-		}
-		return fr
 	}
 	return p, nil
 }
@@ -175,7 +142,7 @@ func CompileWith(expr Expr, opts CompileOptions) (*Program, error) {
 // — validation rules, batch checks, transform guards — compile exactly
 // once.
 func CompileString(src string, opts CompileOptions) (*Program, error) {
-	key := cacheKey{src: src, meta: opts.Meta, vars: strings.Join(opts.Vars, "\x00"), bound: opts.AssumeBound}
+	key := cacheKey{src: src, meta: opts.Meta, vars: strings.Join(opts.Vars, "\x00")}
 	if v, ok := progCache.Load(key); ok {
 		return v.(*Program), nil
 	}
@@ -197,10 +164,9 @@ func CompileString(src string, opts CompileOptions) (*Program, error) {
 }
 
 type cacheKey struct {
-	src   string
-	meta  *metamodel.Package
-	vars  string
-	bound bool
+	src  string
+	meta *metamodel.Package
+	vars string
 }
 
 var (
@@ -239,12 +205,6 @@ func (fr *Frame) Release() {
 	for i := range fr.slots {
 		fr.slots[i] = nil
 	}
-	// Drop cached values so pooled frames pin no objects; the generation
-	// counter stays monotonic, which is what keeps stale entries dead.
-	for i := range fr.cseVal {
-		fr.cseVal[i] = nil
-		fr.cseErr[i] = nil
-	}
 	fr.env = nil
 	if fr.prog.spare.CompareAndSwap(nil, fr) {
 		return
@@ -273,14 +233,12 @@ func (fr *Frame) SetVar(name string, v any) bool {
 
 // Eval runs the program against the frame's current bindings.
 func (fr *Frame) Eval() (any, error) {
-	fr.gen++
 	return fr.prog.run(fr)
 }
 
 // EvalBool runs the program and coerces to constraint semantics (null is
 // false).
 func (fr *Frame) EvalBool() (bool, error) {
-	fr.gen++
 	v, err := fr.prog.run(fr)
 	if err != nil {
 		return false, err
@@ -304,7 +262,6 @@ func (p *Program) Eval(env *Env) (any, error) {
 			}
 		}
 	}
-	fr.gen++
 	return p.run(fr)
 }
 
@@ -329,7 +286,6 @@ func (p *Program) EvalSelf(self any, env *Env) (any, error) {
 			}
 		}
 	}
-	fr.gen++
 	return p.run(fr)
 }
 
@@ -453,54 +409,9 @@ func (c *compiler) typeFallbackName(name string) code {
 	return func(fr *Frame) (any, error) { return resolveTypeName(fr.env, name) }
 }
 
-// compile lowers one node, then wraps it in a per-evaluation cache when
-// the CSE analysis marked it worth sharing.
+// compile lowers e into a closure tree. Operands run in source order, the
+// order the interpreter evaluates them in, so both report the same error.
 func (c *compiler) compile(e Expr) compiled {
-	cc := c.compileNode(e)
-	return c.maybeCache(e, cc)
-}
-
-// maybeCache wraps a compiled subexpression in a generation-checked cache
-// slot. Eligibility is re-checked against the compile-time scope at this
-// occurrence: the same source text can mean different things inside an
-// iterator that rebinds one of its variables, and such occurrences bypass
-// the cache (analyzeCSE applied the same rule when counting).
-func (c *compiler) maybeCache(e Expr, cc compiled) compiled {
-	if cc.isConst || len(c.cseCand) == 0 || !cseCandidateKind(e) {
-		return cc
-	}
-	key := e.String()
-	if !c.cseCand[key] {
-		return cc
-	}
-	for _, v := range FreeVars(e) {
-		if c.scopeHas(v) {
-			return cc
-		}
-	}
-	if c.cseIdx == nil {
-		c.cseIdx = make(map[string]int)
-	}
-	idx, ok := c.cseIdx[key]
-	if !ok {
-		idx = c.ncse
-		c.ncse++
-		c.cseIdx[key] = idx
-	}
-	run := cc.run
-	return dyn(func(fr *Frame) (any, error) {
-		if fr.cseGen[idx] == fr.gen {
-			return fr.cseVal[idx], fr.cseErr[idx]
-		}
-		v, err := run(fr)
-		fr.cseGen[idx] = fr.gen
-		fr.cseVal[idx] = v
-		fr.cseErr[idx] = err
-		return v, err
-	})
-}
-
-func (c *compiler) compileNode(e Expr) compiled {
 	switch n := e.(type) {
 	case *LitExpr:
 		return constVal(n.Val)
@@ -706,18 +617,7 @@ func (c *compiler) compileBinary(n *BinExpr) compiled {
 	op := n.Op
 	switch op {
 	case "and", "or", "implies":
-		left, right := n.L, n.R
-		// Cost-ordered conjunctions: evaluate the cheaper operand first so
-		// the short-circuit skips the expensive one more often. and/or are
-		// commutative over Booleans, so the swap preserves semantics only
-		// when BOTH operands are provably total — an erroring operand pins
-		// the original order, because `err and false` differs from
-		// `false and err`. implies is not commutative and never reorders.
-		if op != "implies" && c.totalBool(left) && c.totalBool(right) &&
-			exprCost(right) < exprCost(left) {
-			left, right = right, left
-		}
-		l := c.compile(left)
+		l := c.compile(n.L)
 		if l.isConst {
 			if l.err != nil {
 				return l
@@ -736,9 +636,9 @@ func (c *compiler) compileBinary(n *BinExpr) compiled {
 			case op == "implies" && !lb:
 				return constVal(true)
 			}
-			return c.boolChecked(op, c.compile(right))
+			return c.boolChecked(op, c.compile(n.R))
 		}
-		r := c.compile(right)
+		r := c.compile(n.R)
 		lrun, rrun := l.run, r.run
 		// Specialized short-circuit closures, one per operator.
 		evalRight := func(fr *Frame) (any, error) {

@@ -26,10 +26,6 @@ type Env struct {
 	// TaggedValue, when non-nil, backs the taggedValue('N') extension: it
 	// returns the tagged value of any applied stereotype, or nil.
 	TaggedValue func(*metamodel.Object, string) metamodel.Value
-	// Extent, when non-nil, overrides Model.AllInstances for
-	// Type.allInstances() — validation engines inject a memoized extent so
-	// repeated global scans over an unchanging model are paid once.
-	Extent func(*metamodel.Class) []*metamodel.Object
 }
 
 func (e *Env) meta() *metamodel.Package {
@@ -236,17 +232,9 @@ func evalAllInstances(env *Env, name string) (any, error) {
 	return instancesOf(env, c, name)
 }
 
-// instancesOf materializes a class extent through the env's Extent hook or
-// model.
+// instancesOf materializes a class extent from the model, which memoizes
+// it until the model next changes.
 func instancesOf(env *Env, c *metamodel.Class, name string) (any, error) {
-	if env.Extent != nil {
-		objs := env.Extent(c)
-		out := make([]any, len(objs))
-		for i, o := range objs {
-			out[i] = o
-		}
-		return out, nil
-	}
 	if env.Model == nil {
 		return nil, fmt.Errorf("ocl: no model for %s.allInstances()", name)
 	}
@@ -288,20 +276,21 @@ func navigateValue(recv any, name string) (any, error) {
 	}
 }
 
-// objectProperty reads a slot and converts to the native domain.
+// objectProperty reads a slot and converts to the native domain. Set and
+// Append fill only declared properties, so a slot holding a value needs
+// no class lookup.
 func objectProperty(o *metamodel.Object, name string) (any, error) {
+	if v, set := o.Get(name); set {
+		return toNative(v), nil
+	}
 	p, ok := o.Class().Property(name)
 	if !ok {
 		return nil, fmt.Errorf("ocl: %s has no property %q", o.Class().QualifiedName(), name)
 	}
-	v, set := o.Get(name)
-	if !set {
-		if p.IsMany() {
-			return []any{}, nil
-		}
-		return nil, nil
+	if p.IsMany() {
+		return []any{}, nil
 	}
-	return toNative(v), nil
+	return nil, nil
 }
 
 // toNative converts a metamodel.Value to the evaluator's native domain.

@@ -2,10 +2,10 @@ package ocl
 
 // Vectorized evaluation: run one compiled Program over a whole batch of
 // rows with a single reused Frame. Per row, the only work beyond the
-// program body is one slot write per bound column and a generation bump —
-// no frame pool round-trip, no map lookups, no per-row allocation. The
-// semantics are exactly "EvalSelf per row": the differential tests pin
-// EvalBatch against the per-record path and the interpreter.
+// program body is one slot write per bound column — no frame pool
+// round-trip, no map lookups, no per-row allocation. The semantics are
+// exactly "EvalSelf per row": the differential tests pin EvalBatch
+// against the per-record path and the interpreter.
 
 // BoundColumn binds one frame slot to a column of per-row values. Slot
 // comes from Program.Slot; Values must hold at least as many entries as
@@ -30,8 +30,9 @@ type BoolResult struct {
 // EvalBatch evaluates the program once per row of out, with each bound
 // column's row value written into its slot first. Declared variables not
 // covered by cols stay unbound and fall back to env.Vars lookups, exactly
-// as in Eval. The frame is reused across rows; the CSE generation bump per
-// row keeps cached subexpressions from leaking between rows.
+// as in Eval. The frame is reused across rows: a row's slot writes replace
+// the previous row's values, and let and iterator slots are written
+// before they are read.
 func (p *Program) EvalBatch(env *Env, cols []BoundColumn, out []BatchResult) {
 	if env == nil {
 		env = &Env{}
@@ -42,7 +43,6 @@ func (p *Program) EvalBatch(env *Env, cols []BoundColumn, out []BatchResult) {
 		fr.bound[bc.Slot] = true
 	}
 	for row := range out {
-		fr.gen++
 		for _, bc := range cols {
 			fr.slots[bc.Slot] = bc.Values[row]
 		}
@@ -64,7 +64,6 @@ func (p *Program) EvalBoolBatch(env *Env, cols []BoundColumn, out []BoolResult) 
 		fr.bound[bc.Slot] = true
 	}
 	for row := range out {
-		fr.gen++
 		for _, bc := range cols {
 			fr.slots[bc.Slot] = bc.Values[row]
 		}

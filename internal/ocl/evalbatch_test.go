@@ -1,9 +1,7 @@
 // Differential coverage for the vectorized entry points: EvalBatch and
 // EvalBoolBatch over a batch of rows must agree, row for row, with the
 // per-record compiled path and the tree-walking interpreter — same values,
-// same error texts — including under AssumeBound, whose conjunction
-// reordering is only sound when every declared variable is bound (as the
-// batch caller guarantees).
+// same error texts.
 package ocl
 
 import (
@@ -40,9 +38,8 @@ func batchRow(i int) map[string]any {
 	}
 }
 
-// cseBatchExprs stress the round-2 compiler passes in batch context:
-// repeated subexpressions (CSE slots must reset between rows via the
-// generation bump) and reorderable conjunctions.
+// cseBatchExprs repeat subexpressions and chain conjunctions, so a batch
+// must evaluate every row afresh, in the interpreter's operand order.
 var cseBatchExprs = []string{
 	"s.size() > 1 and s.size() < 5",
 	"s.size() + s.size() + s.size()",
@@ -85,40 +82,37 @@ func bindColumns(t *testing.T, prog *Program, rows []map[string]any) []BoundColu
 }
 
 // TestEvalBatchDifferential pins EvalBatch against the interpreter and the
-// per-record compiled path over the full handwritten expression table,
-// with and without AssumeBound.
+// per-record compiled path over the full handwritten expression table.
 func TestEvalBatchDifferential(t *testing.T) {
 	const rows = 9
 	rowVals := make([]map[string]any, rows)
 	for i := range rowVals {
 		rowVals[i] = batchRow(i)
 	}
-	for _, assumeBound := range []bool{false, true} {
-		for _, expr := range batchDifferentialExprs(t) {
-			prog, err := CompileWith(expr, CompileOptions{Vars: batchVars, AssumeBound: assumeBound})
-			if err != nil {
-				t.Fatalf("compile %q: %v", expr, err)
+	for _, expr := range batchDifferentialExprs(t) {
+		prog, err := CompileWith(expr, CompileOptions{Vars: batchVars})
+		if err != nil {
+			t.Fatalf("compile %q: %v", expr, err)
+		}
+		out := make([]BatchResult, rows)
+		prog.EvalBatch(nil, bindColumns(t, prog, rowVals), out)
+		for i, got := range out {
+			env := &Env{Vars: rowVals[i]}
+			iv, ierr := Eval(expr, env)
+			if (ierr != nil) != (got.Err != nil) {
+				t.Fatalf("%q row %d:\ninterpreted: v=%#v err=%v\nbatch:       v=%#v err=%v",
+					expr, i, iv, ierr, got.Val, got.Err)
 			}
-			out := make([]BatchResult, rows)
-			prog.EvalBatch(nil, bindColumns(t, prog, rowVals), out)
-			for i, got := range out {
-				env := &Env{Vars: rowVals[i]}
-				iv, ierr := Eval(expr, env)
-				if (ierr != nil) != (got.Err != nil) {
-					t.Fatalf("assumeBound=%v %q row %d:\ninterpreted: v=%#v err=%v\nbatch:       v=%#v err=%v",
-						assumeBound, expr, i, iv, ierr, got.Val, got.Err)
+			if ierr != nil {
+				if ierr.Error() != got.Err.Error() {
+					t.Fatalf("%q row %d error text diverged\ninterpreted: %v\nbatch:       %v",
+						expr, i, ierr, got.Err)
 				}
-				if ierr != nil {
-					if ierr.Error() != got.Err.Error() {
-						t.Fatalf("assumeBound=%v %q row %d error text diverged\ninterpreted: %v\nbatch:       %v",
-							assumeBound, expr, i, ierr, got.Err)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(iv, got.Val) {
-					t.Fatalf("assumeBound=%v %q row %d value diverged\ninterpreted: %#v\nbatch:       %#v",
-						assumeBound, expr, i, iv, got.Val)
-				}
+				continue
+			}
+			if !reflect.DeepEqual(iv, got.Val) {
+				t.Fatalf("%q row %d value diverged\ninterpreted: %#v\nbatch:       %#v",
+					expr, i, iv, got.Val)
 			}
 		}
 	}
@@ -212,7 +206,7 @@ func TestEvalBoolBatchMatchesEvalBool(t *testing.T) {
 	}
 	for _, src := range exprs {
 		expr := MustParse(src)
-		prog, err := CompileWith(expr, CompileOptions{Vars: batchVars, AssumeBound: true})
+		prog, err := CompileWith(expr, CompileOptions{Vars: batchVars})
 		if err != nil {
 			t.Fatalf("compile %q: %v", src, err)
 		}
@@ -241,7 +235,7 @@ func TestEvalBatchQuick(t *testing.T) {
 	exprs := batchDifferentialExprs(t)
 	progs := make([]*Program, len(exprs))
 	for i, expr := range exprs {
-		p, err := CompileWith(expr, CompileOptions{Vars: batchVars, AssumeBound: true})
+		p, err := CompileWith(expr, CompileOptions{Vars: batchVars})
 		if err != nil {
 			t.Fatalf("compile %q: %v", expr, err)
 		}

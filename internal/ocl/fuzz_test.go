@@ -3,7 +3,8 @@
 // successfully parsed expression prints to a form that re-parses to the
 // same printed form (print∘parse is idempotent on the printer's image).
 // Every parseable input additionally compiles and runs differentially:
-// the compiler is fuzzed for free, with the interpreter as the oracle.
+// the compiler is fuzzed for free, with the interpreter as the oracle,
+// through Program.Eval and through the batch entry point OCLCheck uses.
 package ocl
 
 import (
@@ -74,6 +75,25 @@ func FuzzParse(f *testing.F) {
 			(ierr == nil && !reflect.DeepEqual(iv, cv)) {
 			t.Fatalf("interpreter/compiler divergence on %q:\ninterpreted: v=%#v err=%v\ncompiled:    v=%#v err=%v",
 				printed, iv, ierr, cv, rerr)
+		}
+		// EvalBoolBatch over one-row columns, each bound from fuzzDiffEnv
+		// through its slot, must give EvalBool's verdict and error text.
+		cols := make([]BoundColumn, 0, len(fuzzDiffOpts.Vars))
+		for _, name := range fuzzDiffOpts.Vars {
+			slot, ok := prog.Slot(name)
+			if !ok {
+				t.Fatalf("no slot for declared variable %q", name)
+			}
+			cols = append(cols, BoundColumn{Slot: slot, Values: []any{fuzzDiffEnv.Vars[name]}})
+		}
+		var out [1]BoolResult
+		prog.EvalBoolBatch(nil, cols, out[:])
+		ok, berr := EvalBool(printed, fuzzDiffEnv)
+		if (berr != nil) != (out[0].Err != nil) ||
+			(berr != nil && berr.Error() != out[0].Err.Error()) ||
+			ok != out[0].OK {
+			t.Fatalf("interpreter/batch divergence on %q:\ninterpreted: ok=%v err=%v\nbatch:       ok=%v err=%v",
+				printed, ok, berr, out[0].OK, out[0].Err)
 		}
 	})
 }

@@ -248,22 +248,6 @@ func (e *Engine) RunContext(ctx context.Context) *Report {
 func (e *Engine) run(ctx context.Context) *Report {
 	rep := &Report{}
 
-	// Memoize class extents for the duration of the run: the model is not
-	// mutated while validating, and global rules (allInstances) otherwise
-	// rescan it per element.
-	var extentMu sync.Mutex
-	extents := map[*metamodel.Class][]*metamodel.Object{}
-	extent := func(c *metamodel.Class) []*metamodel.Object {
-		extentMu.Lock()
-		defer extentMu.Unlock()
-		if objs, ok := extents[c]; ok {
-			return objs
-		}
-		objs := e.model.Model.AllInstances(c)
-		extents[c] = objs
-		return objs
-	}
-
 	if !e.skipConformance {
 		_, cspan := obs.StartSpan(ctx, "conformance")
 		violations := 0
@@ -284,8 +268,7 @@ func (e *Engine) run(ctx context.Context) *Report {
 	// One immutable Env is shared by every worker: variable bindings travel
 	// through compiled-program frames, not per-job Vars maps.
 	env := &ocl.Env{
-		Model:  e.model.Model,
-		Extent: extent,
+		Model: e.model.Model,
 		Stereotypes: func(obj *metamodel.Object) []string {
 			return e.model.StereotypeNames(obj)
 		},

@@ -1,15 +1,17 @@
 #!/bin/sh
-# Benchmark harness. Runs three suites, each as one `go test -count 5`,
-# and reduces each with scripts/bench.awk to per-benchmark medians and
-# IQRs, the host's CPU count (nproc) and the suite's ratios:
+# Benchmark harness. Runs three suites, each as five rounds of
+# `go test -count 1` into one file, so the two sides of every ratio
+# alternate in time and host drift does not read as a difference between
+# them. Reduces each suite with scripts/bench.awk to per-benchmark medians
+# and IQRs, the host's CPU count (nproc) and the suite's ratios:
 #   - batch engine (internal/dqbatch: sequential, parallel at 1-8 workers,
 #     vectorized, uniqueness, decode, file, uniqueness-key and per-check
 #     cross-record runs) → BENCH_batch.json;
 #   - OCL evaluation (interpreted vs compiled per expression shape, plus
 #     BenchmarkBatchCompiled{,Rows}) → BENCH_ocl.json;
 #   - attribution overhead (BenchmarkBatchParallel8 vs
-#     BenchmarkBatchAttributed8 in one process, so both share the build,
-#     CPU state and dataset) → BENCH_obs.json.
+#     BenchmarkBatchAttributed8 in each round's process, so both share the
+#     build, CPU state and dataset) → BENCH_obs.json.
 # The batch run is judged against the newest run archived under
 # artifacts/bench and against its ratio floors; each finding is one
 # ::warning:: line on stdout, the script's only output there. The run is
@@ -32,13 +34,18 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 # bench <suite> <output.json> <go test args> runs one suite and reduces it.
-# go test writes to a file, not a pipe, so a failing benchmark fails the
-# script; its output is then copied to stderr.
+# Each round appends to a file, not a pipe, so a failing benchmark fails
+# the script; the rounds' output is then copied to stderr.
 bench() {
 	suite=$1 json=$2
 	shift 2
-	go test -run '^$' -benchmem -benchtime "$benchtime" -count "$count" "$@" > "$raw" ||
-		{ cat "$raw" >&2; exit 1; }
+	: > "$raw"
+	round=0
+	while [ "$round" -lt "$count" ]; do
+		go test -run '^$' -benchmem -benchtime "$benchtime" -count 1 "$@" >> "$raw" ||
+			{ cat "$raw" >&2; exit 1; }
+		round=$((round + 1))
+	done
 	cat "$raw" >&2
 	awk -f scripts/bench.awk -v suite="$suite" -v out="$json" -v prev="$prev" \
 		-v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v nproc="$nproc" \
