@@ -52,7 +52,7 @@ func NewOCLCheck(ch iso25012.Characteristic, expr string) (*OCLCheck, error) {
 		return nil, fmt.Errorf("dqruntime: OCL check %q: %w", expr, err)
 	}
 	fields := ocl.FreeVars(parsed)
-	prog, err := ocl.CompileString(expr, ocl.CompileOptions{Vars: fields})
+	prog, err := ocl.CompileString(expr, fields...)
 	if err != nil {
 		return nil, fmt.Errorf("dqruntime: OCL check %q: %w", expr, err)
 	}

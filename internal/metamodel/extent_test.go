@@ -24,6 +24,14 @@ func TestExtentCacheInvalidation(t *testing.T) {
 	if &again[0] != &got[0] {
 		t.Fatal("second AllInstances call rebuilt the extent instead of hitting the cache")
 	}
+	// Extent boxes the same objects once, memoized alongside.
+	boxed := m.Extent(animal)
+	if len(boxed) != 2 || boxed[0] != l1 || boxed[1] != l2 {
+		t.Fatalf("Extent = %v, want [l1 l2]", boxed)
+	}
+	if again := m.Extent(animal); &again[0] != &boxed[0] {
+		t.Fatal("second Extent call rebuilt the boxed extent instead of hitting the cache")
+	}
 
 	// Create (which Adds) invalidates; the new object appears, in order.
 	g := m.MustCreate("Gazelle")
@@ -31,12 +39,18 @@ func TestExtentCacheInvalidation(t *testing.T) {
 	if len(got) != 3 || got[2] != g {
 		t.Fatalf("after create: AllInstances = %v, want l1,l2,g", got)
 	}
+	if boxed = m.Extent(animal); len(boxed) != 3 || boxed[2] != g {
+		t.Fatalf("after create: Extent = %v, want l1,l2,g", boxed)
+	}
 
 	// Remove invalidates too.
 	m.Remove(l1)
 	got = m.AllInstances(animal)
 	if len(got) != 2 || got[0] != l2 || got[1] != g {
 		t.Fatalf("after remove: AllInstances = %v, want l2,g", got)
+	}
+	if boxed = m.Extent(animal); len(boxed) != 2 || boxed[0] != l2 || boxed[1] != g {
+		t.Fatalf("after remove: Extent = %v, want l2,g", boxed)
 	}
 
 	// The cached slice is clipped: appending to it must not corrupt the

@@ -17,12 +17,19 @@ type Model struct {
 	objects   []*Object
 	members   map[*Object]bool
 	byXID     map[string]*Object
-	// extents memoizes AllInstances per class, so repeated OCL
+	// extents memoizes each class's extent, so repeated OCL
 	// `T.allInstances()` scans are O(extent) instead of O(all objects) with
 	// an IsA walk per object. Any membership change drops the whole map:
 	// models are built once and read many times, so a coarse invalidation
 	// keeps Add/Remove cheap while the steady state hits the cache.
-	extents map[*Class][]*Object
+	extents map[*Class]extent
+}
+
+// extent is one class's memoized extent, as objects (AllInstances) and
+// boxed once for the OCL evaluator (Extent). Both are capacity-clipped.
+type extent struct {
+	objs  []*Object
+	boxed []any
 }
 
 // NewModel creates an empty model conforming to the given metamodel package.
@@ -125,29 +132,40 @@ func (m *Model) Len() int {
 // The extent is computed once per class and memoized until the model's
 // membership changes; the returned slice is shared with the cache and must
 // not be mutated by callers (it is clipped, so appends copy).
-func (m *Model) AllInstances(c *Class) []*Object {
+func (m *Model) AllInstances(c *Class) []*Object { return m.extent(c).objs }
+
+// Extent returns AllInstances(c) boxed as []any, the OCL evaluator's
+// collection type. It is memoized with the extent, so it is shared by every
+// caller and must not be written (it is clipped, so appends copy).
+func (m *Model) Extent(c *Class) []any { return m.extent(c).boxed }
+
+func (m *Model) extent(c *Class) extent {
 	m.mu.RLock()
-	out, ok := m.extents[c]
+	e, ok := m.extents[c]
 	m.mu.RUnlock()
 	if ok {
-		return out
+		return e
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if out, ok := m.extents[c]; ok {
-		return out
+	if e, ok := m.extents[c]; ok {
+		return e
 	}
 	for _, o := range m.objects {
 		if o.IsA(c) {
-			out = append(out, o)
+			e.objs = append(e.objs, o)
 		}
 	}
-	out = out[:len(out):len(out)]
-	if m.extents == nil {
-		m.extents = make(map[*Class][]*Object)
+	e.objs = e.objs[:len(e.objs):len(e.objs)]
+	e.boxed = make([]any, len(e.objs))
+	for i, o := range e.objs {
+		e.boxed[i] = o
 	}
-	m.extents[c] = out
-	return out
+	if m.extents == nil {
+		m.extents = make(map[*Class]extent)
+	}
+	m.extents[c] = e
+	return e
 }
 
 // AllInstancesOf resolves the class by name and returns its extent.

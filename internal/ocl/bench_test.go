@@ -15,10 +15,9 @@ import (
 )
 
 type benchFixture struct {
-	meta *metamodel.Package
-	mdl  *metamodel.Model
-	rec  *metamodel.Object
-	xs   []any
+	mdl *metamodel.Model
+	rec *metamodel.Object
+	xs  []any
 }
 
 func newBenchFixture(b *testing.B) *benchFixture {
@@ -40,7 +39,7 @@ func newBenchFixture(b *testing.B) *benchFixture {
 	for i := range xs {
 		xs[i] = int64(i % 11)
 	}
-	return &benchFixture{meta: pkg, mdl: mdl, rec: first, xs: xs}
+	return &benchFixture{mdl: mdl, rec: first, xs: xs}
 }
 
 const (
@@ -95,13 +94,9 @@ func BenchmarkEvalInterpreted(b *testing.B) {
 
 func BenchmarkEvalCompiled(b *testing.B) {
 	f := newBenchFixture(b)
-	opts := CompileOptions{Meta: f.meta, Vars: []string{"xs"}}
 
 	b.Run("Simple", func(b *testing.B) {
-		prog, err := CompileWith(MustParse(benchSimpleSrc), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		prog := Compile(MustParse(benchSimpleSrc), "xs")
 		env := benchEnv(f, false) // hot path: shared Env, self via slot
 		mustTrue(b, func() (any, error) { return prog.EvalSelf(f.rec, env) })
 		b.ReportAllocs()
@@ -114,10 +109,7 @@ func BenchmarkEvalCompiled(b *testing.B) {
 	})
 
 	b.Run("ForAll", func(b *testing.B) {
-		prog, err := CompileWith(MustParse(benchForAllSrc), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		prog := Compile(MustParse(benchForAllSrc), "xs")
 		env := benchEnv(f, true) // same Env shape as the interpreted run
 		mustTrue(b, func() (any, error) { return prog.Eval(env) })
 		b.ReportAllocs()
@@ -130,10 +122,7 @@ func BenchmarkEvalCompiled(b *testing.B) {
 	})
 
 	b.Run("AllInstances", func(b *testing.B) {
-		prog, err := CompileWith(MustParse(benchScanSrc), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		prog := Compile(MustParse(benchScanSrc), "xs")
 		env := benchEnv(f, false)
 		mustTrue(b, func() (any, error) { return prog.Eval(env) })
 		b.ReportAllocs()

@@ -6,41 +6,31 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"github.com/modeldriven/dqwebre/internal/metamodel"
 )
 
 // This file lowers a parsed AST into a tree of Go closures for
 // compile-once/execute-many evaluation. The tree-walking interpreter in
 // eval.go stays the reference semantics ("the oracle"); compiled Programs
 // reuse the same shared helpers (dispatchCall, evalArrowOp, runIterator,
-// navigateValue, ...) so the two paths cannot drift, and a differential
-// harness replays the fuzz corpus through both to prove it.
+// navigateValue, resolveTypeName, ...) so the two paths cannot drift, and a
+// differential harness replays the fuzz corpus through both to prove it.
 //
-// What compilation buys over interpretation:
+// Compilation only lowers: each node becomes one closure that evaluates at
+// run time, in the interpreter's order, and type and enum names resolve
+// against the frame's Env, so one Program is correct under any Env. What
+// that buys over interpretation:
 //   - no per-call map[string]any copy: variables live in slot-indexed
 //     frames, so binding self or an iterator item is one array write;
 //   - closure dispatch instead of an AST type-switch per node;
-//   - type names in oclIsKindOf/allInstances and enum literals resolved
-//     once at compile time against CompileOptions.Meta;
-//   - constant folding with boolean short-circuit specialization;
 //   - a per-Program sync.Pool of frames, so steady-state evaluation is
 //     allocation-free.
+//
+// The one value computed at compile time is a sign on a literal (-3,
+// not true): boxing a negative number allocates, and predicates such as
+// `-3 <= overall_evaluation` would otherwise pay that once per record.
 
 // code is a compiled expression: it evaluates against a Frame.
 type code func(fr *Frame) (any, error)
-
-// CompileOptions configures compilation.
-type CompileOptions struct {
-	// Meta, when non-nil, resolves type names and enum literals at compile
-	// time. Expressions compiled without Meta resolve them at run time
-	// against the Env, exactly like the interpreter.
-	Meta *metamodel.Package
-	// Vars declares the external variables the program may read (beyond
-	// "self", which is always declared). Declared variables get fixed frame
-	// slots; undeclared names fall back to Env.Vars lookups at run time.
-	Vars []string
-}
 
 // Program is a compiled OCL expression, safe for concurrent use: all
 // evaluation state lives in per-call Frames.
@@ -77,39 +67,26 @@ type binding struct {
 	// condSelf marks the implicit-iterator "self" alias, which defers to an
 	// already-bound outer self at run time.
 	condSelf bool
-	// isConst propagates a constant let-initializer into the body so
-	// `let k = 2 in k * k` folds all the way down.
-	isConst  bool
-	constVal any
 }
 
 type compiler struct {
-	meta    *metamodel.Package
 	externs []string
 	extSlot map[string]int
 	scope   []binding
 	nslots  int
 }
 
-// Compile lowers a parsed expression with default options: no compile-time
-// metamodel and "self" as the only declared variable. The returned error is
-// currently always nil — compilation is total over parseable input, and
-// semantic problems (unknown operations, type errors) surface at run time
-// with the interpreter's exact error strings — but callers should check it;
-// future passes may reject statically.
-func Compile(expr Expr) (*Program, error) {
-	return CompileWith(expr, CompileOptions{})
-}
-
-// CompileWith lowers a parsed expression with explicit options.
-func CompileWith(expr Expr, opts CompileOptions) (*Program, error) {
-	c := &compiler{
-		meta:    opts.Meta,
-		extSlot: make(map[string]int),
-	}
+// Compile lowers a parsed expression. vars declares the external variables
+// the program may read beyond "self", which is always declared: declared
+// variables get fixed frame slots, and undeclared names fall back to
+// Env.Vars lookups at run time. Compilation is total over parseable input;
+// semantic problems (unknown operations, type errors, unknown types)
+// surface at run time with the interpreter's exact error strings.
+func Compile(expr Expr, vars ...string) *Program {
+	c := &compiler{extSlot: make(map[string]int)}
 	// "self" always occupies slot 0 so EvalSelf is valid for every Program;
 	// remaining declared variables get slots in sorted order.
-	declared := append([]string{"self"}, opts.Vars...)
+	declared := append([]string{"self"}, vars...)
 	sort.Strings(declared[1:])
 	for _, name := range declared {
 		if _, dup := c.extSlot[name]; dup || name == "" {
@@ -119,9 +96,9 @@ func CompileWith(expr Expr, opts CompileOptions) (*Program, error) {
 		c.externs = append(c.externs, name)
 		c.nslots++
 	}
-	cc := c.compile(expr)
+	run := c.compile(expr)
 	p := &Program{
-		run:     cc.run,
+		run:     run,
 		src:     expr.String(),
 		nslots:  c.nslots,
 		externs: c.externs,
@@ -134,15 +111,14 @@ func CompileWith(expr Expr, opts CompileOptions) (*Program, error) {
 			bound: make([]bool, len(p.externs)),
 		}
 	}
-	return p, nil
+	return p
 }
 
 // CompileString parses and compiles src through a process-wide cache, so
-// hot paths that meet the same (source, metamodel, vars) triple repeatedly
-// — validation rules, batch checks, transform guards — compile exactly
-// once.
-func CompileString(src string, opts CompileOptions) (*Program, error) {
-	key := cacheKey{src: src, meta: opts.Meta, vars: strings.Join(opts.Vars, "\x00")}
+// hot paths that meet the same (source, vars) pair repeatedly — validation
+// rules, batch checks, transform guards — compile exactly once.
+func CompileString(src string, vars ...string) (*Program, error) {
+	key := cacheKey{src: src, vars: strings.Join(vars, "\x00")}
 	if v, ok := progCache.Load(key); ok {
 		return v.(*Program), nil
 	}
@@ -150,10 +126,7 @@ func CompileString(src string, opts CompileOptions) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := CompileWith(expr, opts)
-	if err != nil {
-		return nil, err
-	}
+	p := Compile(expr, vars...)
 	// Bounded insert: past the cap we still compile, we just stop caching.
 	if progCacheSize.Load() < progCacheCap {
 		if _, loaded := progCache.LoadOrStore(key, p); !loaded {
@@ -165,7 +138,6 @@ func CompileString(src string, opts CompileOptions) (*Program, error) {
 
 type cacheKey struct {
 	src  string
-	meta *metamodel.Package
 	vars string
 }
 
@@ -312,52 +284,6 @@ func coerceBool(src string, v any) (bool, error) {
 
 // --- compilation ---
 
-// compiled carries the closure plus compile-time constness, so parent nodes
-// can fold.
-type compiled struct {
-	run     code
-	isConst bool
-	val     any // meaningful when isConst && err == nil
-	err     error
-}
-
-func constVal(v any) compiled {
-	return compiled{run: func(*Frame) (any, error) { return v, nil }, isConst: true, val: v}
-}
-
-// constErr is an expression known at compile time to always fail — the
-// failure still happens at RUN time so short-circuiting parents can skip it,
-// exactly like the interpreter skips evaluating `1/0` in `false and (1/0)`.
-func constErr(err error) compiled {
-	return compiled{run: func(*Frame) (any, error) { return nil, err }, isConst: true, err: err}
-}
-
-func dyn(f code) compiled { return compiled{run: f} }
-
-// foldableScalar reports whether a value may be baked into the closure tree
-// as a constant. Collections are excluded: a folded []any would be shared
-// across evaluations and goroutines.
-func foldableScalar(v any) bool {
-	switch v.(type) {
-	case nil, bool, int64, float64, string, metamodel.EnumLit:
-		return true
-	}
-	return false
-}
-
-// pureCallOps are dot operations that depend only on their receiver and
-// arguments, so constant operands fold at compile time. Profile hooks
-// (hasStereotype, taggedValue) and model-dependent operations stay out.
-var pureCallOps = map[string]bool{
-	"oclIsUndefined": true,
-	"size":           true,
-	"toUpper":        true, "toUpperCase": true,
-	"toLower": true, "toLowerCase": true,
-	"concat": true, "substring": true, "indexOf": true,
-	"contains": true, "startsWith": true,
-	"abs": true, "max": true, "min": true,
-}
-
 func (c *compiler) push(b binding) { c.scope = append(c.scope, b) }
 func (c *compiler) pop()           { c.scope = c.scope[:len(c.scope)-1] }
 func (c *compiler) newSlot() int   { s := c.nslots; c.nslots++; return s }
@@ -395,40 +321,24 @@ func (c *compiler) varLookup(name string) func(fr *Frame) (any, bool) {
 	}
 }
 
-// typeFallbackName compiles the "bare identifier as type name" fallback
-// with the interpreter's unknown-variable-or-type error.
-func (c *compiler) typeFallbackName(name string) code {
-	if c.meta != nil {
-		if cls, ok := c.meta.FindClass(name); ok {
-			tr := typeRef{c: cls}
-			return func(*Frame) (any, error) { return tr, nil }
-		}
-		err := fmt.Errorf("ocl: unknown variable or type %q", name)
-		return func(*Frame) (any, error) { return nil, err }
-	}
-	return func(fr *Frame) (any, error) { return resolveTypeName(fr.env, name) }
-}
-
 // compile lowers e into a closure tree. Operands run in source order, the
 // order the interpreter evaluates them in, so both report the same error.
-func (c *compiler) compile(e Expr) compiled {
+func (c *compiler) compile(e Expr) code {
 	switch n := e.(type) {
 	case *LitExpr:
-		return constVal(n.Val)
+		v := n.Val
+		return func(*Frame) (any, error) { return v, nil }
 
 	case *VarExpr:
 		if b := c.lookupScope(n.Name); b != nil {
 			slot := b.slot
-			if b.isConst {
-				return constVal(b.constVal)
-			}
 			if !b.condSelf {
 				// Lexical binder: guaranteed written before the body runs.
-				return dyn(func(fr *Frame) (any, error) { return fr.slots[slot], nil })
+				return func(fr *Frame) (any, error) { return fr.slots[slot], nil }
 			}
 			// Implicit-iterator self: an outer binding wins when present.
 			selfSlot := c.extSlot["self"]
-			return dyn(func(fr *Frame) (any, error) {
+			return func(fr *Frame) (any, error) {
 				if fr.bound[selfSlot] {
 					return fr.slots[selfSlot], nil
 				}
@@ -436,63 +346,43 @@ func (c *compiler) compile(e Expr) compiled {
 					return v, nil
 				}
 				return fr.slots[slot], nil
-			})
+			}
 		}
+		// Declared and undeclared variables read inline rather than
+		// through varLookup: this is the hottest node of a predicate.
 		name := n.Name
-		fallback := c.typeFallbackName(name)
 		if slot, ok := c.extSlot[name]; ok {
-			return dyn(func(fr *Frame) (any, error) {
+			return func(fr *Frame) (any, error) {
 				if fr.bound[slot] {
 					return fr.slots[slot], nil
 				}
 				if v, ok := fr.env.Vars[name]; ok {
 					return v, nil
 				}
-				return fallback(fr)
-			})
+				return resolveTypeName(fr.env, name)
+			}
 		}
-		return dyn(func(fr *Frame) (any, error) {
+		return func(fr *Frame) (any, error) {
 			if v, ok := fr.env.Vars[name]; ok {
 				return v, nil
 			}
-			return fallback(fr)
-		})
+			return resolveTypeName(fr.env, name)
+		}
 
 	case *EnumExpr:
-		if c.meta != nil {
-			v, err := resolveEnumLit(&Env{Meta: c.meta}, n.Enum, n.Literal)
-			if err != nil {
-				return constErr(err)
-			}
-			return constVal(v)
-		}
 		enum, lit := n.Enum, n.Literal
-		return dyn(func(fr *Frame) (any, error) { return resolveEnumLit(fr.env, enum, lit) })
+		return func(fr *Frame) (any, error) { return resolveEnumLit(fr.env, enum, lit) }
 
 	case *NavExpr:
 		recv := c.compile(n.Recv)
-		if recv.isConst && recv.err != nil {
-			return recv
-		}
 		name := n.Name
-		if recv.isConst {
-			// Navigation on a constant scalar: the result is fixed.
-			v, err := navigateValue(recv.val, name)
-			if err != nil {
-				return constErr(err)
-			}
-			if foldableScalar(v) {
-				return constVal(v)
-			}
-		}
-		rrun := recv.run
-		return dyn(func(fr *Frame) (any, error) {
-			rv, err := rrun(fr)
+		return func(fr *Frame) (any, error) {
+			rv, err := recv(fr)
 			if err != nil {
 				return nil, err
 			}
 			return navigateValue(rv, name)
-		})
+		}
 
 	case *CallExpr:
 		return c.compileCall(n)
@@ -502,46 +392,25 @@ func (c *compiler) compile(e Expr) compiled {
 
 	case *UnExpr:
 		op := n.Op
-		operand := c.compile(n.E)
-		if operand.isConst {
-			if operand.err != nil {
-				return operand
-			}
-			v, err := evalUnary(op, operand.val)
-			if err != nil {
-				return constErr(err)
-			}
-			return constVal(v)
+		if lit, ok := n.E.(*LitExpr); ok {
+			// A sign on a literal: computed once, so a negative number is
+			// boxed once rather than on every evaluation.
+			v, err := evalUnary(op, lit.Val)
+			return func(*Frame) (any, error) { return v, err }
 		}
-		orun := operand.run
-		return dyn(func(fr *Frame) (any, error) {
-			v, err := orun(fr)
+		operand := c.compile(n.E)
+		return func(fr *Frame) (any, error) {
+			v, err := operand(fr)
 			if err != nil {
 				return nil, err
 			}
 			return evalUnary(op, v)
-		})
+		}
 
 	case *IfExpr:
-		cond := c.compile(n.Cond)
-		thenC := c.compile(n.Then)
-		elseC := c.compile(n.Else)
-		if cond.isConst {
-			if cond.err != nil {
-				return cond
-			}
-			b, ok := cond.val.(bool)
-			if !ok {
-				return constErr(fmt.Errorf("ocl: if-condition must be Boolean, got %s", typeName(cond.val)))
-			}
-			if b {
-				return thenC
-			}
-			return elseC
-		}
-		crun, trun, erun := cond.run, thenC.run, elseC.run
-		return dyn(func(fr *Frame) (any, error) {
-			cv, err := crun(fr)
+		cond, then, els := c.compile(n.Cond), c.compile(n.Then), c.compile(n.Else)
+		return func(fr *Frame) (any, error) {
+			cv, err := cond(fr)
 			if err != nil {
 				return nil, err
 			}
@@ -550,18 +419,15 @@ func (c *compiler) compile(e Expr) compiled {
 				return nil, fmt.Errorf("ocl: if-condition must be Boolean, got %s", typeName(cv))
 			}
 			if b {
-				return trun(fr)
+				return then(fr)
 			}
-			return erun(fr)
-		})
+			return els(fr)
+		}
 
 	case *CollectionExpr:
-		items := make([]code, len(n.Items))
-		for i, item := range n.Items {
-			items[i] = c.compile(item).run
-		}
+		items := c.compileArgs(n.Items)
 		isSet := n.Kind == "Set"
-		return dyn(func(fr *Frame) (any, error) {
+		return func(fr *Frame) (any, error) {
 			out := make([]any, 0, len(items))
 			for _, item := range items {
 				v, err := item(fr)
@@ -574,86 +440,40 @@ func (c *compiler) compile(e Expr) compiled {
 				return dedupe(out), nil
 			}
 			return out, nil
-		})
+		}
 
 	case *LetExpr:
 		init := c.compile(n.Init)
 		slot := c.newSlot()
-		b := binding{name: n.Name, slot: slot}
-		if init.isConst && init.err == nil && foldableScalar(init.val) {
-			b.isConst, b.constVal = true, init.val
-		}
-		c.push(b)
+		c.push(binding{name: n.Name, slot: slot})
 		body := c.compile(n.Body)
 		c.pop()
-		if init.isConst && init.err != nil {
-			return constErr(init.err)
-		}
-		if body.isConst && init.isConst {
-			// Init cannot fail (checked above) and the body ignores the
-			// frame entirely.
-			return body
-		}
-		irun, brun := init.run, body.run
-		return dyn(func(fr *Frame) (any, error) {
-			v, err := irun(fr)
+		return func(fr *Frame) (any, error) {
+			v, err := init(fr)
 			if err != nil {
 				return nil, err
 			}
 			fr.slots[slot] = v
-			return brun(fr)
-		})
+			return body(fr)
+		}
 
 	case *BinExpr:
 		return c.compileBinary(n)
 
 	default:
 		err := fmt.Errorf("ocl: unhandled expression node %T", e)
-		return constErr(err)
+		return func(*Frame) (any, error) { return nil, err }
 	}
 }
 
-func (c *compiler) compileBinary(n *BinExpr) compiled {
+func (c *compiler) compileBinary(n *BinExpr) code {
 	op := n.Op
+	l, r := c.compile(n.L), c.compile(n.R)
 	switch op {
 	case "and", "or", "implies":
-		l := c.compile(n.L)
-		if l.isConst {
-			if l.err != nil {
-				return l
-			}
-			lb, ok := l.val.(bool)
-			if !ok {
-				return constErr(fmt.Errorf("ocl: %q needs Boolean operands, got %s", op, typeName(l.val)))
-			}
-			// The left side decides: either the answer is fixed or the
-			// whole expression reduces to the (bool-checked) right side.
-			switch {
-			case op == "and" && !lb:
-				return constVal(false)
-			case op == "or" && lb:
-				return constVal(true)
-			case op == "implies" && !lb:
-				return constVal(true)
-			}
-			return c.boolChecked(op, c.compile(n.R))
-		}
-		r := c.compile(n.R)
-		lrun, rrun := l.run, r.run
 		// Specialized short-circuit closures, one per operator.
-		evalRight := func(fr *Frame) (any, error) {
-			rv, err := rrun(fr)
-			if err != nil {
-				return nil, err
-			}
-			rb, ok := rv.(bool)
-			if !ok {
-				return nil, fmt.Errorf("ocl: %q needs Boolean operands, got %s", op, typeName(rv))
-			}
-			return rb, nil
-		}
 		leftBool := func(fr *Frame) (bool, error) {
-			lv, err := lrun(fr)
+			lv, err := l(fr)
 			if err != nil {
 				return false, err
 			}
@@ -663,9 +483,20 @@ func (c *compiler) compileBinary(n *BinExpr) compiled {
 			}
 			return lb, nil
 		}
+		evalRight := func(fr *Frame) (any, error) {
+			rv, err := r(fr)
+			if err != nil {
+				return nil, err
+			}
+			rb, ok := rv.(bool)
+			if !ok {
+				return nil, fmt.Errorf("ocl: %q needs Boolean operands, got %s", op, typeName(rv))
+			}
+			return rb, nil
+		}
 		switch op {
 		case "and":
-			return dyn(func(fr *Frame) (any, error) {
+			return func(fr *Frame) (any, error) {
 				lb, err := leftBool(fr)
 				if err != nil {
 					return nil, err
@@ -674,9 +505,9 @@ func (c *compiler) compileBinary(n *BinExpr) compiled {
 					return false, nil
 				}
 				return evalRight(fr)
-			})
+			}
 		case "or":
-			return dyn(func(fr *Frame) (any, error) {
+			return func(fr *Frame) (any, error) {
 				lb, err := leftBool(fr)
 				if err != nil {
 					return nil, err
@@ -685,9 +516,9 @@ func (c *compiler) compileBinary(n *BinExpr) compiled {
 					return true, nil
 				}
 				return evalRight(fr)
-			})
+			}
 		default: // implies
-			return dyn(func(fr *Frame) (any, error) {
+			return func(fr *Frame) (any, error) {
 				lb, err := leftBool(fr)
 				if err != nil {
 					return nil, err
@@ -696,78 +527,32 @@ func (c *compiler) compileBinary(n *BinExpr) compiled {
 					return true, nil
 				}
 				return evalRight(fr)
-			})
+			}
 		}
 	}
-	l := c.compile(n.L)
-	r := c.compile(n.R)
-	if l.isConst && l.err != nil {
-		return l
-	}
-	if l.isConst && r.isConst {
-		if r.err != nil {
-			return constErr(r.err)
-		}
-		v, err := evalStrictBinary(op, l.val, r.val)
-		if err != nil {
-			return constErr(err)
-		}
-		if foldableScalar(v) {
-			return constVal(v)
-		}
-	}
-	lrun, rrun := l.run, r.run
-	return dyn(func(fr *Frame) (any, error) {
-		lv, err := lrun(fr)
+	return func(fr *Frame) (any, error) {
+		lv, err := l(fr)
 		if err != nil {
 			return nil, err
 		}
-		rv, err := rrun(fr)
+		rv, err := r(fr)
 		if err != nil {
 			return nil, err
 		}
 		return evalStrictBinary(op, lv, rv)
-	})
-}
-
-// boolChecked wraps a compiled expression with the short-circuit operators'
-// Boolean result check.
-func (c *compiler) boolChecked(op string, r compiled) compiled {
-	if r.isConst {
-		if r.err != nil {
-			return r
-		}
-		rb, ok := r.val.(bool)
-		if !ok {
-			return constErr(fmt.Errorf("ocl: %q needs Boolean operands, got %s", op, typeName(r.val)))
-		}
-		return constVal(rb)
 	}
-	rrun := r.run
-	return dyn(func(fr *Frame) (any, error) {
-		rv, err := rrun(fr)
-		if err != nil {
-			return nil, err
-		}
-		rb, ok := rv.(bool)
-		if !ok {
-			return nil, fmt.Errorf("ocl: %q needs Boolean operands, got %s", op, typeName(rv))
-		}
-		return rb, nil
-	})
 }
 
-func (c *compiler) compileCall(n *CallExpr) compiled {
+func (c *compiler) compileCall(n *CallExpr) code {
 	name := n.Name
 	// Type-level T.allInstances(): the receiver is a bare identifier that is
 	// not lexically bound. Whether it is a *variable* can still depend on
-	// run-time bindings, so both paths are compiled and the probe picks one.
+	// run-time bindings, so the probe picks the path.
 	if v, ok := n.Recv.(*VarExpr); ok && name == "allInstances" && !c.scopeHas(v.Name) {
 		tname := v.Name
 		lookup := c.varLookup(tname)
-		typeLevel := c.compileAllInstances(tname)
 		args := c.compileArgs(n.Args)
-		return dyn(func(fr *Frame) (any, error) {
+		return func(fr *Frame) (any, error) {
 			if rv, bound := lookup(fr); bound {
 				argv, err := evalArgs(fr, args)
 				if err != nil {
@@ -775,12 +560,12 @@ func (c *compiler) compileCall(n *CallExpr) compiled {
 				}
 				return dispatchCall(fr.env, rv, "allInstances", argv)
 			}
-			return typeLevel(fr)
-		})
+			return evalAllInstances(fr.env, tname)
+		}
 	}
 	recv := c.compile(n.Recv)
 	isTypeOp := name == "oclIsKindOf" || name == "oclIsTypeOf" || name == "oclAsType"
-	args := make([]compiled, len(n.Args))
+	args := make([]code, len(n.Args))
 	for i, a := range n.Args {
 		// Type arguments stay unevaluated names, resolved against the
 		// metamodel — unless the name is lexically bound, in which case the
@@ -791,36 +576,8 @@ func (c *compiler) compileCall(n *CallExpr) compiled {
 		}
 		args[i] = c.compile(a)
 	}
-	// Constant folding for pure operations.
-	if pureCallOps[name] && recv.isConst {
-		if recv.err != nil {
-			return recv
-		}
-		argv := make([]any, len(args))
-		allConst := true
-		for i, a := range args {
-			if !a.isConst {
-				allConst = false
-				break
-			}
-			if a.err != nil {
-				return constErr(a.err)
-			}
-			argv[i] = a.val
-		}
-		if allConst {
-			v, err := dispatchCall(&Env{}, recv.val, name, argv)
-			if err != nil {
-				return constErr(err)
-			}
-			if foldableScalar(v) {
-				return constVal(v)
-			}
-		}
-	}
-	rrun := recv.run
-	return dyn(func(fr *Frame) (any, error) {
-		rv, err := rrun(fr)
+	return func(fr *Frame) (any, error) {
+		rv, err := recv(fr)
 		if err != nil {
 			return nil, err
 		}
@@ -829,62 +586,36 @@ func (c *compiler) compileCall(n *CallExpr) compiled {
 			return nil, err
 		}
 		return dispatchCall(fr.env, rv, name, argv)
-	})
-}
-
-// compileAllInstances builds the type-level allInstances path, resolving
-// the class at compile time when a metamodel is available.
-func (c *compiler) compileAllInstances(name string) code {
-	if c.meta != nil {
-		cls, ok := c.meta.FindClass(name)
-		if !ok {
-			err := fmt.Errorf("ocl: unknown type %q", name)
-			return func(*Frame) (any, error) { return nil, err }
-		}
-		return func(fr *Frame) (any, error) { return instancesOf(fr.env, cls, name) }
 	}
-	return func(fr *Frame) (any, error) { return evalAllInstances(fr.env, name) }
 }
 
 // compileTypeArg builds a type-argument operand: a run-time variable
 // binding wins, otherwise the name resolves as a type.
-func (c *compiler) compileTypeArg(name string) compiled {
+func (c *compiler) compileTypeArg(name string) code {
 	lookup := c.varLookup(name)
-	var fallback code
-	if c.meta != nil {
-		if cls, ok := c.meta.FindClass(name); ok {
-			tr := typeRef{c: cls}
-			fallback = func(*Frame) (any, error) { return tr, nil }
-		} else {
-			err := fmt.Errorf("ocl: unknown type %q", name)
-			fallback = func(*Frame) (any, error) { return nil, err }
-		}
-	} else {
-		fallback = func(fr *Frame) (any, error) { return resolveTypeArg(fr.env, name) }
-	}
-	return dyn(func(fr *Frame) (any, error) {
+	return func(fr *Frame) (any, error) {
 		if v, ok := lookup(fr); ok {
 			return v, nil
 		}
-		return fallback(fr)
-	})
+		return resolveTypeArg(fr.env, name)
+	}
 }
 
-func (c *compiler) compileArgs(exprs []Expr) []compiled {
-	args := make([]compiled, len(exprs))
+func (c *compiler) compileArgs(exprs []Expr) []code {
+	args := make([]code, len(exprs))
 	for i, a := range exprs {
 		args[i] = c.compile(a)
 	}
 	return args
 }
 
-func evalArgs(fr *Frame, args []compiled) ([]any, error) {
+func evalArgs(fr *Frame, args []code) ([]any, error) {
 	if len(args) == 0 {
 		return nil, nil
 	}
 	argv := make([]any, len(args))
 	for i, a := range args {
-		v, err := a.run(fr)
+		v, err := a(fr)
 		if err != nil {
 			return nil, err
 		}
@@ -893,13 +624,9 @@ func evalArgs(fr *Frame, args []compiled) ([]any, error) {
 	return argv, nil
 }
 
-func (c *compiler) compileArrow(n *ArrowExpr) compiled {
+func (c *compiler) compileArrow(n *ArrowExpr) code {
 	name := n.Name
 	recv := c.compile(n.Recv)
-	if recv.isConst && recv.err != nil {
-		return recv
-	}
-	rrun := recv.run
 	if iteratorOps[name] {
 		slot := c.newSlot()
 		iterName := n.Iter
@@ -919,31 +646,30 @@ func (c *compiler) compileArrow(n *ArrowExpr) compiled {
 			c.pop()
 		}
 		c.pop()
-		brun := body.run
-		return dyn(func(fr *Frame) (any, error) {
-			rv, err := rrun(fr)
+		return func(fr *Frame) (any, error) {
+			rv, err := recv(fr)
 			if err != nil {
 				return nil, err
 			}
 			coll := asCollection(rv)
 			return runIterator(name, coll, func(item any) (any, error) {
 				fr.slots[slot] = item
-				return brun(fr)
+				return body(fr)
 			})
-		})
+		}
 	}
 	args := c.compileArgs(n.Args)
 	nargs := len(args)
-	return dyn(func(fr *Frame) (any, error) {
-		rv, err := rrun(fr)
+	return func(fr *Frame) (any, error) {
+		rv, err := recv(fr)
 		if err != nil {
 			return nil, err
 		}
 		coll := asCollection(rv)
 		return evalArrowOp(name, coll, nargs, func(i int) (any, error) {
-			return args[i].run(fr)
+			return args[i](fr)
 		})
-	})
+	}
 }
 
 // FreeVars returns the sorted names a compiled expression expects to be

@@ -7,124 +7,68 @@ import (
 	"github.com/modeldriven/dqwebre/internal/metamodel"
 )
 
-// newTestCompiler mirrors CompileWith's setup so tests can inspect the
-// compiled{} result (constness) of individual nodes.
-func newTestCompiler(opts CompileOptions) *compiler {
-	c := &compiler{meta: opts.Meta, extSlot: map[string]int{"self": 0}, externs: []string{"self"}, nslots: 1}
-	for _, v := range opts.Vars {
-		if _, dup := c.extSlot[v]; !dup {
-			c.extSlot[v] = c.nslots
-			c.externs = append(c.externs, v)
-			c.nslots++
-		}
-	}
-	return c
-}
-
-func TestConstantFolding(t *testing.T) {
-	cases := []struct {
-		src  string
-		want any
-	}{
-		{"1 + 2 * 3", int64(7)},
-		{"10 / 4", 2.5},
-		{"false and (1 / 0) > 0", false},
-		{"true or (1 / 0) > 0", true},
-		{"false implies (1 / 0) > 0", true},
-		{"not (1 > 2)", true},
-		{"if 1 < 2 then 'x' else 'y' endif", "x"},
-		{"'ab'.concat('cd')", "abcd"},
-		{"'Hello'.toUpper()", "HELLO"},
-		{"'hello'.substring(2, 4)", "ell"},
-		{"(3).max(9)", int64(9)},
-		{"null.oclIsUndefined()", true},
-		{"1 = 1.0", true},
-		{"'a' < 'b'", true},
-		{"let k = 2 in k * k + 1", int64(5)},
-	}
-	for _, tc := range cases {
-		c := newTestCompiler(CompileOptions{})
-		cc := c.compile(MustParse(tc.src))
-		if !cc.isConst || cc.err != nil {
-			t.Errorf("%q: expected constant fold, got isConst=%v err=%v", tc.src, cc.isConst, cc.err)
-			continue
-		}
-		if !oclEqual(cc.val, tc.want) || cc.val != tc.want {
-			t.Errorf("%q: folded to %#v, want %#v", tc.src, cc.val, tc.want)
-		}
-	}
-}
-
-func TestConstantFoldingDefersErrors(t *testing.T) {
-	// A compile-time-detectable error must surface at RUN time (so a
-	// short-circuiting parent can still skip it), with the interpreter's
-	// exact message.
-	c := newTestCompiler(CompileOptions{})
-	cc := c.compile(MustParse("1 / 0"))
-	if !cc.isConst || cc.err == nil {
-		t.Fatalf("1/0: expected const error, got isConst=%v err=%v", cc.isConst, cc.err)
-	}
-	if got := cc.err.Error(); got != "ocl: division by zero" {
-		t.Fatalf("1/0 folded error = %q", got)
-	}
-	// And the guarded form folds the error away entirely.
-	guarded := c.compile(MustParse("false and (1 / 0) > 0"))
-	if !guarded.isConst || guarded.err != nil || guarded.val != false {
-		t.Fatalf("guarded const error: isConst=%v val=%#v err=%v", guarded.isConst, guarded.val, guarded.err)
-	}
-}
-
-func TestNoFoldingForDynamicOrUnsafeNodes(t *testing.T) {
-	for _, src := range []string{
-		"self.name",           // frame-dependent
-		"x + 1",               // variable
-		"Set{1, 2}",           // collection literal: folding would share the slice
-		"Sequence{1}->size()", // collection-typed intermediate
-		"Genre::Fiction",      // metamodel-dependent without compile-time Meta
-	} {
-		c := newTestCompiler(CompileOptions{})
-		if cc := c.compile(MustParse(src)); cc.isConst {
-			t.Errorf("%q: folded (val=%#v err=%v) but must stay dynamic", src, cc.val, cc.err)
-		}
-	}
-}
-
 func TestCompileTimeTypeResolution(t *testing.T) {
-	lib, m := libFixture(t)
+	_, m := libFixture(t)
 	_, b1, _ := seedLibrary(t, m)
 
-	// With Meta, enum literals become compile-time constants ...
-	c := newTestCompiler(CompileOptions{Meta: lib})
-	cc := c.compile(MustParse("Genre::Fiction"))
-	if !cc.isConst || cc.err != nil {
-		t.Fatalf("enum literal with Meta: isConst=%v err=%v", cc.isConst, cc.err)
-	}
-	// ... and unknown types fail deterministically at run time.
-	prog, err := CompileWith(MustParse("self.oclIsKindOf(NoSuch)"), CompileOptions{Meta: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Unknown types fail deterministically at run time ...
+	prog := Compile(MustParse("self.oclIsKindOf(NoSuch)"))
 	if _, err := prog.EvalSelf(b1, &Env{Model: m}); err == nil || !strings.Contains(err.Error(), `unknown type "NoSuch"`) {
 		t.Fatalf("unknown type arg: err=%v", err)
 	}
 
-	// allInstances resolved against compile-time Meta works under an Env
-	// that only supplies the Model.
-	prog, err = CompileWith(MustParse("Book.allInstances()->size()"), CompileOptions{Meta: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// ... and allInstances resolves its type through an Env that only
+	// supplies the Model.
+	prog = Compile(MustParse("Book.allInstances()->size()"))
 	v, err := prog.Eval(&Env{Model: m})
 	if err != nil || v != int64(2) {
 		t.Fatalf("allInstances: v=%v err=%v", v, err)
 	}
 }
 
-func TestProgramSlotsAndFrames(t *testing.T) {
-	prog, err := CompileWith(MustParse("x + y * self"), CompileOptions{Vars: []string{"y", "x"}})
-	if err != nil {
-		t.Fatal(err)
+// TestSharedExtentNotWritten runs every operation that builds a collection
+// over Book.allInstances(), whose slice the model memoizes and hands to
+// every evaluation, through each engine in turn and checks the extent after
+// each run: no operation may write its receiver.
+func TestSharedExtentNotWritten(t *testing.T) {
+	lib, m := libFixture(t)
+	_, b1, b2 := seedLibrary(t, m)
+	book, _ := lib.FindClass("Book")
+	env := &Env{Model: m, Vars: map[string]any{"self": b2}}
+	for _, op := range []string{
+		"->select(b | b.pages < 500)",
+		"->reject(b | b.pages > 500)",
+		"->collect(b | b.pages)",
+		"->sortedBy(b | b.pages)",
+		"->asSet()",
+		"->flatten()",
+		"->reverse()",
+		"->including(self)",
+		"->excluding(self)",
+		"->union(Book.allInstances())",
+		"->intersection(Book.allInstances())",
+		"->prepend(self)",
+		".title",
+	} {
+		check := func(engine string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s %s: %v", engine, op, err)
+			}
+			if ext := m.Extent(book); len(ext) != 2 || ext[0] != b1 || ext[1] != b2 {
+				t.Fatalf("%s %s wrote the shared extent: %v", engine, op, ext)
+			}
+		}
+		expr := MustParse("Book.allInstances()" + op)
+		_, err := Eval(expr, env)
+		check("interpreted", err)
+		_, err = Compile(expr).Eval(env)
+		check("compiled", err)
 	}
+}
+
+func TestProgramSlotsAndFrames(t *testing.T) {
+	prog := Compile(MustParse("x + y * self"), "y", "x")
 	if slot, ok := prog.Slot("self"); !ok || slot != 0 {
 		t.Fatalf("self slot = %d, %v; want 0, true", slot, ok)
 	}
@@ -155,10 +99,7 @@ func TestProgramSlotsAndFrames(t *testing.T) {
 func TestUndeclaredVarsFallBackToEnv(t *testing.T) {
 	// A program compiled without declaring "z" still sees it through
 	// Env.Vars, mirroring the interpreter's run-time resolution.
-	prog, err := CompileWith(MustParse("z * 2"), CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := Compile(MustParse("z * 2"))
 	v, err := prog.Eval(&Env{Vars: map[string]any{"z": int64(21)}})
 	if err != nil || v != int64(42) {
 		t.Fatalf("undeclared fallback: v=%v err=%v", v, err)
@@ -169,33 +110,25 @@ func TestUndeclaredVarsFallBackToEnv(t *testing.T) {
 }
 
 func TestCompileStringCache(t *testing.T) {
-	lib, _ := libFixture(t)
-	p1, err := CompileString("self.pages > 0", CompileOptions{Meta: lib})
+	p1, err := CompileString("self.pages > 0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := CompileString("self.pages > 0", CompileOptions{Meta: lib})
+	p2, err := CompileString("self.pages > 0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
-		t.Fatal("cache miss for identical (src, meta, vars)")
+		t.Fatal("cache miss for identical (src, vars)")
 	}
-	p3, err := CompileString("self.pages > 0", CompileOptions{Meta: lib, Vars: []string{"x"}})
+	p3, err := CompileString("self.pages > 0", "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p3 == p1 {
 		t.Fatal("cache collided across different Vars")
 	}
-	p4, err := CompileString("self.pages > 0", CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p4 == p1 {
-		t.Fatal("cache collided across different Meta")
-	}
-	if _, err := CompileString("1 +", CompileOptions{}); err == nil {
+	if _, err := CompileString("1 +"); err == nil {
 		t.Fatal("parse error must propagate through CompileString")
 	}
 }
@@ -216,10 +149,11 @@ func TestEvalAllocsEmptyVars(t *testing.T) {
 	}
 }
 
-// TestCompiledEvalZeroAllocs pins the tentpole's steady-state guarantee: a
+// TestCompiledEvalZeroAllocs pins the compiler's steady-state guarantee: a
 // simple compiled predicate over an object evaluates with zero allocations
 // (pooled frame, slot-bound self, no map traffic). Property values stay in
-// the interpreter's small-int range so interface boxing is free.
+// the interpreter's small-int range so interface boxing is free; the
+// negative bound is boxed once, at compile time.
 func TestCompiledEvalZeroAllocs(t *testing.T) {
 	lib := metamodel.NewPackage("P")
 	intT := lib.AddDataType("Integer", metamodel.PrimInteger)
@@ -229,23 +163,28 @@ func TestCompiledEvalZeroAllocs(t *testing.T) {
 	o := m.MustCreate("Rec")
 	o.MustSet("score", metamodel.Int(7))
 
-	prog, err := CompileWith(MustParse("self.score >= 0 and self.score <= 10"), CompileOptions{Meta: lib})
-	if err != nil {
-		t.Fatal(err)
-	}
 	env := &Env{Model: m}
-	// Warm the frame pool, then measure.
-	if ok, err := prog.EvalBoolSelf(o, env); err != nil || !ok {
-		t.Fatalf("warmup: ok=%v err=%v", ok, err)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		ok, err := prog.EvalBoolSelf(o, env)
-		if err != nil || !ok {
-			t.Fatal("evaluation changed result under AllocsPerRun")
+	for _, tc := range []struct {
+		src  string
+		want bool
+	}{
+		{"self.score >= 0 and self.score <= 10", true},
+		{"self.score >= -3 and self.score <= 3", false},
+	} {
+		prog := Compile(MustParse(tc.src))
+		// Warm the frame pool, then measure.
+		if ok, err := prog.EvalBoolSelf(o, env); err != nil || ok != tc.want {
+			t.Fatalf("%s: warmup: ok=%v err=%v", tc.src, ok, err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("compiled steady-state evaluation allocates %.2f objects/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(1000, func() {
+			ok, err := prog.EvalBoolSelf(o, env)
+			if err != nil || ok != tc.want {
+				t.Fatal("evaluation changed result under AllocsPerRun")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: compiled steady-state evaluation allocates %.2f objects/op, want 0", tc.src, allocs)
+		}
 	}
 }
 
@@ -274,11 +213,7 @@ func TestFreeVars(t *testing.T) {
 func TestProgramConcurrentUse(t *testing.T) {
 	_, m := libFixture(t)
 	_, b1, b2 := seedLibrary(t, m)
-	prog, err := CompileWith(MustParse("self.pages > 0 and self.title.size() > 0"),
-		CompileOptions{Meta: m.Metamodel()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := Compile(MustParse("self.pages > 0 and self.title.size() > 0"))
 	env := &Env{Model: m}
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {

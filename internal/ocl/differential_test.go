@@ -16,20 +16,20 @@ import (
 	"testing/quick"
 )
 
-// diffEnv pairs an environment with the options the compiler needs to see
-// the same world (same metamodel, same declared variables).
+// diffEnv names an environment; the compiler sees the same world through
+// the variables the environment binds.
 type diffEnv struct {
 	name string
 	env  *Env
 }
 
-func (d diffEnv) compileOptions() CompileOptions {
+func (d diffEnv) vars() []string {
 	vars := make([]string, 0, len(d.env.Vars))
 	for k := range d.env.Vars {
 		vars = append(vars, k)
 	}
 	sort.Strings(vars)
-	return CompileOptions{Meta: d.env.meta(), Vars: vars}
+	return vars
 }
 
 func differentialEnvs(t testing.TB) []diffEnv {
@@ -59,10 +59,7 @@ func differentialEnvs(t testing.TB) []diffEnv {
 func assertAgreement(t *testing.T, expr Expr, d diffEnv) {
 	t.Helper()
 	iv, ierr := Eval(expr, d.env)
-	prog, cerr := CompileWith(expr, d.compileOptions())
-	if cerr != nil {
-		t.Fatalf("env %s: Compile(%q) failed: %v", d.name, expr, cerr)
-	}
+	prog := Compile(expr, d.vars()...)
 	cv, rerr := prog.Eval(d.env)
 	if (ierr != nil) != (rerr != nil) {
 		t.Fatalf("env %s: %q\ninterpreted: v=%#v err=%v\ncompiled:    v=%#v err=%v",
@@ -135,10 +132,10 @@ func TestDifferentialCorpus(t *testing.T) {
 }
 
 // differentialExprs are handwritten expressions targeting every compiler
-// code path: folding, short-circuit specialization, slots and shadowing,
-// implicit iterators, type resolution, frame reuse.
+// code path: signed literals, short-circuit specialization, slots and
+// shadowing, implicit iterators, type resolution, frame reuse.
 var differentialExprs = []string{
-	// constant folding and const-error deferral
+	// constant subtrees and errors a short circuit skips
 	"1 + 2 * 3",
 	"false and (1 / 0) > 0",
 	"true and (1 / 0) > 0",
@@ -249,11 +246,7 @@ func TestDifferentialQuick(t *testing.T) {
 		}}}
 		for _, expr := range exprs {
 			iv, ierr := Eval(expr, d.env)
-			prog, cerr := CompileWith(expr, d.compileOptions())
-			if cerr != nil {
-				t.Logf("compile %q: %v", expr, cerr)
-				return false
-			}
+			prog := Compile(expr, d.vars()...)
 			cv, rerr := prog.Eval(d.env)
 			if (ierr != nil) != (rerr != nil) ||
 				(ierr != nil && ierr.Error() != rerr.Error()) ||
@@ -279,10 +272,7 @@ func TestDifferentialProgramReuse(t *testing.T) {
 	_, m := libFixture(t)
 	a1, b1, b2 := seedLibrary(t, m)
 	expr := MustParse("self.oclIsKindOf(Book) implies (self.pages > 0 and self.title.size() > 0)")
-	prog, err := CompileWith(expr, CompileOptions{Meta: m.Metamodel(), Vars: []string{"self"}})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
+	prog := Compile(expr, "self")
 	shared := &Env{Model: m}
 	selves := []any{a1, b1, b2, nil}
 	for round := 0; round < 3; round++ {
@@ -309,7 +299,7 @@ func TestDifferentialErrorTextsStable(t *testing.T) {
 	}
 	for src, want := range cases {
 		_, ierr := EvalString(src, &Env{})
-		prog, _ := CompileWith(MustParse(src), CompileOptions{})
+		prog := Compile(MustParse(src))
 		_, cerr := prog.Eval(&Env{})
 		if ierr == nil || ierr.Error() != want {
 			t.Errorf("interpreter %q: got %v, want %s", src, ierr, want)

@@ -15,8 +15,9 @@ type Env struct {
 	// Model provides class extents for Type.allInstances(). May be nil for
 	// expressions that do not use allInstances.
 	Model *metamodel.Model
-	// Meta resolves type names in oclIsKindOf/allInstances; defaults to
-	// Model.Metamodel() when nil.
+	// Meta resolves type names, type arguments and enum literals. It
+	// defaults to Model.Metamodel() when nil, so a caller needs it only to
+	// name a metamodel without a Model.
 	Meta *metamodel.Package
 	// Vars holds variable bindings; Eval copies it, so shared Envs are safe.
 	Vars map[string]any
@@ -229,21 +230,12 @@ func evalAllInstances(env *Env, name string) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("ocl: unknown type %q", name)
 	}
-	return instancesOf(env, c, name)
-}
-
-// instancesOf materializes a class extent from the model, which memoizes
-// it until the model next changes.
-func instancesOf(env *Env, c *metamodel.Class, name string) (any, error) {
 	if env.Model == nil {
 		return nil, fmt.Errorf("ocl: no model for %s.allInstances()", name)
 	}
-	objs := env.Model.AllInstances(c)
-	out := make([]any, len(objs))
-	for i, o := range objs {
-		out[i] = o
-	}
-	return out, nil
+	// The model memoizes the extent, boxed, until it next changes. Every
+	// evaluation shares the slice: no operation writes its receiver.
+	return env.Model.Extent(c), nil
 }
 
 // navigateValue implements dot navigation with implicit collect over

@@ -90,10 +90,7 @@ func TestEvalBatchDifferential(t *testing.T) {
 		rowVals[i] = batchRow(i)
 	}
 	for _, expr := range batchDifferentialExprs(t) {
-		prog, err := CompileWith(expr, CompileOptions{Vars: batchVars})
-		if err != nil {
-			t.Fatalf("compile %q: %v", expr, err)
-		}
+		prog := Compile(expr, batchVars...)
 		out := make([]BatchResult, rows)
 		prog.EvalBatch(nil, bindColumns(t, prog, rowVals), out)
 		for i, got := range out {
@@ -133,10 +130,7 @@ func TestEvalBatchCorpus(t *testing.T) {
 			continue
 		}
 		parsed++
-		prog, err := CompileWith(expr, CompileOptions{Vars: batchVars})
-		if err != nil {
-			t.Fatalf("compile %q: %v", src, err)
-		}
+		prog := Compile(expr, batchVars...)
 		out := make([]BatchResult, rows)
 		prog.EvalBatch(nil, bindColumns(t, prog, rowVals), out)
 		for i, got := range out {
@@ -170,10 +164,7 @@ func TestEvalBatchModelSelves(t *testing.T) {
 	env := &Env{Model: m}
 	for _, src := range exprs {
 		expr := MustParse(src)
-		prog, err := CompileWith(expr, CompileOptions{Meta: m.Metamodel(), Vars: []string{"self"}})
-		if err != nil {
-			t.Fatalf("compile %q: %v", src, err)
-		}
+		prog := Compile(expr, "self")
 		slot, _ := prog.Slot("self")
 		out := make([]BatchResult, len(selves))
 		prog.EvalBatch(env, []BoundColumn{{Slot: slot, Values: selves}}, out)
@@ -206,10 +197,7 @@ func TestEvalBoolBatchMatchesEvalBool(t *testing.T) {
 	}
 	for _, src := range exprs {
 		expr := MustParse(src)
-		prog, err := CompileWith(expr, CompileOptions{Vars: batchVars})
-		if err != nil {
-			t.Fatalf("compile %q: %v", src, err)
-		}
+		prog := Compile(expr, batchVars...)
 		out := make([]BoolResult, rows)
 		prog.EvalBoolBatch(nil, bindColumns(t, prog, rowVals), out)
 		for i, got := range out {
@@ -235,10 +223,7 @@ func TestEvalBatchQuick(t *testing.T) {
 	exprs := batchDifferentialExprs(t)
 	progs := make([]*Program, len(exprs))
 	for i, expr := range exprs {
-		p, err := CompileWith(expr, CompileOptions{Vars: batchVars})
-		if err != nil {
-			t.Fatalf("compile %q: %v", expr, err)
-		}
+		p := Compile(expr, batchVars...)
 		progs[i] = p
 	}
 	property := func(p1, q1 bool, x, y int8, r float64, s string, raw []int8) bool {

@@ -15,11 +15,11 @@
 // Two evaluators share these semantics. Eval walks the AST directly and is
 // the reference implementation — the oracle: its behavior, including exact
 // error text, defines the language. Compile lowers the AST to Go closures
-// with slot-indexed variable frames, constant folding and pooled frames for
-// the hot paths; compiled Programs must agree with Eval on every input,
-// value or error, a contract enforced by the differential tests and the
-// FuzzParse harness. CompileString adds a process-wide cache so every
-// consumer of the same (source, options) pair shares one compiled Program.
+// with slot-indexed variable frames and pooled frames for the hot paths;
+// compiled Programs must agree with Eval on every input, value or error, a
+// contract enforced by the differential tests and the FuzzParse harness.
+// CompileString adds a process-wide cache so every consumer of the same
+// (source, variables) pair shares one compiled Program.
 package ocl
 
 import "fmt"

@@ -178,8 +178,7 @@ func (tr *Transformation) run(ctx context.Context, src *uml.Model, targetMeta *m
 		var genv *ocl.Env
 		if rule.GuardOCL != "" && len(instances) > 0 {
 			var err error
-			guard, err = ocl.CompileString(rule.GuardOCL,
-				ocl.CompileOptions{Meta: src.Metamodel()})
+			guard, err = ocl.CompileString(rule.GuardOCL)
 			if err != nil {
 				mspan.End()
 				return nil, nil, fmt.Errorf("transform %s: rule %s guard: %w",

@@ -288,13 +288,12 @@ func (e *Engine) run(ctx context.Context) *Report {
 		rule Rule
 		prog *ocl.Program
 	}
-	compileOpts := ocl.CompileOptions{Meta: e.model.Metamodel()}
 	var jobs []job
 	for _, r := range e.rules {
 		// Compile each rule once through the shared program cache;
 		// per-element re-parsing (or even re-walking the AST) dominates
 		// large runs.
-		prog, parseErr := ocl.CompileString(r.Expr, compileOpts)
+		prog, parseErr := ocl.CompileString(r.Expr)
 		if parseErr != nil {
 			rep.Diagnostics = append(rep.Diagnostics, Diagnostic{
 				Severity: Error,

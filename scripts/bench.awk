@@ -7,9 +7,10 @@
 #
 # For the batch suite it also judges the run, printing one ::warning::
 # line on stdout per finding (the JSON goes to the file named by out):
-#   - a records/sec median below prev's by more than max(10% of prev's
-#     median, 2 x the larger IQR of the two runs); a prev written without
-#     _iqr keys counts as IQR 0;
+#   - a records/sec median below prev's by more than 10% of prev's median;
+#   - a records/sec comparison it cannot judge, reported as unresolved
+#     with both medians and IQRs, when 2 x the larger IQR of the two runs
+#     exceeds that bound; a prev written without _iqr keys counts as IQR 0;
 #   - a ratio key below its floor.
 #
 # Usage: awk -f scripts/bench.awk -v suite=batch|ocl|obs -v out=FILE \
@@ -68,8 +69,8 @@ function floor(key, min, why) {
 }
 
 # compare warns for each benchmark whose records/sec median regressed
-# against the batch JSON prev.
-function compare(   line, name, pm, pi, cm, ci, allowed) {
+# against the batch JSON prev, or whose spread is too wide to tell.
+function compare(   line, name, pm, pi, cm, ci, bound, spread) {
 	while ((getline line < prev) > 0) {
 		if (!match(line, /"name": "[^"]+"/)) continue
 		name = substr(line, RSTART + 9, RLENGTH - 10)
@@ -77,12 +78,14 @@ function compare(   line, name, pm, pi, cm, ci, allowed) {
 		pm = substr(line, RSTART + 19, RLENGTH - 19) + 0
 		pi = match(line, /"records_per_sec_iqr": [0-9.]+/) ? substr(line, RSTART + 23, RLENGTH - 23) + 0 : 0
 		cm = med[name, "records_per_sec"]; ci = iqr[name, "records_per_sec"]
-		allowed = 0.1 * pm
-		if (2 * pi > allowed) allowed = 2 * pi
-		if (2 * ci > allowed) allowed = 2 * ci
-		if (pm - cm > allowed)
-			printf "::warning::%s records/sec median fell %.1f%% (%s -> %s), beyond the allowed drop of %s\n",
-				name, (1 - cm / pm) * 100, num(pm), num(cm), num(allowed)
+		bound = 0.1 * pm
+		spread = 2 * (pi > ci ? pi : ci)
+		if (spread > bound)
+			printf "::warning::%s records/sec unresolved: median %s (IQR %s) -> %s (IQR %s), 2 x the larger IQR exceeds the bound of %s\n",
+				name, num(pm), num(pi), num(cm), num(ci), num(bound)
+		else if (pm - cm > bound)
+			printf "::warning::%s records/sec median fell %.1f%% (%s -> %s), beyond the bound of %s\n",
+				name, (1 - cm / pm) * 100, num(pm), num(cm), num(bound)
 	}
 	close(prev)
 }
