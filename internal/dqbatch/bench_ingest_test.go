@@ -47,9 +47,10 @@ func benchNDJSONDocOrder(recs []dqruntime.Record, rng *rand.Rand, extra ...strin
 	return b.Bytes()
 }
 
-// benchDecode drains the benchmark document on one goroutine through
-// nextSpanBatch — cutting and decoding only, no validation — so it
-// isolates the ingest cost.
+// benchDecode drains the benchmark document on one goroutine through the
+// source's CutSpan and DecodeSpan into one recycled span buffer and batch,
+// as a chunk of Run's pipeline does — cutting and decoding only, no
+// validation — so it isolates the ingest cost.
 func benchDecode(b *testing.B, doc string) {
 	var batch dqruntime.ColumnBatch
 	b.ReportAllocs()
@@ -60,16 +61,16 @@ func benchDecode(b *testing.B, doc string) {
 		rows := 0
 		for {
 			batch.Reset()
-			n, err := nextSpanBatch(src, &buf, &batch, 256, func(int64, error) {
-				b.Fatal("malformed line in benchmark document")
-			})
-			rows += n
+			sp, err := src.CutSpan(&buf, 256)
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				b.Fatal(err)
 			}
+			rows += src.DecodeSpan(sp, &batch, func(int64, error) {
+				b.Fatal("malformed line in benchmark document")
+			})
 		}
 		if rows != benchRecords {
 			b.Fatalf("decoded %d rows, want %d", rows, benchRecords)

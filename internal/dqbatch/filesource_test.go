@@ -184,9 +184,11 @@ func TestStreamSpanEdgeParity(t *testing.T) {
 // FuzzSpanReport holds NDJSON ingest to one report on any bytes: the
 // same document read one byte per Read (stdin through a pipe) and decoded
 // in input order (DecodeWorkers 1, the sequential oracle), and read from
-// one whole reader and decoded in a pool of three, must render
-// byte-identical JSON and text reports and stop with the same error text,
-// at any chunk size from 1 to 64 and any eval worker count from 1 to 8.
+// one whole reader through poisonSource and decoded in a pool of three,
+// must render byte-identical JSON and text reports and stop with the same
+// error text, at any chunk size from 1 to 64 and any eval worker count
+// from 1 to 8. The poisoned spans catch a cell kept past its chunk; the
+// referential check's tally keeps dangling keys across chunks.
 // parityValidator scores only 0, ½ and 1, whose sums are exact in any
 // order, so the worker count cannot change a mean.
 func FuzzSpanReport(f *testing.F) {
@@ -203,21 +205,23 @@ func FuzzSpanReport(f *testing.F) {
 		f.Add([]byte(doc), uint8(i*13), uint8(i))
 	}
 	v := parityValidator(f)
+	ref := dqruntime.ReferentialCheck{Fields: []string{"a"},
+		Ref: map[string]struct{}{"x": {}, "1": {}}, RefName: "refs"}
 	f.Fuzz(func(t *testing.T, doc []byte, chunk, workers uint8) {
 		opts := Options{Workers: 1 + int(workers%8), ChunkSize: 1 + int(chunk%64),
-			CrossRecord: []dqruntime.StatefulCheck{UniquenessCheckForTest()}}
-		run := func(r io.Reader, decoders int) (*Result, string) {
+			CrossRecord: []dqruntime.StatefulCheck{UniquenessCheckForTest(), ref}}
+		run := func(src Source, decoders int) (*Result, string) {
 			opts.DecodeWorkers = decoders
 			opts.Registry = obs.NewRegistry()
-			res, err := Run(context.Background(), v, NewNDJSONSource(r), opts)
+			res, err := Run(context.Background(), v, src, opts)
 			normalize(res)
 			if err != nil {
 				return res, err.Error()
 			}
 			return res, ""
 		}
-		want, wantErr := run(iotest.OneByteReader(bytes.NewReader(doc)), 1)
-		got, gotErr := run(bytes.NewReader(doc), 3)
+		want, wantErr := run(NewNDJSONSource(iotest.OneByteReader(bytes.NewReader(doc))), 1)
+		got, gotErr := run(poisonSource{NewNDJSONSource(bytes.NewReader(doc))}, 3)
 		if wantErr != gotErr {
 			t.Fatalf("terminal errors diverged: one-byte %q, whole %q", wantErr, gotErr)
 		}
@@ -296,12 +300,20 @@ func TestMmapTooLongLine(t *testing.T) {
 	}
 }
 
-// NextBatchForTest decodes src's next span of up to max records into dst
-// on the caller's goroutine, through the nextSpanBatch loop BuildKeySet
-// reads with: the tests drain any Source with it.
+// NextBatchForTest decodes src's spans of up to max records into dst on
+// the caller's goroutine until one yields a row, as NDJSONSource.NextBatch
+// does, each into fresh storage: the tests drain any Source with it.
 func NextBatchForTest(src Source, dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	var buf []byte
-	return nextSpanBatch(src, &buf, dst, max, bad)
+	for {
+		var buf []byte
+		sp, err := src.CutSpan(&buf, max)
+		if err != nil {
+			return 0, err
+		}
+		if n := src.DecodeSpan(sp, dst, bad); n > 0 {
+			return n, nil
+		}
+	}
 }
 
 // firstRecord reads src's first record through NextBatchForTest.

@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"strconv"
 	"unicode/utf8"
+	"unsafe"
 
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 )
@@ -24,6 +25,19 @@ import (
 // are encoding/json's. TestFastDecodeMatchesSlow and FuzzFlatJSON pin
 // that equivalence line by line, FuzzFlatJSONSpan across the rows of a
 // whole span.
+
+// view returns b as a string that shares b's bytes, so a decoded cell
+// costs no copy and no allocation. The string is valid only while those
+// bytes stay unchanged, which gives every cell the fast path decodes one
+// lifetime rule: a cell is valid while its chunk is in the pipeline. Run
+// writes a chunk's span buffer again only after an eval worker has
+// returned the chunk to the free list and the producer has reset its
+// batch, and BuildKeySet resets its batch before each cut. A cell that
+// must outlive its chunk is copied where it is kept: keyTally.insert,
+// ColumnBatch.RowView and NextBatch's fresh span storage. b must never be
+// a bufio.Scanner's own buffer, which the next Scan overwrites; the
+// cutters copy lines into the chunk's buffer first.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // decodeNDJSONSpan decodes every line of sp into dst — fast path first,
 // slow path on bail — reporting malformed lines through bad in line order,
@@ -133,7 +147,7 @@ func fastDecodeLine(raw []byte, dst *dqruntime.ColumnBatch) bool {
 			if !ascii && !utf8.Valid(vb) {
 				return bail()
 			}
-			val = string(vb)
+			val = view(vb)
 		case c == 't':
 			if n-i < 4 || string(raw[i:i+4]) != "true" {
 				return bail()
@@ -270,7 +284,7 @@ func scanJSONNumber(b []byte) (tok, rest []byte, ok bool) {
 // renderNumber produces the string a JSON number lands in a record as —
 // exactly scalarString's FormatFloat(ParseFloat(tok)) round trip. Small
 // integer tokens short-circuit: they are their own shortest float64
-// rendering, so the token bytes become the cell directly.
+// rendering, so the cell views the token bytes directly.
 func renderNumber(tok []byte) (string, bool) {
 	digits := tok
 	if len(digits) > 0 && digits[0] == '-' {
@@ -288,7 +302,7 @@ func renderNumber(tok []byte) (string, bool) {
 	// leading zeros). "-0" is the one token where the round trip and the
 	// verbatim bytes agree too ("-0" formats as "-0").
 	if plain && len(digits) <= 15 {
-		return string(tok), true
+		return view(tok), true
 	}
 	f, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {

@@ -7,6 +7,7 @@ package dqbatch
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -195,5 +196,29 @@ func TestPlainPrefixMatchesByteRule(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDecodeSpanAllocs pins the views: decoding a span of strings, plain
+// integers and booleans into a warmed batch allocates nothing, as no cell
+// is copied out of the span.
+func TestDecodeSpanAllocs(t *testing.T) {
+	var doc bytes.Buffer
+	for i := 0; i < 256; i++ {
+		fmt.Fprintf(&doc, `{"name": "user %d", "email": "u%d@example.org", "score": %d, "ok": %t}`+"\n",
+			i, i, i%11-5, i%2 == 0)
+	}
+	sp := Span{Data: doc.Bytes(), FirstLine: 1}
+	var batch dqruntime.ColumnBatch
+	bad := func(line int64, err error) { t.Fatalf("line %d malformed: %v", line, err) }
+	decode := func() {
+		batch.Reset()
+		if n := decodeNDJSONSpan(sp, &batch, bad); n != 256 {
+			t.Fatalf("decoded %d rows, want 256", n)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
+		t.Fatalf("decoding a span into a warmed batch made %v allocations, want 0", allocs)
 	}
 }

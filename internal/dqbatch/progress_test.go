@@ -32,6 +32,11 @@ func TestNDJSONByteOffsetTracksConsumedLines(t *testing.T) {
 	if got, want := src.ByteOffset(), int64(len(input)); got != want {
 		t.Fatalf("offset after second record = %d, want %d", got, want)
 	}
+	// The batch holds both calls' rows, and the first row's cells still
+	// read their own span.
+	if col := batch.Col("a"); batch.Rows() != 2 || col.Raw[0] != "1" || col.Raw[1] != "2" {
+		t.Fatalf("rows after two NextBatch calls = %d, a = %q, want 2 rows of [1 2]", batch.Rows(), col.Raw)
+	}
 	if _, err := src.NextBatch(&batch, 1, failOnBad(t)); err != io.EOF {
 		t.Fatalf("err = %v, want EOF", err)
 	}

@@ -31,7 +31,8 @@ type Source interface {
 	CutSpan(buf *[]byte, maxLines int) (Span, error)
 	// DecodeSpan decodes one span into dst, reporting malformed records
 	// through bad, with the 1-based input line where they start, in line
-	// order, and returns the rows appended.
+	// order, and returns the rows appended. The cells it appends may view
+	// sp.Data: the caller keeps those bytes unchanged until it resets dst.
 	DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int
 }
 
@@ -131,23 +132,18 @@ func (s *NDJSONSource) DecodeSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(
 	return decodeNDJSONSpan(sp, dst, bad)
 }
 
-// NextBatch decodes the next span of up to max lines into dst, on the
-// caller's goroutine.
+// NextBatch decodes spans of up to max lines into dst, on the caller's
+// goroutine, until one yields a row, so (0, nil) never comes back. It
+// cuts each span into fresh storage, as NextSpan does, because dst's
+// cells view their span: rows that dst kept from earlier calls stay
+// valid.
 func (s *NDJSONSource) NextBatch(dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
-	return nextSpanBatch(s, &s.buf, dst, max, bad)
-}
-
-// nextSpanBatch reads s on one goroutine through its own CutSpan and
-// DecodeSpan, so it shares Run's cutter and decoder: NDJSONSource.NextBatch
-// and BuildKeySet read through it. It decodes spans of up to max records
-// into dst until one yields a row, so (0, nil) never comes back.
-func nextSpanBatch(s Source, buf *[]byte, dst *dqruntime.ColumnBatch, max int, bad func(line int64, err error)) (int, error) {
 	for {
-		sp, err := s.CutSpan(buf, max)
+		sp, err := s.NextSpan(max)
 		if err != nil {
 			return 0, err
 		}
-		if n := s.DecodeSpan(sp, dst, bad); n > 0 {
+		if n := decodeNDJSONSpan(sp, dst, bad); n > 0 {
 			return n, nil
 		}
 	}

@@ -21,7 +21,9 @@ import (
 // initialized to all-pass (Passed true, Score 1, Details nil), so
 // implementations only write failing (or partially scored) rows.
 // Implementations may share one Details slice across rows and calls;
-// consumers treat details as immutable.
+// consumers treat details as immutable. Details outlive the batch, and a
+// Column.Raw value may view the decoder's input, so a detail that quotes
+// a cell must copy it, as fmt does.
 type BatchCheck interface {
 	Check
 	ApplyBatch(b *ColumnBatch, out *ColumnResult)

@@ -42,7 +42,10 @@ type Column struct {
 	Name string
 	// Kinds classifies each cell.
 	Kinds []CellKind
-	// Raw holds the value exactly as delivered ("" for missing cells).
+	// Raw holds the value exactly as delivered ("" for missing cells). The
+	// batch stores the string it is given without copying it, and a
+	// decoder's cells may view its input buffer, so a value is valid until
+	// the batch is reset: copy one that must outlive the batch.
 	Raw []string
 	// vals holds each cell's parsed value: the int64 bits of a CellInt,
 	// the float64 bits of a CellFloat, 1 or 0 for a CellBool, 0 otherwise.
@@ -275,8 +278,10 @@ func (c *Column) OCLValues() []any {
 
 // ColumnBatch is one chunk of records in columnar form. Build one with
 // SetField or SetFieldBytes and EndRow (the span decoders) or Columnarize
-// (tests), and reuse it across chunks with Reset: every batch owns its
-// cell storage.
+// (tests), and reuse it across chunks with Reset. The batch owns its
+// column storage but stores each cell's string as given, without copying:
+// a cell that views a decoder's input is valid while that input is
+// unchanged, and RowView hands out copies.
 type ColumnBatch struct {
 	cols   []Column
 	byName map[string]int
@@ -340,7 +345,8 @@ func (b *ColumnBatch) addCol(name string) int {
 }
 
 // SetField appends the current row's value for one field. Fields may
-// arrive in any order; each field at most once per row.
+// arrive in any order; each field at most once per row. The batch stores
+// raw as given, without copying it.
 func (b *ColumnBatch) SetField(name, raw string) {
 	b.col(name).appendCell(raw)
 }
@@ -350,15 +356,16 @@ func (b *ColumnBatch) SetField(name, raw string) {
 // their predecessor's key order: it first compares name with the column
 // after the row's previous field, and looks the name up in the byName
 // map only on a miss. Neither path allocates once the column exists, so
-// steady-state decoding never materializes the key. It returns false,
-// appending nothing, when the row already holds a cell for name — a
-// duplicate key, found in O(1).
+// steady-state decoding never materializes the key. The batch stores raw
+// as given, without copying it, so a decoder may pass a string that views
+// its input. It returns false, appending nothing, when the row already
+// holds a cell for name — a duplicate key, found in O(1).
 func (b *ColumnBatch) SetFieldBytes(name []byte, raw string) bool {
 	i := b.next
 	if i >= len(b.cols) || b.cols[i].Name != string(name) {
 		var ok bool
 		if i, ok = b.byName[string(name)]; !ok {
-			i = b.addCol(string(name))
+			i = b.addCol(b.nextName(name))
 		}
 	}
 	c := &b.cols[i]
@@ -368,6 +375,18 @@ func (b *ColumnBatch) SetFieldBytes(name []byte, raw string) bool {
 	c.appendCell(raw)
 	b.next = i + 1
 	return true
+}
+
+// nextName returns name as a string for addCol. When the recycled slot
+// addCol fills next held the same name, it returns that string, so
+// refilling a batch with chunks of the same shape allocates no names.
+func (b *ColumnBatch) nextName(name []byte) string {
+	if n := len(b.cols); n < cap(b.cols) {
+		if prev := b.cols[:n+1][n].Name; prev == string(name) {
+			return prev
+		}
+	}
+	return string(name)
 }
 
 // EndRow completes the current row, back-filling missing cells in columns
@@ -407,13 +426,13 @@ func (b *ColumnBatch) NullValues() []any {
 // RowView fills scratch with row i's present fields (raw values), reusing
 // the map — the adapter that lets row-oriented checks run over a columnar
 // batch. The returned map is valid until the next RowView call on the same
-// scratch.
+// scratch. The values are copies, so a check may keep them past the batch.
 func (b *ColumnBatch) RowView(i int, scratch Record) Record {
 	clear(scratch)
 	for ci := range b.cols {
 		c := &b.cols[ci]
 		if c.Kinds[i] != CellMissing {
-			scratch[c.Name] = c.Raw[i]
+			scratch[c.Name] = strings.Clone(c.Raw[i])
 		}
 	}
 	return scratch

@@ -302,19 +302,21 @@ func (t *keyTally) bump(kc *keyCount, ordinal, count int64) bool {
 
 // insert retains a key the tally does not hold, evicting the largest
 // retained key when full; a key not below that largest one is dropped.
+// The tally keeps a copy of key, which may view a batch's cell.
 func (t *keyTally) insert(key string, ordinal, count int64) {
+	if len(t.keys) >= t.cap && key >= t.max {
+		return
+	}
+	kept := strings.Clone(key)
 	if len(t.keys) < t.cap {
-		t.keys[key] = &keyCount{count: count, first: ordinal}
-		if len(t.keys) == 1 || key > t.max {
-			t.max = key
+		t.keys[kept] = &keyCount{count: count, first: ordinal}
+		if len(t.keys) == 1 || kept > t.max {
+			t.max = kept
 		}
 		return
 	}
-	if key >= t.max {
-		return
-	}
 	delete(t.keys, t.max)
-	t.keys[key] = &keyCount{count: count, first: ordinal}
+	t.keys[kept] = &keyCount{count: count, first: ordinal}
 	t.max = ""
 	for k := range t.keys {
 		if k > t.max {
