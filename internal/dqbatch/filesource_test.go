@@ -188,7 +188,8 @@ func TestStreamSpanEdgeParity(t *testing.T) {
 // must render byte-identical JSON and text reports and stop with the same
 // error text, at any chunk size from 1 to 64 and any eval worker count
 // from 1 to 8. The poisoned spans catch a cell kept past its chunk; the
-// referential check's tally keeps dangling keys across chunks.
+// referential check builds its two-field keys in a scratch buffer, and
+// its tally keeps dangling keys across chunks.
 // parityValidator scores only 0, ½ and 1, whose sums are exact in any
 // order, so the worker count cannot change a mean.
 func FuzzSpanReport(f *testing.F) {
@@ -205,8 +206,8 @@ func FuzzSpanReport(f *testing.F) {
 		f.Add([]byte(doc), uint8(i*13), uint8(i))
 	}
 	v := parityValidator(f)
-	ref := dqruntime.ReferentialCheck{Fields: []string{"a"},
-		Ref: map[string]struct{}{"x": {}, "1": {}}, RefName: "refs"}
+	ref := dqruntime.ReferentialCheck{Fields: []string{"a", "b"},
+		Ref: map[string]struct{}{"x\x1fy": {}}, RefName: "refs"}
 	f.Fuzz(func(t *testing.T, doc []byte, chunk, workers uint8) {
 		opts := Options{Workers: 1 + int(workers%8), ChunkSize: 1 + int(chunk%64),
 			CrossRecord: []dqruntime.StatefulCheck{UniquenessCheckForTest(), ref}}

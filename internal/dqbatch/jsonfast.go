@@ -33,10 +33,10 @@ import (
 // writes a chunk's span buffer again only after an eval worker has
 // returned the chunk to the free list and the producer has reset its
 // batch, and BuildKeySet resets its batch before each cut. A cell that
-// must outlive its chunk is copied where it is kept: keyTally.insert,
-// ColumnBatch.RowView and NextBatch's fresh span storage. b must never be
-// a bufio.Scanner's own buffer, which the next Scan overwrites; the
-// cutters copy lines into the chunk's buffer first.
+// must outlive its chunk is copied where it is kept: uniqTable.insertAt,
+// keyTally.insert, ColumnBatch.RowView and NextBatch's fresh span
+// storage. b must never be a bufio.Scanner's own buffer, which the next
+// Scan overwrites; the cutters copy lines into the chunk's buffer first.
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // decodeNDJSONSpan decodes every line of sp into dst — fast path first,

@@ -80,8 +80,9 @@ type BatchReport struct {
 	Results []ColumnResult
 	rows    int
 	// scratch is the pooled row-view map for checks without a vectorized
-	// path.
-	scratch Record
+	// path, and rowChecks those checks' indices.
+	scratch   Record
+	rowChecks []int
 }
 
 // Rows returns the number of rows the last ValidateBatch covered.
@@ -99,7 +100,9 @@ func (rep *BatchReport) RowPassed(row int) bool {
 
 // ValidateBatch runs every check against the batch, writing one
 // ColumnResult per check into rep (reusing its storage). Checks without a
-// vectorized path run row by row through a pooled RowView adapter.
+// vectorized path run row by row after the vectorized ones: each row's
+// RowView is built once and handed to all of them, as ValidateInto hands
+// one Record to every check.
 func (v *Validator) ValidateBatch(b *ColumnBatch, rep *BatchReport) {
 	rows := b.Rows()
 	rep.Validator = v.name
@@ -110,18 +113,27 @@ func (v *Validator) ValidateBatch(b *ColumnBatch, rep *BatchReport) {
 		rep.Results = results
 	}
 	rep.Results = rep.Results[:len(v.checks)]
+	rep.rowChecks = rep.rowChecks[:0]
 	for i, c := range v.checks {
 		out := &rep.Results[i]
 		out.reset(c.Name(), c.Characteristic(), rows)
 		if bc, ok := c.(BatchCheck); ok {
 			bc.ApplyBatch(b, out)
-			continue
+		} else {
+			rep.rowChecks = append(rep.rowChecks, i)
 		}
-		if rep.scratch == nil {
-			rep.scratch = make(Record, 8)
-		}
-		for r := 0; r < rows; r++ {
-			res := c.Apply(b.RowView(r, rep.scratch))
+	}
+	if len(rep.rowChecks) == 0 {
+		return
+	}
+	if rep.scratch == nil {
+		rep.scratch = make(Record, 8)
+	}
+	for r := 0; r < rows; r++ {
+		rec := b.RowView(r, rep.scratch)
+		for _, i := range rep.rowChecks {
+			res := v.checks[i].Apply(rec)
+			out := &rep.Results[i]
 			out.Passed[r] = res.Passed
 			out.Score[r] = res.Score
 			out.Details[r] = res.Details

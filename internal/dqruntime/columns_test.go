@@ -188,6 +188,40 @@ func TestValidateBatchReuse(t *testing.T) {
 	}
 }
 
+// TestValidateBatchSharesRowViews: checks without ApplyBatch are handed
+// one RowView per row between them, so a second passing ConsistencyCheck
+// costs no allocation of its own, and a vectorized check declared between
+// two row checks leaves every result in its declared slot.
+func TestValidateBatchSharesRowViews(t *testing.T) {
+	batch := &ColumnBatch{}
+	batch.Columnarize(parityRecords(256))
+	pass := ConsistencyCheck{Rule: "always", Predicate: func(Record) bool { return true }}
+	allocs := func(v *Validator) float64 {
+		rep := &BatchReport{}
+		return testing.AllocsPerRun(20, func() { v.ValidateBatch(batch, rep) })
+	}
+	one, two := allocs(NewValidator("one", pass)), allocs(NewValidator("two", pass, pass))
+	if one == 0 || two != one {
+		t.Fatalf("allocations per ValidateBatch: %v with one row check, %v with two", one, two)
+	}
+
+	fail := ConsistencyCheck{Rule: "a is blank", Predicate: func(r Record) bool { return r["a"] == "" }}
+	v := NewValidator("mixed", pass, CompletenessCheck{Required: []string{"a"}}, fail)
+	rep := &BatchReport{}
+	v.ValidateBatch(batch, rep)
+	for ci, c := range v.Checks() {
+		for r := 0; r < batch.Rows(); r++ {
+			want := c.Apply(batch.RowView(r, Record{}))
+			col := &rep.Results[ci]
+			if col.Check != c.Name() || col.Passed[r] != want.Passed || col.Score[r] != want.Score ||
+				!detailsEqual(col.Details[r], want.Details) {
+				t.Fatalf("check %d row %d: batch (%s %v,%v,%q) vs row (%v,%v,%q)", ci, r,
+					col.Check, col.Passed[r], col.Score[r], col.Details[r], want.Passed, want.Score, want.Details)
+			}
+		}
+	}
+}
+
 func TestRowViewReconstructsRecords(t *testing.T) {
 	recs := parityRecords(64)
 	batch := &ColumnBatch{}

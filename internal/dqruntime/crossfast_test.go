@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -191,16 +192,16 @@ func TestReferentialBlankKeys(t *testing.T) {
 
 // TestUniquenessBoundedSelection: the single pass that keeps the
 // maxDetails smallest duplicated keys reports what sorting every
-// duplicated key and taking the first maxDetails does, for 0, 1 and 3.
+// duplicated key and taking the first maxDetails does, for 0, 1, 3 and
+// 40. The keys are one field's cells, and then keys over one to three
+// fields with missing columns, blank cells and cells holding U+001F, so
+// views of the multi-field scratch buffer and of the tables' arenas pass
+// through Merge.
 func TestUniquenessBoundedSelection(t *testing.T) {
-	prop := func(seed int64, nStates uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		recs := make([]Record, rng.Intn(300))
+	holds := func(fields []string, recs []Record, nStates uint8, rng *rand.Rand) bool {
 		counts := map[string]int64{}
-		for i := range recs {
-			k := fmt.Sprintf("k%d", rng.Intn(1+rng.Intn(200)))
-			recs[i] = Record{"id": k}
-			counts[k]++
+		for _, r := range recs {
+			counts[KeyOf(fields, r)]++
 		}
 		var dups []string
 		for k, n := range counts {
@@ -209,25 +210,148 @@ func TestUniquenessBoundedSelection(t *testing.T) {
 			}
 		}
 		sort.Strings(dups)
-		for _, maxDetails := range []int{0, 1, 3} {
+		for _, maxDetails := range []int{0, 1, 3, 40} {
 			var want []string
 			for _, k := range dups[:min(len(dups), maxDetails)] {
-				want = append(want, fmt.Sprintf("key %q appears %d times", k, counts[k]))
+				want = append(want, fmt.Sprintf("key %q appears %d times", displayKey(k), counts[k]))
 			}
 			if extra := len(dups) - maxDetails; extra > 0 {
 				want = append(want, fmt.Sprintf("... and %d more duplicated keys", extra))
 			}
-			c := UniquenessCheck{Fields: []string{"id"}}
+			c := UniquenessCheck{Fields: fields}
 			got := observeChunks(c, recs, 1+int(nStates%5), maxDetails, rng)
 			if !reflect.DeepEqual(want, got.Details) || got.Violations != int64(len(recs)-len(counts)) {
-				t.Logf("maxDetails %d:\n  sorted  %q\n  bounded %q (%d violations)", maxDetails, want, got.Details, got.Violations)
+				t.Logf("fields %v, maxDetails %d:\n  sorted  %q\n  bounded %q (%d violations)",
+					fields, maxDetails, want, got.Details, got.Violations)
 				return false
 			}
 		}
 		return true
 	}
+	prop := func(seed int64, nStates uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		recs := make([]Record, rng.Intn(300))
+		for i := range recs {
+			recs[i] = Record{"id": fmt.Sprintf("k%d", rng.Intn(1+rng.Intn(200)))}
+		}
+		if !holds([]string{"id"}, recs, nStates, rng) {
+			return false
+		}
+		// Each field's cells are present with a chance of 0 to 4 in 4, so
+		// some columns are absent from every batch.
+		fields := []string{"a", "b", "c"}[:1+rng.Intn(3)]
+		present := make([]int, len(fields))
+		for fi := range present {
+			present[fi] = rng.Intn(5)
+		}
+		parts := []string{"", " ", "\u00a0", "x", "y", "é", "\x1f", "x\x1fy", "\x1f\x1f"}
+		recs = make([]Record, rng.Intn(300))
+		for i := range recs {
+			recs[i] = Record{}
+			for fi, f := range fields {
+				if rng.Intn(4) < present[fi] {
+					recs[i][f] = parts[rng.Intn(len(parts))]
+				}
+			}
+		}
+		return holds(fields, recs, nStates, rng)
+	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyTallyKeepsSmallest: whatever order keys arrive in — ascending,
+// descending or shuffled — and however they are split over one to five
+// tallies that merge in a random order, the merged tally holds the cap
+// smallest distinct keys, for caps 0 to 64, with their total counts and
+// smallest ordinals. Every key is offered as a view of one reused buffer,
+// as referential's multi-field keys are.
+func TestKeyTallyKeepsSmallest(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		type obs struct {
+			key     string
+			ordinal int64
+		}
+		stream := make([]obs, rng.Intn(400))
+		for i := range stream {
+			stream[i] = obs{fmt.Sprintf("%x", rng.Intn(1+rng.Intn(300))), int64(i + 1)}
+		}
+		order := []string{"ascending", "descending", "shuffled"}[rng.Intn(3)]
+		switch order {
+		case "ascending":
+			sort.SliceStable(stream, func(i, j int) bool { return stream[i].key < stream[j].key })
+		case "descending":
+			sort.SliceStable(stream, func(i, j int) bool { return stream[i].key > stream[j].key })
+		default:
+			rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+		}
+		want := map[string]*keyCount{}
+		for _, o := range stream {
+			if kc := want[o.key]; kc != nil {
+				kc.count++
+				kc.first = min(kc.first, o.ordinal)
+			} else {
+				want[o.key] = &keyCount{count: 1, first: o.ordinal}
+			}
+		}
+		keys := make([]string, 0, len(want))
+		for k := range want {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		capacity := rng.Intn(65)
+		keys = keys[:min(len(keys), capacity)]
+
+		tallies := make([]*keyTally, 1+rng.Intn(5))
+		for i := range tallies {
+			tallies[i] = newKeyTally(capacity)
+		}
+		var buf []byte
+		for _, o := range stream {
+			buf = append(buf[:0], o.key...)
+			tallies[rng.Intn(len(tallies))].add(view(buf), o.ordinal, 1)
+		}
+		for len(tallies) > 1 {
+			i, j := rng.Intn(len(tallies)), rng.Intn(len(tallies)-1)
+			if j >= i {
+				j++
+			}
+			tallies[i].merge(tallies[j])
+			tallies = append(tallies[:j], tallies[j+1:]...)
+		}
+		got := tallies[0]
+		ok := slices.Equal(got.sortedKeys(), keys) && len(got.keys) == len(keys)
+		for _, k := range keys {
+			ok = ok && got.keys[k] != nil && *got.keys[k] == *want[k]
+		}
+		if !ok {
+			t.Logf("%s, cap %d: want %q, got %q", order, capacity, keys, got.sortedKeys())
+		}
+		return ok
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkKeyTallyDescending offers 100k distinct keys in descending
+// order to a tally of cap 10,000, what -exemplars 10000 gives the
+// referential check on sorted input: every key past the first 10,000
+// evicts the largest retained one.
+func BenchmarkKeyTallyDescending(b *testing.B) {
+	keys := make([]string, 100_000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%06d", len(keys)-i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tl := newKeyTally(10_000)
+		for j, k := range keys {
+			tl.add(k, int64(j+1), 1)
+		}
 	}
 }
 

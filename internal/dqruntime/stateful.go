@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unsafe"
 
 	"github.com/modeldriven/dqwebre/internal/iso25012"
 )
@@ -124,6 +125,15 @@ func appendKey(buf []byte, cols []*Column, i int) []byte {
 	return buf
 }
 
+// view returns b as a string that shares b's bytes, so a key built in a
+// reused scratch buffer is probed, hashed and compared as a string without
+// a copy. Such a view is valid only during the call it is passed to: the
+// next appendKey into the buffer rewrites it. Everything that keeps a key
+// copies it — uniqTable.insertAt appends it to the arena, keyTally.insert
+// clones it — while the Bloom filter and the Ref probe only read it.
+// (uniqTable.key views the arena, which is never rewritten.)
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // blankAt reports whether row i's key is blank: every key column is
 // absent or holds a missing or blank cell. The cell kinds were classified
 // with strings.TrimSpace at decode time, so no key is split or trimmed
@@ -167,16 +177,7 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func fnv1aString(key string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func fnv1aBytes(key []byte) uint64 {
+func fnv1a(key string) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -199,12 +200,7 @@ func bloomStride(h1 uint64) uint64 {
 }
 
 func (b *bloomFilter) insert(key string) {
-	b.insertHashed(fnv1aString(key))
-}
-
-// insertHashed inserts a key by its FNV-1a hash — the same bits insert
-// sets for the key itself.
-func (b *bloomFilter) insertHashed(h1 uint64) {
+	h1 := fnv1a(key)
 	h2 := bloomStride(h1)
 	for i := uint64(0); i < bloomHashCount; i++ {
 		pos := (h1 + i*h2) % b.m
@@ -258,9 +254,9 @@ type keyCount struct {
 // held cap smaller keys forever after, pushing it out of the final
 // selection), so the reported counts and first ordinals are exact.
 type keyTally struct {
-	cap  int
-	keys map[string]*keyCount
-	max  string // largest retained key, meaningful when len(keys) > 0
+	cap   int
+	keys  map[string]*keyCount
+	order maxHeap // the retained keys, largest at the root
 }
 
 func newKeyTally(cap int) *keyTally {
@@ -272,57 +268,30 @@ func newKeyTally(cap int) *keyTally {
 
 // add folds count observations of key, the first at ordinal.
 func (t *keyTally) add(key string, ordinal, count int64) {
-	if t.cap == 0 || t.bump(t.keys[key], ordinal, count) {
+	if t.cap == 0 {
+		return
+	}
+	if kc := t.keys[key]; kc != nil {
+		kc.count += count
+		kc.first = min(kc.first, ordinal)
 		return
 	}
 	t.insert(key, ordinal, count)
 }
 
-// addBytes is add for one observation of a key held as bytes: the key
-// becomes a string only when the tally keeps it.
-func (t *keyTally) addBytes(key []byte, ordinal int64) {
-	if t.cap == 0 || t.bump(t.keys[string(key)], ordinal, 1) {
-		return
-	}
-	if len(t.keys) < t.cap || string(key) < t.max {
-		t.insert(string(key), ordinal, 1)
-	}
-}
-
-// bump folds observations into a retained key's statistics; it reports
-// false when kc is nil, the key not being retained.
-func (t *keyTally) bump(kc *keyCount, ordinal, count int64) bool {
-	if kc == nil {
-		return false
-	}
-	kc.count += count
-	kc.first = min(kc.first, ordinal)
-	return true
-}
-
 // insert retains a key the tally does not hold, evicting the largest
-// retained key when full; a key not below that largest one is dropped.
-// The tally keeps a copy of key, which may view a batch's cell.
+// retained key when full; a key not below that largest one is dropped
+// before it is copied. The tally keeps a copy of key, which may view a
+// batch's cell or a scratch buffer.
 func (t *keyTally) insert(key string, ordinal, count int64) {
-	if len(t.keys) >= t.cap && key >= t.max {
+	if len(t.order) == t.cap && key >= t.order[0] {
 		return
 	}
 	kept := strings.Clone(key)
-	if len(t.keys) < t.cap {
-		t.keys[kept] = &keyCount{count: count, first: ordinal}
-		if len(t.keys) == 1 || kept > t.max {
-			t.max = kept
-		}
-		return
+	if evicted, ok := t.order.keep(kept, t.cap); ok {
+		delete(t.keys, evicted)
 	}
-	delete(t.keys, t.max)
 	t.keys[kept] = &keyCount{count: count, first: ordinal}
-	t.max = ""
-	for k := range t.keys {
-		if k > t.max {
-			t.max = k
-		}
-	}
 }
 
 // merge folds other into t through the same deterministic retention.
@@ -334,12 +303,41 @@ func (t *keyTally) merge(other *keyTally) {
 
 // sortedKeys returns the retained keys in ascending order.
 func (t *keyTally) sortedKeys() []string {
-	out := make([]string, 0, len(t.keys))
-	for k := range t.keys {
-		out = append(out, k)
-	}
-	sort.Strings(out)
+	out := slices.Clone(t.order)
+	slices.Sort(out)
 	return out
+}
+
+// maxHeap is a max-heap of keys: the one bounded selection of the k
+// smallest keys, for the tally's retention and uniqueness's details.
+type maxHeap []string
+
+// keep offers key to a heap that holds at most k keys. The heap takes it
+// while it has room; once full, a key below the largest replaces it, and
+// keep returns the replaced key as evicted with ok true. A key not below
+// the largest is not kept. Either way the heap holds the k smallest keys
+// offered so far.
+func (h *maxHeap) keep(key string, k int) (evicted string, ok bool) {
+	switch {
+	case len(*h) < k:
+		heap.Push(h, key)
+	case k > 0 && key < (*h)[0]:
+		evicted, (*h)[0] = (*h)[0], key
+		heap.Fix(h, 0)
+		return evicted, true
+	}
+	return "", false
+}
+
+func (h maxHeap) Len() int           { return len(h) }
+func (h maxHeap) Less(i, j int) bool { return h[i] > h[j] }
+func (h maxHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *maxHeap) Push(x any)        { *h = append(*h, x.(string)) }
+func (h *maxHeap) Pop() any {
+	old := *h
+	key := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return key
 }
 
 // ---------------------------------------------------------------------------
@@ -351,8 +349,6 @@ func (t *keyTally) sortedKeys() []string {
 var tableSeed = maphash.MakeSeed()
 
 func tableHash(key string) uint64 { return maphash.String(tableSeed, key) }
-
-func tableHashBytes(key []byte) uint64 { return maphash.Bytes(tableSeed, key) }
 
 // uniqEntry is one distinct key: its hash, its count and the end of its
 // bytes in the table's arena (they start where the previous entry's end).
@@ -368,8 +364,7 @@ type uniqEntry struct {
 // slot holds the high half of its key's hash beside the entry's position,
 // so a probe reads an entry only when that half matches: a new key
 // touches nothing but the index. Nothing in the table is a pointer, so
-// the garbage collector never scans it. Probing by a precomputed hash
-// lets callers look keys up from a byte slice; the hot path of a
+// the garbage collector never scans it, and the hot path of a
 // high-duplication dataset allocates nothing. The hash is the runtime's
 // own string hash (hash/maphash).
 type uniqTable struct {
@@ -390,13 +385,16 @@ func (t *uniqTable) init(hint int) {
 // len returns the number of distinct keys.
 func (t *uniqTable) len() int { return len(t.entries) }
 
-// key returns entry i's key bytes.
-func (t *uniqTable) key(i int) []byte {
+// key returns entry i's key, viewing the arena. The view stays valid for
+// good: the arena's bytes are never rewritten, since appends write past
+// its length and growth copies to a new array, so the table's keys are
+// read in place, never copied out.
+func (t *uniqTable) key(i int) string {
 	start := 0
 	if i > 0 {
 		start = t.entries[i-1].end
 	}
-	return t.arena[start:t.entries[i].end]
+	return view(t.arena[start:t.entries[i].end])
 }
 
 // growTo widens the table to hold about hint keys in one rehash, skipping
@@ -420,21 +418,7 @@ func (t *uniqTable) find(h uint64, key string) (at int, found bool) {
 		if s == 0 {
 			return i, false
 		}
-		if e := int(uint32(s)) - 1; s>>32 == h>>32 && t.entries[e].hash == h && string(t.key(e)) == key {
-			return e, true
-		}
-	}
-}
-
-// findBytes is find for a key held as bytes.
-func (t *uniqTable) findBytes(h uint64, key []byte) (at int, found bool) {
-	mask := len(t.slots) - 1
-	for i := int(h) & mask; ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s == 0 {
-			return i, false
-		}
-		if e := int(uint32(s)) - 1; s>>32 == h>>32 && t.entries[e].hash == h && string(t.key(e)) == string(key) {
+		if e := int(uint32(s)) - 1; s>>32 == h>>32 && t.entries[e].hash == h && t.key(e) == key {
 			return e, true
 		}
 	}
@@ -443,21 +427,10 @@ func (t *uniqTable) findBytes(h uint64, key []byte) (at int, found bool) {
 // insertAt copies key into the arena as a new entry, points the empty
 // slot find returned at it and keeps the load factor under 3/4.
 func (t *uniqTable) insertAt(slot int, h uint64, key string, count int64) {
-	t.arena = append(t.arena, key...)
-	t.link(slot, h, count)
-}
-
-// insertBytesAt is insertAt for a key held as bytes.
-func (t *uniqTable) insertBytesAt(slot int, h uint64, key []byte, count int64) {
-	t.arena = append(t.arena, key...)
-	t.link(slot, h, count)
-}
-
-// link adds the entry whose key bytes end the arena.
-func (t *uniqTable) link(slot int, h uint64, count int64) {
 	if len(t.entries) == math.MaxUint32 {
 		panic("dqruntime: more distinct keys than a uniqTable slot can index")
 	}
+	t.arena = append(t.arena, key...)
 	t.entries = append(t.entries, uniqEntry{hash: h, count: count, end: len(t.arena)})
 	t.slots[slot] = h>>32<<32 | uint64(len(t.entries))
 	if len(t.entries) >= len(t.slots)*3/4 {
@@ -560,10 +533,10 @@ func (c UniquenessCheck) NewStates(n, maxDetails int) []CheckState {
 }
 
 // uniquenessState is one worker's accumulator: an exact key-count table
-// until maxExact distinct keys, a Bloom filter afterwards. Multi-field
-// keys are built in a reused scratch buffer, and a key's bytes are copied
-// into the table the first time it is seen — repeat observations of a
-// key allocate nothing.
+// until maxExact distinct keys, a Bloom filter (non-nil once spilled)
+// afterwards. Multi-field keys are built in a reused scratch buffer, and
+// a key's bytes are copied into the table the first time it is seen —
+// repeat observations of a key allocate nothing.
 type uniquenessState struct {
 	check      UniquenessCheck
 	maxExact   int
@@ -571,16 +544,15 @@ type uniquenessState struct {
 	maxDetails int
 	records    int64
 	table      uniqTable
-	spilled    bool
 	bloom      *bloomFilter
 	cols       []*Column // ObserveBatch scratch
 	keyBuf     []byte    // multi-field key scratch
 }
 
-// addString folds one observation of a key already held as a string: a
-// single-field key is the cell's raw value.
-func (s *uniquenessState) addString(key string) {
-	if s.spilled {
+// add folds one observation of a key: a single-field key is the cell's
+// raw value, a multi-field key a view of keyBuf.
+func (s *uniquenessState) add(key string) {
+	if s.bloom != nil {
 		s.bloom.insert(key)
 		return
 	}
@@ -598,65 +570,38 @@ func (s *uniquenessState) addString(key string) {
 	s.table.insertAt(idx, h, key, 1)
 }
 
-// addBytes folds one observation of a key built in the scratch buffer.
-func (s *uniquenessState) addBytes(key []byte) {
-	if s.spilled {
-		s.bloom.insertHashed(fnv1aBytes(key))
-		return
-	}
-	h := tableHashBytes(key)
-	idx, found := s.table.findBytes(h, key)
-	if found {
-		s.table.entries[idx].count++
-		return
-	}
-	if s.table.len() >= s.maxExact {
-		s.spill()
-		s.bloom.insertHashed(fnv1aBytes(key))
-		return
-	}
-	s.table.insertBytesAt(idx, h, key, 1)
-}
-
 // spill converts the exact set to Bloom form, hashing each stored key
 // with the filter's own hash. Insertion order is irrelevant (inserts are
 // idempotent), so a spill at any point yields the same bits as inserting
 // the stream directly.
 func (s *uniquenessState) spill() {
-	if s.bloom == nil {
-		s.bloom = newBloom(s.bloomBits)
-	}
+	s.bloom = newBloom(s.bloomBits)
 	s.bloom.insertTable(&s.table)
 	s.table = uniqTable{}
-	s.spilled = true
 }
 
 // insertTable inserts every key a table holds.
 func (b *bloomFilter) insertTable(t *uniqTable) {
 	for i := range t.entries {
-		b.insertHashed(fnv1aBytes(t.key(i)))
+		b.insert(t.key(i))
 	}
 }
 
-// ObserveBatch folds every row's key, extracted column-wise.
+// ObserveBatch folds every row's key, extracted column-wise: a present
+// single column's cells as they are, any other key through appendKey.
 func (s *uniquenessState) ObserveBatch(_ int64, b *ColumnBatch) {
 	s.cols = keyCols(s.check.Fields, b, s.cols)
 	rows := b.Rows()
 	s.records += int64(rows)
-	switch {
-	case len(s.cols) != 1:
-		for i := 0; i < rows; i++ {
-			s.keyBuf = appendKey(s.keyBuf[:0], s.cols, i)
-			s.addBytes(s.keyBuf)
-		}
-	case s.cols[0] == nil:
-		for i := 0; i < rows; i++ {
-			s.addString("")
-		}
-	default:
+	if len(s.cols) == 1 && s.cols[0] != nil {
 		for _, key := range s.cols[0].Raw[:rows] {
-			s.addString(key)
+			s.add(key)
 		}
+		return
+	}
+	for i := 0; i < rows; i++ {
+		s.keyBuf = appendKey(s.keyBuf[:0], s.cols, i)
+		s.add(view(s.keyBuf))
 	}
 }
 
@@ -667,23 +612,23 @@ func (s *uniquenessState) ObserveBatch(_ int64, b *ColumnBatch) {
 func (s *uniquenessState) Merge(other CheckState) {
 	o := other.(*uniquenessState)
 	s.records += o.records
-	if !s.spilled && !o.spilled {
+	if s.bloom == nil && o.bloom == nil {
 		s.table.growTo(s.table.len() + o.table.len() + 1)
 		for i := range o.table.entries {
 			e, key := &o.table.entries[i], o.table.key(i)
-			idx, found := s.table.findBytes(e.hash, key)
+			idx, found := s.table.find(e.hash, key)
 			if found {
 				s.table.entries[idx].count += e.count
 			} else {
-				s.table.insertBytesAt(idx, e.hash, key, e.count)
+				s.table.insertAt(idx, e.hash, key, e.count)
 			}
 		}
 		return
 	}
-	if !s.spilled {
+	if s.bloom == nil {
 		s.spill()
 	}
-	if o.spilled {
+	if o.bloom != nil {
 		s.bloom.union(o.bloom)
 	} else {
 		s.bloom.insertTable(&o.table)
@@ -697,10 +642,10 @@ func (s *uniquenessState) Merge(other CheckState) {
 // the same side.)
 func (s *uniquenessState) Finding() CrossFinding {
 	f := CrossFinding{Check: s.check.Name(), Characteristic: s.check.Characteristic(), Records: s.records}
-	if !s.spilled && s.table.len() > s.maxExact {
+	if s.bloom == nil && s.table.len() > s.maxExact {
 		s.spill()
 	}
-	if s.spilled {
+	if s.bloom != nil {
 		distinct := s.bloom.estimateDistinct(s.records)
 		f.Approximate = true
 		f.Violations = s.records - distinct
@@ -712,9 +657,19 @@ func (s *uniquenessState) Finding() CrossFinding {
 			distinct, len(s.check.Fields), s.bloom.m, s.maxExact)}
 	} else {
 		f.Violations = s.records - int64(s.table.len())
-		shown, dups := smallestDuplicates(&s.table, s.maxDetails)
-		for _, e := range shown {
-			f.Details = append(f.Details, fmt.Sprintf("key %q appears %d times", displayKey(e.key), e.count))
+		// One pass keeps the maxDetails smallest duplicated keys.
+		var shown maxHeap
+		dups := 0
+		for i := range s.table.entries {
+			if s.table.entries[i].count > 1 {
+				dups++
+				shown.keep(s.table.key(i), s.maxDetails)
+			}
+		}
+		slices.Sort(shown)
+		for _, k := range shown {
+			idx, _ := s.table.find(tableHash(k), k)
+			f.Details = append(f.Details, fmt.Sprintf("key %q appears %d times", displayKey(k), s.table.entries[idx].count))
 		}
 		if extra := dups - len(shown); extra > 0 {
 			f.Details = append(f.Details, fmt.Sprintf("... and %d more duplicated keys", extra))
@@ -726,49 +681,6 @@ func (s *uniquenessState) Finding() CrossFinding {
 	}
 	f.Passed = f.Violations == 0
 	return f
-}
-
-// smallestDuplicates returns the k smallest keys counted more than once,
-// in ascending order, and how many keys were counted more than once. One
-// pass keeps the k smallest so far in a max-heap, so the cost is linear
-// in the table, not a sort of every duplicated key.
-func smallestDuplicates(t *uniqTable, k int) (shown []dupKey, dups int) {
-	var top dupHeap
-	for i := range t.entries {
-		if t.entries[i].count < 2 {
-			continue
-		}
-		dups++
-		switch key := t.key(i); {
-		case len(top) < k:
-			heap.Push(&top, dupKey{string(key), t.entries[i].count})
-		case k > 0 && string(key) < top[0].key:
-			top[0] = dupKey{string(key), t.entries[i].count}
-			heap.Fix(&top, 0)
-		}
-	}
-	sort.Slice(top, func(i, j int) bool { return top[i].key < top[j].key })
-	return top, dups
-}
-
-// dupKey is a duplicated key and its count.
-type dupKey struct {
-	key   string
-	count int64
-}
-
-// dupHeap is a max-heap of duplicated keys.
-type dupHeap []dupKey
-
-func (h dupHeap) Len() int           { return len(h) }
-func (h dupHeap) Less(i, j int) bool { return h[i].key > h[j].key }
-func (h dupHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *dupHeap) Push(x any)        { *h = append(*h, x.(dupKey)) }
-func (h *dupHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return e
 }
 
 // ---------------------------------------------------------------------------
@@ -818,9 +730,8 @@ type referentialState struct {
 }
 
 // ObserveBatch folds every row's foreign key, extracted column-wise: a
-// single-field key is probed by its cell, a multi-field key is built in
-// the scratch buffer — Ref[string(keyBuf)] does not allocate — and
-// becomes a string only if the missing-key tally keeps it.
+// single-field key is its cell, a multi-field key a view of the scratch
+// buffer, which the missing-key tally copies only if it keeps the key.
 func (s *referentialState) ObserveBatch(base int64, b *ColumnBatch) {
 	s.cols = keyCols(s.check.Fields, b, s.cols)
 	rows := b.Rows()
@@ -830,18 +741,16 @@ func (s *referentialState) ObserveBatch(base int64, b *ColumnBatch) {
 			s.blanks++
 			continue
 		}
+		var key string
 		if len(s.cols) == 1 {
-			key := s.cols[0].Raw[i]
-			if _, found := s.check.Ref[key]; !found {
-				s.misses++
-				s.missing.add(key, base+int64(i), 1)
-			}
-			continue
+			key = s.cols[0].Raw[i]
+		} else {
+			s.keyBuf = appendKey(s.keyBuf[:0], s.cols, i)
+			key = view(s.keyBuf)
 		}
-		s.keyBuf = appendKey(s.keyBuf[:0], s.cols, i)
-		if _, found := s.check.Ref[string(s.keyBuf)]; !found {
+		if _, found := s.check.Ref[key]; !found {
 			s.misses++
-			s.missing.addBytes(s.keyBuf, base+int64(i))
+			s.missing.add(key, base+int64(i), 1)
 		}
 	}
 }
