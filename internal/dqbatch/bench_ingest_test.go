@@ -1,6 +1,7 @@
 // Benchmarks for ingest: decode-only runs in fixed and shuffled key
-// order, end-to-end engine runs over a real NDJSON and CSV file, and the
-// uniqueness key handling before/after the hashed-table rewrite.
+// order and on perfbench's record shape, end-to-end engine runs over a
+// real NDJSON and CSV file, and the uniqueness key handling before/after
+// the hashed-table rewrite.
 // scripts/bench.sh parses them into BENCH_batch.json ratio keys
 // (file_csv_vs_ndjson, uniqueness_key_allocs_reduction).
 package dqbatch
@@ -16,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/modeldriven/dqwebre/internal/dqruntime"
 	"github.com/modeldriven/dqwebre/internal/obs"
@@ -91,6 +93,27 @@ func BenchmarkDecode(b *testing.B) {
 // next to BenchmarkDecode, it prices the miss path against the hit path.
 func BenchmarkDecodeShuffled(b *testing.B) {
 	benchDecode(b, string(benchNDJSONDocOrder(benchDataset(), rand.New(rand.NewSource(1)))))
+}
+
+// BenchmarkDecodeReviews decodes review records shaped like perfbench's
+// generator: seven quoted fields holding names, an e-mail address, small
+// signed integers, a paper id and an RFC 3339 timestamp, about 195 bytes
+// a line. BenchmarkDecode's five fields hold no number-looking strings or
+// timestamps, so this one prices the cells perfbench decodes.
+func BenchmarkDecodeReviews(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	firsts := []string{"Ada", "Grace", "Barbara", "Edsger", "Donald", "Frances", "Tony", "Leslie"}
+	lasts := []string{"Lovelace", "Hopper", "Liskov", "Dijkstra", "Knuth", "Allen", "Hoare", "Lamport"}
+	domains := []string{"uclm.es", "example.org", "univ.edu", "lab.example.com", "conf.example.net"}
+	now := time.Date(2025, 6, 1, 12, 0, 0, 0, time.UTC)
+	var doc bytes.Buffer
+	for i := 0; i < benchRecords; i++ {
+		fmt.Fprintf(&doc, `{"first_name":%q,"last_name":%q,"email_address":"r%d.%d@%s","overall_evaluation":"%d","reviewer_confidence":"%d","paper_id":"%d","submitted_at":%q}`+"\n",
+			firsts[rng.Intn(len(firsts))], lasts[rng.Intn(len(lasts))], 524287, i, domains[i%len(domains)],
+			rng.Intn(7)-3, rng.Intn(6), 1+rng.Intn(5000),
+			now.Add(-time.Duration(rng.Int63n(int64(160*time.Hour)))).Format(time.RFC3339))
+	}
+	benchDecode(b, doc.String())
 }
 
 // benchCSVDoc serializes records as CSV under a header of the

@@ -39,11 +39,11 @@ type Options struct {
 	// records, and this many goroutines decode them, so parsing overlaps
 	// evaluation for NDJSON and CSV alike. 1 decodes in input order on one
 	// goroutine — the sequential oracle. 0 or negative means GOMAXPROCS:
-	// decoding an NDJSON record costs about fifteen times what evaluating
-	// it does (0.49–0.52 µs against 34–35 ns in traced perfbench
-	// batch-file runs on a 2-vCPU Xeon), so the decode pool is what keeps
-	// every core busy, and a decoder left idle costs only one more chunk
-	// on the free list.
+	// decoding an NDJSON record costs about ten times what evaluating it
+	// does (0.33–0.35 µs against 30–32 ns in traced perfbench batch-file
+	// runs on a 2-vCPU Xeon), so the decode pool is what keeps every core
+	// busy, and a decoder left idle costs only one more chunk on the free
+	// list.
 	DecodeWorkers int
 	// MaxDecodeErrors caps the decode errors retained (with line numbers)
 	// in Result.DecodeErrors; 0 means 10, negative means none. Malformed

@@ -18,13 +18,16 @@ import (
 // Its fast path parses the common record shape — a flat JSON object of
 // unescaped strings, numbers and booleans — straight out of the span
 // bytes, skipping encoding/json's reflection and intermediate
-// map[string]any entirely. Anything unusual (escape sequences, invalid
-// UTF-8, null or nested values, duplicate keys, any syntax the scanner is
-// not certain about) bails out to slowDecodeLine, the json.Unmarshal +
-// scalarString oracle, so the accept/reject decision and every error text
-// are encoding/json's. TestFastDecodeMatchesSlow and FuzzFlatJSON pin
-// that equivalence line by line, FuzzFlatJSONSpan across the rows of a
-// whole span.
+// map[string]any entirely. A line that repeats its predecessor's keys
+// and layout passes each key in one comparison with a record template
+// (recordTemplate), so it scans only its values. Anything unusual (escape
+// sequences, invalid UTF-8, null or nested values, duplicate keys, any
+// syntax the scanner is not certain about) bails out to slowDecodeLine,
+// the json.Unmarshal + scalarString oracle, so the accept/reject decision
+// and every error text are encoding/json's. TestFastDecodeMatchesSlow and
+// FuzzFlatJSON pin that equivalence line by line; FuzzFlatJSONSpan and
+// TestTemplateMissAtEveryField pin it across the rows of a whole span,
+// where the template hits and misses.
 
 // view returns b as a string that shares b's bytes, so a decoded cell
 // costs no copy and no allocation. The string is valid only while those
@@ -39,12 +42,35 @@ import (
 // Scan overwrites; the cutters copy lines into the chunk's buffer first.
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
+// recordTemplate is the shape of the span's last line that decoded
+// completely on the fast path, for as many fields as it holds. Field k's
+// stretch is the bytes from just past the previous value (past its closing
+// quote), or from the line's start, through the colon, any whitespace and,
+// for a string, the opening quote: {"first_name":" then ,"last_name":".
+// col[k] is the column the field landed in. A line whose field k starts
+// with the same stretch is past its key in one bytes comparison, and that
+// is safe: the general key path accepted those very bytes, at the same
+// place in a record, as a plain-ASCII key and its colon, and within one
+// span a key always lands in the same column of the same batch. Only the
+// value is left to scan and check, and the duplicate-cell test still runs.
+// A stretch views the span's bytes, so a template lives for one
+// decodeNDJSONSpan call.
+type recordTemplate struct {
+	n       int
+	stretch [16][]byte
+	col     [16]int
+}
+
 // decodeNDJSONSpan decodes every line of sp into dst — fast path first,
 // slow path on bail — reporting malformed lines through bad in line order,
 // and returns the rows appended. Blank lines are skipped and a trailing CR
 // is stripped, as bufio.ScanLines does. Oversized lines cannot appear
 // here: the span cutters never put one in a span.
 func decodeNDJSONSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
+	// fastDecodeLine matches each line against tpl and records it in next,
+	// which replaces tpl only when the line decodes completely.
+	var tpls [2]recordTemplate
+	tpl, next := &tpls[0], &tpls[1]
 	data := sp.Data
 	line := sp.FirstLine - 1
 	n := 0
@@ -62,7 +88,8 @@ func decodeNDJSONSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, 
 		if len(trimSpaceBytes(raw)) == 0 {
 			continue
 		}
-		if fastDecodeLine(raw, dst) {
+		if fastDecodeLine(raw, dst, tpl, next) {
+			tpl, next = next, tpl
 			n++
 			continue
 		}
@@ -74,54 +101,77 @@ func decodeNDJSONSpan(sp Span, dst *dqruntime.ColumnBatch, bad func(line int64, 
 // fastDecodeLine decodes one line into dst as the current row. It returns
 // false — after rolling back any partially appended cells — when the line
 // needs the slow path; true means the row was appended (EndRow called).
-// It keeps no per-row state of its own: dst.SetFieldBytes reports a
-// duplicate key.
-func fastDecodeLine(raw []byte, dst *dqruntime.ColumnBatch) bool {
+// Field k first tries tpl's stretch k and takes the general key path on a
+// miss; either way the field is recorded in next. It keeps no per-row
+// state of its own: the batch reports a duplicate key.
+func fastDecodeLine(raw []byte, dst *dqruntime.ColumnBatch, tpl, next *recordTemplate) bool {
 	n := len(raw)
 	bail := func() bool {
 		dst.AbortRow()
 		return false
 	}
-	i := skipSpace(raw, 0)
-	if i >= n || raw[i] != '{' {
-		return bail()
-	}
-	i = skipSpace(raw, i+1)
-	if i < n && raw[i] == '}' {
-		// Empty object: a record with no fields, same as slowDecodeLine's
-		// empty map.
-		if skipSpace(raw, i+1) != n {
-			return bail()
-		}
-		dst.EndRow()
-		return true
-	}
-	for {
-		i = skipSpace(raw, i)
-		if i >= n || raw[i] != '"' {
-			return bail()
-		}
-		i++
-		keyStart := i
-		i += plainPrefix(raw[i:])
-		// An escaped, control or non-ASCII key byte stops the scan short of
-		// the closing quote: let encoding/json decode (and validate) it.
-		if i >= n || raw[i] != '"' {
-			return bail()
-		}
-		key := raw[keyStart:i]
-		i = skipSpace(raw, i+1)
-		if i >= n || raw[i] != ':' {
-			return bail()
-		}
-		i = skipSpace(raw, i+1)
-		if i >= n {
-			return bail()
-		}
-		var val string
-		switch c := raw[i]; {
-		case c == '"':
+	next.n = 0
+	i := 0
+	for k := 0; ; k++ {
+		from, col := i, -1
+		var key []byte
+		if k < tpl.n && bytes.HasPrefix(raw[i:], tpl.stretch[k]) {
+			i += len(tpl.stretch[k])
+			col = tpl.col[k]
+		} else {
+			i = skipSpace(raw, i)
+			if k == 0 {
+				if i >= n || raw[i] != '{' {
+					return bail()
+				}
+				i = skipSpace(raw, i+1)
+			}
+			if i < n && raw[i] == '}' {
+				// The record's end. At field 0 it is an empty object: a
+				// record with no fields, same as slowDecodeLine's empty map.
+				if skipSpace(raw, i+1) != n {
+					return bail()
+				}
+				dst.EndRow()
+				return true
+			}
+			if k > 0 {
+				if i >= n || raw[i] != ',' {
+					return bail()
+				}
+				i = skipSpace(raw, i+1)
+			}
+			if i >= n || raw[i] != '"' {
+				return bail()
+			}
 			i++
+			keyStart := i
+			i += plainPrefix(raw[i:])
+			// An escaped, control or non-ASCII key byte stops the scan short
+			// of the closing quote: let encoding/json decode (and validate)
+			// it.
+			if i >= n || raw[i] != '"' {
+				return bail()
+			}
+			key = raw[keyStart:i]
+			i = skipSpace(raw, i+1)
+			if i >= n || raw[i] != ':' {
+				return bail()
+			}
+			i++
+		}
+		// Past the colon, unless the stretch took in a string's opening
+		// quote: the value starts after any whitespace, and a string's
+		// content after its quote.
+		if raw[i-1] != '"' {
+			i = skipSpace(raw, i)
+			if i < n && raw[i] == '"' {
+				i++
+			}
+		}
+		stretch := raw[from:i]
+		var val string
+		if raw[i-1] == '"' {
 			start := i
 			ascii := true
 			for {
@@ -148,52 +198,53 @@ func fastDecodeLine(raw []byte, dst *dqruntime.ColumnBatch) bool {
 				return bail()
 			}
 			val = view(vb)
-		case c == 't':
-			if n-i < 4 || string(raw[i:i+4]) != "true" {
+		} else {
+			if i >= n {
 				return bail()
 			}
-			val = "true"
-			i += 4
-		case c == 'f':
-			if n-i < 5 || string(raw[i:i+5]) != "false" {
+			switch c := raw[i]; {
+			case c == 't':
+				if n-i < 4 || string(raw[i:i+4]) != "true" {
+					return bail()
+				}
+				val = "true"
+				i += 4
+			case c == 'f':
+				if n-i < 5 || string(raw[i:i+5]) != "false" {
+					return bail()
+				}
+				val = "false"
+				i += 5
+			case c == '-' || (c >= '0' && c <= '9'):
+				tok, rest, ok := scanJSONNumber(raw[i:])
+				if !ok {
+					return bail()
+				}
+				i = n - len(rest)
+				val, ok = renderNumber(tok)
+				if !ok {
+					return bail()
+				}
+			default:
+				// null, nested objects/arrays, or garbage: the slow path
+				// either produces the canonical "unsupported value type"
+				// record error or the canonical decode error.
 				return bail()
 			}
-			val = "false"
-			i += 5
-		case c == '-' || (c >= '0' && c <= '9'):
-			tok, rest, ok := scanJSONNumber(raw[i:])
-			if !ok {
+		}
+		// A duplicate key bails: map semantics keep the last value, and
+		// only the slow path reproduces that.
+		if col < 0 {
+			if col = dst.SetFieldBytes(key, val); col < 0 {
 				return bail()
 			}
-			i = n - len(rest)
-			val, ok = renderNumber(tok)
-			if !ok {
-				return bail()
-			}
-		default:
-			// null, nested objects/arrays, or garbage: the slow path either
-			// produces the canonical "unsupported value type" record error
-			// or the canonical decode error.
+		} else if !dst.SetFieldAt(col, val) {
 			return bail()
 		}
-		if !dst.SetFieldBytes(key, val) {
-			// Duplicate key: map semantics keep the last value; only the
-			// slow path reproduces that.
-			return bail()
+		if k < len(next.col) {
+			next.stretch[k], next.col[k] = stretch, col
+			next.n = k + 1
 		}
-		i = skipSpace(raw, i)
-		if i >= n {
-			return bail()
-		}
-		if raw[i] == ',' {
-			i++
-			continue
-		}
-		if raw[i] != '}' || skipSpace(raw, i+1) != n {
-			return bail()
-		}
-		dst.EndRow()
-		return true
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 func checkFastMatchesSlow(t *testing.T, raw []byte) bool {
 	t.Helper()
 	var fast, slow dqruntime.ColumnBatch
-	if !fastDecodeLine(raw, &fast) {
+	if !fastDecodeLine(raw, &fast, &recordTemplate{}, &recordTemplate{}) {
 		for _, c := range fast.Columns() {
 			if fast.Rows() != 0 || len(c.Raw) != 0 {
 				t.Fatalf("fast path bailed on %q but left cells behind", raw)
@@ -52,6 +52,10 @@ func trickyLines() [][]byte {
 	return out
 }
 
+// TestFastDecodeMatchesSlow holds each fixture line, decoded alone with an
+// empty record template, to the oracle. Lines decoded against their
+// predecessor's template are held to it by TestTemplateMissAtEveryField
+// and FuzzFlatJSONSpan.
 func TestFastDecodeMatchesSlow(t *testing.T) {
 	accepted := 0
 	for _, raw := range trickyLines() {
@@ -161,9 +165,103 @@ func FuzzFlatJSONSpan(f *testing.F) {
 	} {
 		f.Add([]byte(doc))
 	}
+	for _, doc := range templateMissSpans() {
+		f.Add([]byte(doc))
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		checkSpanMatchesSlow(t, doc)
 	})
+}
+
+// templateMissSpans returns three-line spans, base record, variant, base
+// record, where the variant departs from the base at one field k, for
+// every k of a six-field base with string, number and Boolean values,
+// written compact and spaced. The variant's record template is the
+// base's, so it hits on every field before k, and field k and what
+// follows it must decode exactly as the oracle does, whether they hit,
+// miss or bail. The variants:
+//   - whitespace added or removed around k's colon or the separator
+//     before k;
+//   - k's key renamed, extended, swapped with the next key, or made a
+//     duplicate of an earlier or of the next key (the next field's
+//     template hit then lands in a column the row already filled);
+//   - k's value turned into a string, number, Boolean, null or array, or
+//     a string with an escape, a control byte, or valid or invalid
+//     non-ASCII;
+//   - k dropped, a field added after k, the line cut inside k's value,
+//     and bytes after the closing brace.
+func templateMissSpans() []string {
+	type field struct{ sep, key, colon, val string }
+	render := func(fs []field, tail string) string {
+		var b strings.Builder
+		for _, f := range fs {
+			b.WriteString(f.sep + `"` + f.key + `"` + f.colon + f.val)
+		}
+		return b.String() + tail
+	}
+	var spans []string
+	for _, style := range []struct{ open, comma, colon string }{{"{", ",", ":"}, {"{ ", " , ", " : "}} {
+		var base []field
+		for i, kv := range [][2]string{{"name", `"Ada"`}, {"age", "36"}, {"ok", "true"},
+			{"email", `"ada@example.org"`}, {"score", "-1.5"}, {"city", `"London"`}} {
+			sep := style.comma
+			if i == 0 {
+				sep = style.open
+			}
+			base = append(base, field{sep, kv[0], style.colon, kv[1]})
+		}
+		baseLine := render(base, "}")
+		add := func(variant string) {
+			spans = append(spans, baseLine+"\n"+variant+"\n"+baseLine)
+		}
+		for k := range base {
+			vary := func(edit func(fs []field)) {
+				fs := append([]field(nil), base...)
+				edit(fs)
+				add(render(fs, "}"))
+			}
+			f := base[k]
+			for _, ws := range []string{" " + f.colon, f.colon + " ", strings.TrimSpace(f.colon)} {
+				vary(func(fs []field) { fs[k].colon = ws })
+			}
+			for _, ws := range []string{" " + f.sep, f.sep + " ", strings.TrimSpace(f.sep)} {
+				vary(func(fs []field) { fs[k].sep = ws })
+			}
+			vary(func(fs []field) { fs[k].key = "zz" })
+			vary(func(fs []field) { fs[k].key += "b" })
+			vary(func(fs []field) { fs[k].key = base[0].key })
+			if k+1 < len(base) {
+				vary(func(fs []field) { fs[k].key, fs[k+1].key = fs[k+1].key, fs[k].key })
+				vary(func(fs []field) { fs[k].key = base[k+1].key })
+			}
+			for _, v := range []string{`"s"`, "7", "false", "null", "[]", `"a\"b"`, `"\u00e9"`,
+				"\"a\x01b\"", `"é"`, "\"\xff\""} {
+				vary(func(fs []field) { fs[k].val = v })
+			}
+			dropped := append(append([]field(nil), base[:k]...), base[k+1:]...)
+			if k == 0 {
+				dropped[0].sep = style.open
+			}
+			add(render(dropped, "}"))
+			added := append(append([]field(nil), base[:k+1]...), field{style.comma, "extra", style.colon, `"x"`})
+			add(render(append(added, base[k+1:]...), "}"))
+			cut := append([]field(nil), base[:k+1]...)
+			cut[k].val = cut[k].val[:len(cut[k].val)-1]
+			add(render(cut, ""))
+		}
+		add(render(base, "} x"))
+		add(render(base, "}}"))
+	}
+	return spans
+}
+
+// TestTemplateMissAtEveryField holds the record template to the
+// line-by-line oracle wherever a line departs from its predecessor (see
+// templateMissSpans).
+func TestTemplateMissAtEveryField(t *testing.T) {
+	for _, doc := range templateMissSpans() {
+		checkSpanMatchesSlow(t, []byte(doc))
+	}
 }
 
 // TestPlainPrefixMatchesByteRule holds the word-at-a-time scan to the
@@ -201,24 +299,31 @@ func TestPlainPrefixMatchesByteRule(t *testing.T) {
 
 // TestDecodeSpanAllocs pins the views: decoding a span of strings, plain
 // integers and booleans into a warmed batch allocates nothing, as no cell
-// is copied out of the span.
+// is copied out of the span and the record template lives on the stack.
+// That holds whether every line hits the template (one key order) or
+// misses it (lines alternate between two key orders).
 func TestDecodeSpanAllocs(t *testing.T) {
-	var doc bytes.Buffer
-	for i := 0; i < 256; i++ {
-		fmt.Fprintf(&doc, `{"name": "user %d", "email": "u%d@example.org", "score": %d, "ok": %t}`+"\n",
-			i, i, i%11-5, i%2 == 0)
-	}
-	sp := Span{Data: doc.Bytes(), FirstLine: 1}
-	var batch dqruntime.ColumnBatch
-	bad := func(line int64, err error) { t.Fatalf("line %d malformed: %v", line, err) }
-	decode := func() {
-		batch.Reset()
-		if n := decodeNDJSONSpan(sp, &batch, bad); n != 256 {
-			t.Fatalf("decoded %d rows, want 256", n)
+	for _, orders := range [][]string{
+		{`{"name": "user %d", "email": "u%d@example.org", "score": %d, "ok": %t}`},
+		{`{"name": "user %d", "email": "u%d@example.org", "score": %d, "ok": %t}`,
+			`{"email": "u%[2]d@example.org", "ok": %[4]t, "name": "user %[1]d", "score": %[3]d}`},
+	} {
+		var doc bytes.Buffer
+		for i := 0; i < 256; i++ {
+			fmt.Fprintf(&doc, orders[i%len(orders)]+"\n", i, i, i%11-5, i%2 == 0)
 		}
-	}
-	decode()
-	if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
-		t.Fatalf("decoding a span into a warmed batch made %v allocations, want 0", allocs)
+		sp := Span{Data: doc.Bytes(), FirstLine: 1}
+		var batch dqruntime.ColumnBatch
+		bad := func(line int64, err error) { t.Fatalf("line %d malformed: %v", line, err) }
+		decode := func() {
+			batch.Reset()
+			if n := decodeNDJSONSpan(sp, &batch, bad); n != 256 {
+				t.Fatalf("decoded %d rows, want 256", n)
+			}
+		}
+		decode()
+		if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
+			t.Fatalf("decoding a span of %d key orders into a warmed batch made %v allocations, want 0", len(orders), allocs)
+		}
 	}
 }

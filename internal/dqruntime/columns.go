@@ -84,7 +84,8 @@ func (c *Column) Bool(r int) bool { return c.vals[r] != 0 }
 //   - anything else (hex floats, underscores, 19+ digits) gets the trial
 //     parse.
 //
-// FuzzClassifyCell holds it to the trial parse for any string.
+// FuzzClassifyCell holds it, through appendCell, to the trial parse for
+// any string.
 func classifyNumber(s string) (CellKind, int64, float64) {
 	body := s
 	if len(body) > 0 && (body[0] == '+' || body[0] == '-') {
@@ -100,10 +101,7 @@ func classifyNumber(s string) (CellKind, int64, float64) {
 	}
 	switch digits := leadingDigits(body); {
 	case digits == len(body) && digits <= 18:
-		var n int64
-		for i := 0; i < len(body); i++ {
-			n = n*10 + int64(body[i]-'0')
-		}
+		n := digitsValue(body)
 		if s[0] == '-' {
 			n = -n
 		}
@@ -139,6 +137,16 @@ func specialFloat(body string) bool {
 		return strings.EqualFold(body, "infinity")
 	}
 	return false
+}
+
+// digitsValue returns the value of s, at most 18 ASCII digits, which
+// cannot overflow an int64.
+func digitsValue(s string) int64 {
+	var n int64
+	for i := 0; i < len(s); i++ {
+		n = n*10 + int64(s[i]-'0')
+	}
+	return n
 }
 
 // leadingDigits returns the length of s's leading run of ASCII digits.
@@ -180,25 +188,50 @@ func isDecimalFloat(body string, intDigits int) bool {
 	return i == len(body)
 }
 
-// appendCell classifies and appends one present cell.
+// textStart flags the first bytes that make a cell CellString at once:
+// printable ASCII ('!' through DEL) other than a sign, a digit, '.' and
+// the t, f, i, I, n and N that begin true, false, inf and nan.
+// strings.TrimSpace keeps such a byte, and neither the Boolean test nor
+// classifyNumber accepts a cell that starts with it.
+var textStart = func() (t [256]bool) {
+	for c := '!'; c <= 0x7f; c++ {
+		t[c] = true
+	}
+	for _, c := range "+-.0123456789tfiInN" {
+		t[c] = false
+	}
+	return t
+}()
+
+// appendCell classifies and appends one present cell. The first byte
+// settles most cells: text at once (textStart), or an unsigned integer of
+// at most 18 digits parsed inline. Any other cell is trimmed, then tested
+// for blank, Boolean and number (classifyNumber) in that order.
 func (c *Column) appendCell(raw string) {
-	trimmed := strings.TrimSpace(raw)
 	kind := CellString
 	var v uint64
-	switch trimmed {
-	case "":
+	switch {
+	case raw == "":
 		kind = CellBlank
-	case "true":
-		kind, v = CellBool, 1
-	case "false":
-		kind = CellBool
+	case textStart[raw[0]]:
+	case len(raw) <= 18 && leadingDigits(raw) == len(raw):
+		kind, v = CellInt, uint64(digitsValue(raw))
 	default:
-		var iv int64
-		var fv float64
-		kind, iv, fv = classifyNumber(trimmed)
-		v = uint64(iv)
-		if kind == CellFloat {
-			v = math.Float64bits(fv)
+		switch trimmed := strings.TrimSpace(raw); trimmed {
+		case "":
+			kind = CellBlank
+		case "true":
+			kind, v = CellBool, 1
+		case "false":
+			kind = CellBool
+		default:
+			var iv int64
+			var fv float64
+			kind, iv, fv = classifyNumber(trimmed)
+			v = uint64(iv)
+			if kind == CellFloat {
+				v = math.Float64bits(fv)
+			}
 		}
 	}
 	c.Kinds = append(c.Kinds, kind)
@@ -358,9 +391,10 @@ func (b *ColumnBatch) SetField(name, raw string) {
 // map only on a miss. Neither path allocates once the column exists, so
 // steady-state decoding never materializes the key. The batch stores raw
 // as given, without copying it, so a decoder may pass a string that views
-// its input. It returns false, appending nothing, when the row already
-// holds a cell for name — a duplicate key, found in O(1).
-func (b *ColumnBatch) SetFieldBytes(name []byte, raw string) bool {
+// its input. It returns the index of the column the cell landed in, or
+// -1, appending nothing, when the row already holds a cell for name — a
+// duplicate key, found in O(1).
+func (b *ColumnBatch) SetFieldBytes(name []byte, raw string) int {
 	i := b.next
 	if i >= len(b.cols) || b.cols[i].Name != string(name) {
 		var ok bool
@@ -368,6 +402,17 @@ func (b *ColumnBatch) SetFieldBytes(name []byte, raw string) bool {
 			i = b.addCol(b.nextName(name))
 		}
 	}
+	if !b.SetFieldAt(i, raw) {
+		return -1
+	}
+	return i
+}
+
+// SetFieldAt is SetFieldBytes for a decoder that already knows the
+// field's column: an index SetFieldBytes returned since the last Reset.
+// It returns false, appending nothing, when the row already holds a cell
+// in that column.
+func (b *ColumnBatch) SetFieldAt(i int, raw string) bool {
 	c := &b.cols[i]
 	if len(c.Kinds) > b.rows {
 		return false

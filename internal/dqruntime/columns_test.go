@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -333,23 +334,47 @@ func trialClassify(s string) (CellKind, int64, float64) {
 	return CellString, 0, 0
 }
 
-// FuzzClassifyCell holds classifyNumber to the trial-parse oracle: same
-// kind, same integer, same float bits, for any string.
+// FuzzClassifyCell holds the whole cell classifier, Column.appendCell,
+// to the trial parse for any string: after strings.TrimSpace, "" is
+// CellBlank, "true" and "false" are CellBool, and anything else has
+// trialClassify's kind and value. It compares the kind and the parsed
+// value slot, so it covers the first-byte rules, classifyNumber and the
+// trim alike. The seeds include the first bytes the text rule must not
+// take (t, n, i, I, N, signs) and the spaces it must leave to the trim.
 func FuzzClassifyCell(f *testing.F) {
 	for _, s := range []string{
 		"Ada", "Tony", "id-123", "2025-05-30", "-0", "+Inf", "0x1p-2", "1_000",
 		".5", "5.", "1e", "1e400", "nan", "-infinity", "+nan", "0x", "-", "",
 		"1234567890123456789", "12345678901234567890",
 		"9223372036854775807", "-9223372036854775808", "9223372036854775808",
+		"true", "false", "t", "n", "Inf", "+7", " 7", "7 ", "\u00a07", "@x", "~", "\x7f",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		kind, n, x := classifyNumber(s)
-		wantKind, wantN, wantX := trialClassify(s)
-		if kind != wantKind || n != wantN || math.Float64bits(x) != math.Float64bits(wantX) {
-			t.Fatalf("classifyNumber(%q) = (%d, %d, %v), trial parse gives (%d, %d, %v)",
-				s, kind, n, x, wantKind, wantN, wantX)
+		var c Column
+		c.appendCell(s)
+		var wantKind CellKind
+		var wantVal uint64
+		switch trimmed := strings.TrimSpace(s); trimmed {
+		case "":
+			wantKind = CellBlank
+		case "true":
+			wantKind, wantVal = CellBool, 1
+		case "false":
+			wantKind = CellBool
+		default:
+			var n int64
+			var x float64
+			wantKind, n, x = trialClassify(trimmed)
+			wantVal = uint64(n)
+			if wantKind == CellFloat {
+				wantVal = math.Float64bits(x)
+			}
+		}
+		if c.Kinds[0] != wantKind || c.vals[0] != wantVal || c.Raw[0] != s {
+			t.Fatalf("appendCell(%q) = kind %d, value %#x, trial parse gives kind %d, value %#x",
+				s, c.Kinds[0], c.vals[0], wantKind, wantVal)
 		}
 	})
 }
