@@ -16,6 +16,8 @@ import (
 // 100k rows in engine-sized chunks, 90k distinct e-mail addresses, paper
 // ids drawn from a 5000-key reference set with 1500 dangling, and
 // distinct RFC 3339 timestamps up to ten days old.
+// BenchmarkCrossMergeUnique adds the merge of two uniqueness states and
+// the finding over the same batches.
 const (
 	crossBenchRows     = 100_000
 	crossBenchEmails   = 90_000
@@ -86,4 +88,33 @@ func BenchmarkCrossObserveTimeliness(b *testing.B) {
 		Windows: []time.Duration{24 * time.Hour, 168 * time.Hour},
 		Now:     func() time.Time { return crossBenchNow },
 	})
+}
+
+// crossFinding keeps BenchmarkCrossMergeUnique's last finding, so the
+// compiler cannot drop the work that renders it.
+var crossFinding dqruntime.CrossFinding
+
+// BenchmarkCrossMergeUnique sends the batches alternately to two
+// uniqueness states, then merges them and renders the finding, as
+// perfbench's cross_merge layer does for a two-worker run.
+func BenchmarkCrossMergeUnique(b *testing.B) {
+	batches := crossBenchBatches()
+	c := dqruntime.UniquenessCheck{Fields: []string{"email_address"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := c.NewStates(2, 3)
+		base := int64(1)
+		for j, batch := range batches {
+			st[j%2].ObserveBatch(base, batch)
+			base += int64(batch.Rows())
+		}
+		st[0].Merge(st[1])
+		crossFinding = st[0].Finding()
+	}
+	b.StopTimer()
+	if crossFinding.Violations != crossBenchRows-crossBenchEmails {
+		b.Fatalf("violations = %d, want %d", crossFinding.Violations, crossBenchRows-crossBenchEmails)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*crossBenchRows), "ns/record")
 }

@@ -11,6 +11,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -255,6 +259,59 @@ func TestCSVDecodeErrorFileLines(t *testing.T) {
 		}
 		if len(lines) != 3 || lines[0] != 4 || lines[1] != 6 || lines[2] != 9 {
 			t.Fatalf("rowOracle=%v: decode error lines = %v, want [4 6 9]", rowOracle, lines)
+		}
+	}
+}
+
+// TestBuildKeySetMatchesKeyOf: over random reference records, the set
+// BuildKeySet folds from whole columns equals the set of KeyOf over each
+// decoded row's RowView. The records leave fields absent, hold blank,
+// NBSP and U+001F cells and a malformed line now and then, and the keys
+// run over one to three fields, one of which may be in no record at all.
+func TestBuildKeySetMatchesKeyOf(t *testing.T) {
+	parts := []string{"", " ", "\u00a0", "x", "y", "é", "\x1f", "x\x1fy", "\x1f\x1f"}
+	names := []string{"a", "b", "c", "absent"}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 40; round++ {
+		var doc strings.Builder
+		for i := rng.Intn(1500); i > 0; i-- {
+			if rng.Intn(50) == 0 {
+				doc.WriteString("{bad json\n")
+				continue
+			}
+			rec := map[string]string{}
+			for _, f := range names[:3] {
+				if rng.Intn(4) > 0 {
+					rec[f] = parts[rng.Intn(len(parts))] + strconv.Itoa(rng.Intn(1+rng.Intn(40)))
+					if rng.Intn(3) == 0 {
+						rec[f] = parts[rng.Intn(len(parts))]
+					}
+				}
+			}
+			line, _ := json.Marshal(rec)
+			doc.Write(append(line, '\n'))
+		}
+		fields := make([]string, 1+rng.Intn(3))
+		for i := range fields {
+			fields[i] = names[rng.Intn(len(names))]
+		}
+
+		want := map[string]struct{}{}
+		src := NewNDJSONSource(strings.NewReader(doc.String()))
+		var buf []byte
+		if sp, err := src.CutSpan(&buf, math.MaxInt); err == nil {
+			var batch dqruntime.ColumnBatch
+			src.DecodeSpan(sp, &batch, func(int64, error) {})
+			for i := 0; i < batch.Rows(); i++ {
+				want[dqruntime.KeyOf(fields, batch.RowView(i, dqruntime.Record{}))] = struct{}{}
+			}
+		}
+		got, err := BuildKeySet(context.Background(), NewNDJSONSource(strings.NewReader(doc.String())), fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("round %d, fields %q: BuildKeySet holds %d keys, KeyOf oracle %d", round, fields, len(got), len(want))
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"sort"
 	"strconv"
 	"unicode/utf8"
 	"unsafe"
@@ -36,10 +37,10 @@ import (
 // writes a chunk's span buffer again only after an eval worker has
 // returned the chunk to the free list and the producer has reset its
 // batch, and BuildKeySet resets its batch before each cut. A cell that
-// must outlive its chunk is copied where it is kept: uniqTable.insertAt,
-// keyTally.insert, ColumnBatch.RowView and NextBatch's fresh span
-// storage. b must never be a bufio.Scanner's own buffer, which the next
-// Scan overwrites; the cutters copy lines into the chunk's buffer first.
+// must outlive its chunk is copied where it is kept: uniqTable.put,
+// keyTally.insert, dqruntime.AddKeys, ColumnBatch.RowView and NextBatch's
+// fresh span storage. b must never be a bufio.Scanner's own buffer, which
+// the next Scan overwrites; the cutters copy lines into the chunk first.
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // recordTemplate is the shape of the span's last line that decoded
@@ -365,15 +366,20 @@ func renderNumber(tok []byte) (string, bool) {
 // slowDecodeLine is the canonical per-line decode the fast path defers to:
 // json.Unmarshal + scalarString, appending the row to dst on success and
 // reporting the decode error through bad otherwise. Returns 1 when a row
-// was appended.
+// was appended. Fields go in key order: an error names the smallest bad key.
 func slowDecodeLine(raw []byte, line int64, dst *dqruntime.ColumnBatch, bad func(line int64, err error)) int {
 	var obj map[string]any
 	if err := json.Unmarshal(raw, &obj); err != nil {
 		bad(line, err)
 		return 0
 	}
-	for k, v := range obj {
-		str, err := scalarString(v)
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		str, err := scalarString(obj[k])
 		if err != nil {
 			bad(line, fmt.Errorf("field %q: %w", k, err))
 			dst.AbortRow()

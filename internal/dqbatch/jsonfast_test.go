@@ -140,6 +140,21 @@ func checkSpanMatchesSlow(t *testing.T, doc []byte) {
 	}
 }
 
+// TestSlowDecodeNamesSmallestKey: a line with several values the slow
+// path rejects gets an error naming the smallest of their keys, on every
+// decode, whatever order Go's map iteration takes.
+func TestSlowDecodeNamesSmallestKey(t *testing.T) {
+	raw := []byte(`{"b":null,"a":[1]}`)
+	for i := 0; i < 100; i++ {
+		var batch dqruntime.ColumnBatch
+		var got error
+		n := decodeNDJSONSpan(Span{Data: raw, FirstLine: 1}, &batch, func(_ int64, err error) { got = err })
+		if n != 0 || got == nil || !strings.HasPrefix(got.Error(), `field "a": `) {
+			t.Fatalf("decode %d: %d rows, error %v; want field \"a\" named", i, n, got)
+		}
+	}
+}
+
 // FuzzFlatJSONSpan holds a whole span's decode to the line-by-line
 // encoding/json oracle (see checkSpanMatchesSlow). The seeds repeat, drop,
 // permute and duplicate keys, put "a" next to "ab", and create columns on
@@ -162,6 +177,8 @@ func FuzzFlatJSONSpan(f *testing.F) {
 		`{"a\u0062":"1"}` + "\n" + `{"ab":"2","a":"3"}` + "\n" + `{"a":"4","a\u0062":"5"}` + "\n" + `{"ab":"6","ab":"7"}`,
 		// AbortRow past row 0, after a new column and after a hit
 		`{"a":"1"}` + "\n" + `{"a":"2","new":"x","z":[1]}` + "\n" + `{"a":"3","b":null}` + "\r\n" + `{"new":"y","a":"4"}`,
+		// two values the slow path rejects: the error names the smaller key
+		"A\n{\"\":null,\"B\":null}\r",
 	} {
 		f.Add([]byte(doc))
 	}

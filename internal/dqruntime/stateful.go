@@ -125,13 +125,25 @@ func appendKey(buf []byte, cols []*Column, i int) []byte {
 	return buf
 }
 
+// AddKeys adds each row's key over fields, exactly as KeyOf builds it, to
+// set; a key is probed in a scratch buffer and copied only if new.
+func AddKeys(set map[string]struct{}, fields []string, b *ColumnBatch) {
+	cols, buf := keyCols(fields, b, nil), []byte(nil)
+	for i := 0; i < b.Rows(); i++ {
+		buf = appendKey(buf[:0], cols, i)
+		if _, ok := set[string(buf)]; !ok {
+			set[string(buf)] = struct{}{}
+		}
+	}
+}
+
 // view returns b as a string that shares b's bytes, so a key built in a
 // reused scratch buffer is probed, hashed and compared as a string without
 // a copy. Such a view is valid only during the call it is passed to: the
 // next appendKey into the buffer rewrites it. Everything that keeps a key
-// copies it — uniqTable.insertAt appends it to the arena, keyTally.insert
+// copies it — uniqTable.put copies it into a key block, keyTally.insert
 // clones it — while the Bloom filter and the Ref probe only read it.
-// (uniqTable.key views the arena, which is never rewritten.)
+// (uniqTable.key views a key block, which is never rewritten.)
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // blankAt reports whether row i's key is blank: every key column is
@@ -350,57 +362,61 @@ var tableSeed = maphash.MakeSeed()
 
 func tableHash(key string) uint64 { return maphash.String(tableSeed, key) }
 
-// uniqEntry is one distinct key: its hash, its count and the end of its
-// bytes in the table's arena (they start where the previous entry's end).
+// A page holds 512 entries (12 KiB), a block 64 KiB of keys. A key over a
+// quarter block gets a block of its own, and locLen as its loc's length:
+// the whole block.
+const (
+	uniqPageBits = 9
+	uniqPageLen  = 1 << uniqPageBits
+	uniqBlockLen = 64 << 10
+	locLen       = 1<<20 - 1
+)
+
+// uniqEntry is one distinct key: its hash, its count and where its bytes
+// lie, as block<<40 | offset<<20 | length. A count of 0 marks a hole.
 type uniqEntry struct {
 	hash  uint64
 	count int64
-	end   int
+	loc   uint64
 }
 
-// uniqTable counts key occurrences. Its entries are dense, in insertion
-// order, with every key's bytes copied into one arena, and an
-// open-addressed index of 8-byte slots with linear probing finds them. A
-// slot holds the high half of its key's hash beside the entry's position,
-// so a probe reads an entry only when that half matches: a new key
-// touches nothing but the index. Nothing in the table is a pointer, so
-// the garbage collector never scans it, and the hot path of a
-// high-duplication dataset allocates nothing. The hash is the runtime's
-// own string hash (hash/maphash).
+// uniqTable counts key occurrences. Entries sit in fixed pages and key
+// bytes in blocks, never copied once written, so growth rebuilds only the
+// index: open-addressed 8-byte slots, probed linearly, each holding the
+// high half of its key's hash beside the entry's number, so a probe reads
+// an entry only when that half matches. Only the page and block lists
+// hold pointers, a repeat key allocates nothing; the zero table is empty.
 type uniqTable struct {
-	slots   []uint64    // 0 = empty, else hash>>32<<32 | entry position+1
-	entries []uniqEntry // one per distinct key
-	arena   []byte      // the keys' bytes, in entry order
-}
-
-// init sizes the table for about hint distinct keys.
-func (t *uniqTable) init(hint int) {
-	size := 16
-	for size*3/4 < hint && size < 1<<62 {
-		size <<= 1
-	}
-	t.rehash(size)
+	slots  []uint64 // 0 = empty, else hash>>32<<32 | entry number+1
+	pages  []*[uniqPageLen]uniqEntry
+	n      int // entry numbers taken, holes included
+	keys   int // distinct keys
+	blocks [][]byte
+	shared []byte // blocks[cur], which takes short keys from tail on
+	cur    uint64
+	tail   int
 }
 
 // len returns the number of distinct keys.
-func (t *uniqTable) len() int { return len(t.entries) }
+func (t *uniqTable) len() int { return t.keys }
 
-// key returns entry i's key, viewing the arena. The view stays valid for
-// good: the arena's bytes are never rewritten, since appends write past
-// its length and growth copies to a new array, so the table's keys are
-// read in place, never copied out.
-func (t *uniqTable) key(i int) string {
-	start := 0
-	if i > 0 {
-		start = t.entries[i-1].end
+func (t *uniqTable) entry(n int) *uniqEntry { return &t.pages[n>>uniqPageBits][n&(uniqPageLen-1)] }
+
+// key returns e's key, viewing its block. The view stays valid for good:
+// block bytes are never rewritten (the first block's doubling copies into
+// a new array), so the table's keys are read in place, never copied out.
+func (t *uniqTable) key(e *uniqEntry) string {
+	b := t.blocks[e.loc>>40]
+	if n := e.loc & locLen; n < locLen {
+		b = b[e.loc>>20&locLen:][:n]
 	}
-	return view(t.arena[start:t.entries[i].end])
+	return view(b)
 }
 
-// growTo widens the table to hold about hint keys in one rehash, skipping
-// the intermediate doublings; a no-op when already large enough.
+// growTo sizes the index for about hint keys in one rehash, skipping the
+// intermediate doublings; a no-op when it is already large enough.
 func (t *uniqTable) growTo(hint int) {
-	size := len(t.slots)
+	size := max(16, len(t.slots))
 	for size*3/4 < hint {
 		size <<= 1
 	}
@@ -409,57 +425,103 @@ func (t *uniqTable) growTo(hint int) {
 	}
 }
 
-// find probes for (h, key): found means entries[at] holds it; otherwise
-// at is the empty slot where an insert of the key belongs.
-func (t *uniqTable) find(h uint64, key string) (at int, found bool) {
+// find probes for (h, key): a non-nil e is the entry holding it;
+// otherwise slot is the empty slot where an insert of the key belongs.
+func (t *uniqTable) find(h uint64, key string) (e *uniqEntry, slot int) {
 	mask := len(t.slots) - 1
 	for i := int(h) & mask; ; i = (i + 1) & mask {
 		s := t.slots[i]
 		if s == 0 {
-			return i, false
+			return nil, i
 		}
-		if e := int(uint32(s)) - 1; s>>32 == h>>32 && t.entries[e].hash == h && t.key(e) == key {
-			return e, true
+		if s>>32 == h>>32 {
+			if e := t.entry(int(uint32(s)) - 1); e.hash == h && t.key(e) == key {
+				return e, i
+			}
 		}
 	}
 }
 
-// insertAt copies key into the arena as a new entry, points the empty
-// slot find returned at it and keeps the load factor under 3/4.
-func (t *uniqTable) insertAt(slot int, h uint64, key string, count int64) {
-	if len(t.entries) == math.MaxUint32 {
+// link points the empty slot find returned at entry n, a new key.
+func (t *uniqTable) link(slot int, h uint64, n int) {
+	if n >= math.MaxUint32 {
 		panic("dqruntime: more distinct keys than a uniqTable slot can index")
 	}
-	t.arena = append(t.arena, key...)
-	t.entries = append(t.entries, uniqEntry{hash: h, count: count, end: len(t.arena)})
-	t.slots[slot] = h>>32<<32 | uint64(len(t.entries))
-	if len(t.entries) >= len(t.slots)*3/4 {
+	t.slots[slot] = h>>32<<32 | uint64(n+1)
+	t.keys++
+}
+
+// insertAt adds the key at loc as a new entry, links the empty slot find
+// returned to it and keeps the load factor under 3/4.
+func (t *uniqTable) insertAt(slot int, h, loc uint64, count int64) {
+	if t.n>>uniqPageBits == len(t.pages) {
+		t.pages = append(t.pages, new([uniqPageLen]uniqEntry))
+	}
+	*t.entry(t.n) = uniqEntry{hash: h, count: count, loc: loc}
+	t.link(slot, h, t.n)
+	t.n++
+	if t.keys >= len(t.slots)*3/4 {
 		t.rehash(len(t.slots) * 2)
 	}
 }
 
-// rehash rebuilds the index at size slots from the dense entries, and
-// gives the entries and the arena room for every key that fits before the
-// next rehash (at the mean key length so far), so the table's storage
-// grows in the index's doublings, not in append's smaller steps.
-func (t *uniqTable) rehash(size int) {
-	fit := size * 3 / 4
-	meanKey := 16
-	if n := len(t.entries); n > 0 {
-		meanKey = (len(t.arena) + n - 1) / n
+// put copies key into the blocks and returns its loc. The shared block
+// starts at 1 KiB and doubles into a new array in its place, which keeps
+// its keys' locs, until it is a whole block; then a new one follows.
+func (t *uniqTable) put(key string) uint64 {
+	if len(key) > uniqBlockLen/4 {
+		t.blocks = append(t.blocks, []byte(key))
+		return uint64(len(t.blocks)-1)<<40 | locLen
 	}
-	t.entries = slices.Grow(t.entries, fit-len(t.entries))
-	t.arena = slices.Grow(t.arena, max(0, fit*meanKey-len(t.arena)))
+	if t.shared == nil || t.tail+len(key) > len(t.shared) {
+		if t.shared == nil || len(t.shared) == uniqBlockLen {
+			t.blocks, t.cur, t.tail = append(t.blocks, nil), uint64(len(t.blocks)), 0
+		}
+		size := max(1<<10, min(uniqBlockLen, 2*len(t.shared)))
+		for size < t.tail+len(key) {
+			size *= 2
+		}
+		b := make([]byte, size)
+		t.shared, t.tail, t.blocks[t.cur] = b, copy(b, t.shared[:t.tail]), b
+	}
+	loc := t.cur<<40 | uint64(t.tail)<<20 | uint64(len(key))
+	t.tail += copy(t.shared[t.tail:], key)
+	return loc
+}
+
+// rehash rebuilds the index at size slots; entries and keys stay put.
+func (t *uniqTable) rehash(size int) {
 	t.slots = make([]uint64, size)
 	mask := size - 1
-	for i := range t.entries {
-		h := t.entries[i].hash
-		j := int(h) & mask
-		for t.slots[j] != 0 {
-			j = (j + 1) & mask
+	for n := 0; n < t.n; n++ {
+		if e := t.entry(n); e.count > 0 {
+			j := int(e.hash) & mask
+			for t.slots[j] != 0 {
+				j = (j + 1) & mask
+			}
+			t.slots[j] = e.hash>>32<<32 | uint64(n+1)
 		}
-		t.slots[j] = h>>32<<32 | uint64(i+1)
 	}
+}
+
+// adopt folds o into t with one index growth and no copy: t takes o's
+// pages and blocks as they are, and an entry of o whose key t holds adds
+// its count to t's and is left a hole. So o is spent.
+func (t *uniqTable) adopt(o *uniqTable) {
+	t.growTo(t.keys + o.keys + 1)
+	first, base := len(t.pages)<<uniqPageBits, uint64(len(t.blocks))<<40
+	t.pages, t.blocks = append(t.pages, o.pages...), append(t.blocks, o.blocks...)
+	for n := 0; n < o.n; n++ {
+		if oe := o.entry(n); oe.count > 0 {
+			oe.loc += base
+			if e, slot := t.find(oe.hash, t.key(oe)); e != nil {
+				e.count, oe.count = e.count+oe.count, 0
+			} else {
+				t.link(slot, oe.hash, first+n)
+			}
+		}
+	}
+	t.n = first + o.n
 }
 
 // ---------------------------------------------------------------------------
@@ -511,9 +573,9 @@ func (c UniquenessCheck) NewStates(n, maxDetails int) []CheckState {
 	if bloomBits == 0 {
 		bloomBits = DefaultBloomBits
 	}
-	// Start the exact tables small, so tiny datasets don't pay; a table
-	// doubles as its keys arrive, and rehash grows its entries and arena
-	// in the same steps.
+	// Start the exact tables small, so tiny datasets don't pay; a table's
+	// index doubles as its keys arrive, while its entries and key bytes
+	// fill pages and blocks that never move.
 	hint := maxExact
 	if hint > 256 {
 		hint = 256
@@ -526,7 +588,7 @@ func (c UniquenessCheck) NewStates(n, maxDetails int) []CheckState {
 			bloomBits:  bloomBits,
 			maxDetails: maxDetails,
 		}
-		st.table.init(hint)
+		st.table.growTo(hint)
 		out[i] = st
 	}
 	return out
@@ -557,9 +619,9 @@ func (s *uniquenessState) add(key string) {
 		return
 	}
 	h := tableHash(key)
-	idx, found := s.table.find(h, key)
-	if found {
-		s.table.entries[idx].count++
+	e, slot := s.table.find(h, key)
+	if e != nil {
+		e.count++
 		return
 	}
 	if s.table.len() >= s.maxExact {
@@ -567,7 +629,7 @@ func (s *uniquenessState) add(key string) {
 		s.bloom.insert(key)
 		return
 	}
-	s.table.insertAt(idx, h, key, 1)
+	s.table.insertAt(slot, h, s.table.put(key), 1)
 }
 
 // spill converts the exact set to Bloom form, hashing each stored key
@@ -582,8 +644,10 @@ func (s *uniquenessState) spill() {
 
 // insertTable inserts every key a table holds.
 func (b *bloomFilter) insertTable(t *uniqTable) {
-	for i := range t.entries {
-		b.insert(t.key(i))
+	for n := 0; n < t.n; n++ {
+		if e := t.entry(n); e.count > 0 {
+			b.insert(t.key(e))
+		}
 	}
 }
 
@@ -607,22 +671,13 @@ func (s *uniquenessState) ObserveBatch(_ int64, b *ColumnBatch) {
 
 // Merge folds other into s. Two exact states merge their tables (the
 // approximate decision is deferred to Finding, where the merged
-// cardinality is known), growing s once to hold both; once either side
-// spilled, both degrade to the unioned filter.
+// cardinality is known), s's adopting other's, which leaves other spent;
+// once either side spilled, both degrade to the unioned filter.
 func (s *uniquenessState) Merge(other CheckState) {
 	o := other.(*uniquenessState)
 	s.records += o.records
 	if s.bloom == nil && o.bloom == nil {
-		s.table.growTo(s.table.len() + o.table.len() + 1)
-		for i := range o.table.entries {
-			e, key := &o.table.entries[i], o.table.key(i)
-			idx, found := s.table.find(e.hash, key)
-			if found {
-				s.table.entries[idx].count += e.count
-			} else {
-				s.table.insertAt(idx, e.hash, key, e.count)
-			}
-		}
+		s.table.adopt(&o.table)
 		return
 	}
 	if s.bloom == nil {
@@ -660,16 +715,16 @@ func (s *uniquenessState) Finding() CrossFinding {
 		// One pass keeps the maxDetails smallest duplicated keys.
 		var shown maxHeap
 		dups := 0
-		for i := range s.table.entries {
-			if s.table.entries[i].count > 1 {
+		for n := 0; n < s.table.n; n++ {
+			if e := s.table.entry(n); e.count > 1 {
 				dups++
-				shown.keep(s.table.key(i), s.maxDetails)
+				shown.keep(s.table.key(e), s.maxDetails)
 			}
 		}
 		slices.Sort(shown)
 		for _, k := range shown {
-			idx, _ := s.table.find(tableHash(k), k)
-			f.Details = append(f.Details, fmt.Sprintf("key %q appears %d times", displayKey(k), s.table.entries[idx].count))
+			e, _ := s.table.find(tableHash(k), k)
+			f.Details = append(f.Details, fmt.Sprintf("key %q appears %d times", displayKey(k), e.count))
 		}
 		if extra := dups - len(shown); extra > 0 {
 			f.Details = append(f.Details, fmt.Sprintf("... and %d more duplicated keys", extra))

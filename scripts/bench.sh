@@ -6,7 +6,8 @@
 # and IQRs, the host's CPU count (nproc) and the suite's ratios:
 #   - batch engine (internal/dqbatch: sequential, parallel at 1-8 workers,
 #     vectorized, uniqueness, decode, file, uniqueness-key and per-check
-#     cross-record runs) → BENCH_batch.json;
+#     cross-record runs, and a two-state uniqueness merge)
+#     → BENCH_batch.json;
 #   - OCL evaluation (interpreted vs compiled per expression shape, plus
 #     BenchmarkBatchCompiled{,Rows}) → BENCH_ocl.json;
 #   - attribution overhead (BenchmarkBatchParallel8 vs
@@ -53,7 +54,7 @@ bench() {
 	echo "wrote $json" >&2
 }
 
-bench batch "$out" -bench 'Benchmark(Batch(Sequential|Parallel[0-9]+|Vectorized|Uniqueness(Bloom)?[0-9]+|File(CSV)?|UniquenessKeys(Baseline|Hashed))|Decode(Shuffled|Reviews)?|CrossObserve(Unique|Ref|Timeliness))$' ./internal/dqbatch/
+bench batch "$out" -bench 'Benchmark(Batch(Sequential|Parallel[0-9]+|Vectorized|Uniqueness(Bloom)?[0-9]+|File(CSV)?|UniquenessKeys(Baseline|Hashed))|Decode(Shuffled|Reviews)?|CrossObserve(Unique|Ref|Timeliness)|CrossMergeUnique)$' ./internal/dqbatch/
 bench ocl "$oclout" -bench 'Benchmark(Eval(Interpreted|Compiled)|BatchCompiled(Rows)?)$' ./internal/ocl/ ./internal/dqbatch/
 bench obs "$obsout" -bench 'BenchmarkBatch(Parallel8|Attributed8)$' ./internal/dqbatch/
 
